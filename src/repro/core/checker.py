@@ -70,6 +70,10 @@ class Checker:
         # a (port, bank) slot via this probe before its check issues; None
         # keeps the legacy LSQ-bypass assumption (no D-cache competition).
         self._dcache_probe = dcache_probe
+        #: Last cycle whose issue() refused the queue head's D-cache probe
+        #: before issuing anything: the core's cycle skipper repeats such
+        #: a cycle only if the pipe provably stalls the same way again.
+        self.probe_stalled_at = -1
         self._pending = CheckQueue()
         # Cycle at which each register's *verified* value becomes available.
         # Absent key = value verified long ago (committed state), ready now.
@@ -190,6 +194,8 @@ class Checker:
                 if fu.available(fu_by_op[op_cls]) <= 0:
                     break
                 if not probe(uop.addr, now):
+                    if not used:
+                        self.probe_stalled_at = now
                     break  # bank/port conflict: in-order pipe stalls here
             complete = now + lat_by_op[op_cls]
             if not fu.try_acquire(

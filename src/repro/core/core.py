@@ -55,10 +55,13 @@ branch resolution, checker retirement — flow through one cycle-indexed
 :class:`~repro.core.sched.EventWheel` drained at the top of every step, so
 per-cycle cost scales with events and issues, not window occupancy.  With
 ``CoreParams.cycle_skip`` (the default), the run loop additionally jumps
-``now`` over provably idle stretches — ready queue empty, fetch stalled,
-every pending wakeup in the future — landing exactly on the next cycle
-where anything can happen, so the simulated schedule (and every statistic)
-is identical to ticking cycle by cycle.
+``now`` over stretches of cycles that provably repeat the one before —
+nothing issuable, or only memory retries the hierarchy keeps refusing;
+fetch stalled or blocked on a full window, a full LSQ, or an exhausted
+wrong-path stream; every pending wakeup in the future — landing exactly on
+the next cycle that can differ.  The retries and LSQ stalls the skipped
+cycles would have counted are charged analytically, so the simulated
+schedule (and every statistic) is identical to ticking cycle by cycle.
 """
 
 from __future__ import annotations
@@ -206,6 +209,9 @@ class SuperscalarCore:
         md = params.memdep
         self._memdep_on = md.enabled
         self._lsq: deque[DynOp] = deque()
+        # The LSQ's correct-path ops again, by address, each list in program
+        # order: the forwarding and violation searches walk one list.
+        self._lsq_index: dict[int, list[DynOp]] = {}
         self._lsq_size = md.lsq_size
         self._fwd_latency = md.forward_latency
         self._violation_penalty = md.violation_penalty
@@ -226,6 +232,11 @@ class SuperscalarCore:
         self._ckpt_on = self._recovery.checkpointing
         self.stats.checkpointing_enabled = self._ckpt_on
         self._skip_enabled = params.cycle_skip
+        # A replay-only cycle's refused ops, its cycle, and the ready-heap
+        # length after issue, handed from _issue_primary to _maybe_skip.
+        self._replay: list[DynOp] | None = None
+        self._replay_at = -1
+        self._replay_heap_len = 0
         self.hierarchy.reset()
         self.hierarchy.attach_wheel(self._wheel)
         if self._owns_predictor:
@@ -256,6 +267,9 @@ class SuperscalarCore:
         # nothing to synthesize.
         self._wp_iter = None
         self._wp_peek: MicroOp | None = None
+        # Set once the iterator runs dry (it cannot be peeked): the stream
+        # then fetches nothing more until the episode ends.
+        self._wp_exhausted = False
         self._wp_resolve_at: int | None = None
         self._wp_icache_stall_until = 0
         self._wp_saved_producers: dict[int, DynOp] = {}
@@ -297,9 +311,9 @@ class SuperscalarCore:
                 if self._now > limit:
                     raise DeadlockError(self._deadlock_report(limit))
                 step()
-                # Cycle skipping: with nothing ready to issue, jump straight
-                # to the next cycle where anything can happen (_maybe_skip).
-                if skip and not ready_heap:
+                # Cycle skipping: with nothing ready to issue, or only
+                # refused retries, jump to the next cycle that can differ.
+                if skip and (not ready_heap or self._replay is not None):
                     maybe_skip()
         else:
             # Instrumented twin of the loop above: one boundary comparison
@@ -319,7 +333,7 @@ class SuperscalarCore:
                 if self._now >= next_at:
                     telemetry.sample(self._now)
                     next_at = telemetry.next_boundary(self._now)
-                if skip and not ready_heap:
+                if skip and (not ready_heap or self._replay is not None):
                     maybe_skip()
             telemetry.finalize(self._now)
         self.stats.cycles = self._now
@@ -381,13 +395,16 @@ class SuperscalarCore:
         ready_heap = self._ready_heap
         maybe_skip = self._maybe_skip
         stats = self.stats
-        # --- warmup phase: the plain run loop, halted at the first cycle
-        # boundary where the commit count has reached the warmup target ---
-        while (self._fetch_index < trace_len or window) and stats.committed < warmup_ops:
+        # --- warmup phase: the plain run loop, halted right after the first
+        # cycle whose commit count reaches the warmup target.  That cycle
+        # never skips: cycles after it belong to the measured window ---
+        while self._fetch_index < trace_len or window:
             if self._now > limit:
                 raise DeadlockError(self._deadlock_report(limit))
             step()
-            if skip and not ready_heap:
+            if stats.committed >= warmup_ops:
+                break
+            if skip and (not ready_heap or self._replay is not None):
                 maybe_skip()
         # --- measurement boundary: snapshot what must be subtracted at
         # finalize, then zero the window counters in place (subsystems hold
@@ -395,8 +412,12 @@ class SuperscalarCore:
         # — the checkpointing policy keys off it — and is re-based below.
         base_cycle = self._now
         base_committed = stats.committed
+        # A fault still unresolved at the boundary resolves inside the
+        # window, so the window counts it as injected too.
         base_injected = (
-            self.fault_injector.injected if self.fault_injector is not None else 0
+            self.fault_injector.injected - self._unresolved_faults()
+            if self.fault_injector is not None
+            else 0
         )
         base_decays = self._storesets.decays if self._storesets is not None else 0
         base_memory = self.hierarchy.raw_counters()
@@ -408,7 +429,7 @@ class SuperscalarCore:
             if self._now > limit:
                 raise DeadlockError(self._deadlock_report(limit))
             step()
-            if skip and not ready_heap:
+            if skip and (not ready_heap or self._replay is not None):
                 maybe_skip()
         stats.cycles = self._now - base_cycle
         stats.committed -= base_committed
@@ -422,6 +443,17 @@ class SuperscalarCore:
         stats.sched_events = self._wheel.posted - base_posted
         stats.memory = self.hierarchy.snapshot(baseline=base_memory)
         return stats
+
+    def _unresolved_faults(self) -> int:
+        """Injected faults with no outcome yet.
+
+        Tracked models know theirs (committed silent faults included); a
+        transient fault is unresolved exactly while its op is still in the
+        window (detection clears ``faulty``, a squash removes the op).
+        """
+        if self._fault_tracker is not None:
+            return self._fault_tracker.unresolved()
+        return sum(1 for op in self._window if op.faulty)
 
     def _flight_recorder_report(
         self, limit: int, telemetry: IntervalTelemetry
@@ -491,12 +523,16 @@ class SuperscalarCore:
         return "\n".join(lines)
 
     def _maybe_skip(self) -> None:
-        """Jump ``self._now`` over cycles in which nothing can happen.
+        """Jump ``self._now`` over cycles that provably repeat the last one.
 
-        Called by the run loop after a step, only when the primary ready
-        queue is empty (anything issueable — including ops stashed on a
-        structural hazard — keeps the heap non-empty and vetoes skipping).
-        The next cycle where *any* stage can make progress is bounded by:
+        Called by the run loop after a step that left the primary ready
+        queue empty, or that :meth:`_issue_primary` recorded as
+        *replay-only*: it issued nothing, stashed nothing on a busy unit,
+        and every op it popped was a memory access the hierarchy refused.
+        Those ops are back in the queue, and until the hierarchy's answers
+        can change (:meth:`MemoryHierarchy.replay_horizon`) each following
+        cycle pops them again and is refused the same way.  The next cycle
+        that can differ is bounded by:
 
         * the event wheel's next pending wakeup (producer completions,
           memory fills, branch resolution, check retirements, violation
@@ -506,16 +542,37 @@ class SuperscalarCore:
           verified source operands, whose ready cycles the in-order
           checker fixed when the older checks issued;
         * the end of the active fetch stall (redirect, I-cache miss, or
-          the wrong-path stream's own I-cache stall).
+          the wrong-path stream's own I-cache stall);
+        * after a replay-only cycle, the hierarchy's replay horizon.
 
-        If any of those is due now (or a commit / checker head is already
-        eligible, where structural availability cannot be predicted
-        cheaply), the loop ticks normally.  Otherwise ``now`` jumps to the
-        earliest bound — by construction a cycle-for-cycle no-op for the
-        schedule, so every statistic is identical with skipping on or off
-        (pinned by the cycle-skip identity tests and the goldens).
+        A fetch stage free to run but blocked — full window, full LSQ
+        ahead of a load/store, exhausted wrong-path stream — adds no bound:
+        only a commit or a squash unblocks it, and both are bounded above.
+        If a commit is due, fetch can make progress, or the checker head is
+        eligible (unless it has no slots, or its D-cache probe was just
+        refused before anything issued — a stall that repeats too), the
+        loop ticks normally.  Otherwise ``now`` jumps to the earliest
+        bound, and what the skipped cycles would have done is charged
+        analytically: each refused op's retries (``replays``, the replay
+        and slot counters, the hierarchy's refusal counters via
+        :meth:`MemoryHierarchy.repeat_refusals`) and one
+        ``lsq_full_stalls`` per cycle for a fetch stalled on the LSQ.
+        Every statistic is identical with skipping on or off (pinned by
+        the cycle-skip identity tests and the goldens).
         """
         now = self._now
+        replay = self._replay
+        if replay is not None:
+            self._replay = None
+            # The record holds only for the cycle just stepped, and only if
+            # rename pushed nothing after issue (that op would issue next).
+            if (
+                self._replay_at != now - 1
+                or len(self._ready_heap) != self._replay_heap_len
+            ):
+                replay = None
+        if replay is None and self._ready_heap:
+            return
         window = self._window
         if not window and self._fetch_index >= self._trace_len:
             # Run complete: the loop is about to exit, and a last jump to a
@@ -536,48 +593,103 @@ class SuperscalarCore:
                         return  # commit drains this cycle
                     if target is None or complete_at < target:
                         target = complete_at
-        if checker is not None:
-            pending = self._check_deque
-            if pending:
-                head = pending[0]
-                if head.squashed:
-                    return  # let the issue path drop the stale head
-                complete_at = head.complete_at
-                if complete_at is not None:
-                    wake = complete_at
-                    reg_ready_get = checker._reg_ready.get
-                    for src in head.uop.srcs:
-                        if src != REG_ZERO:
-                            ready = reg_ready_get(src, 0)
-                            if ready > wake:
-                                wake = ready
-                    if wake <= now:
+        # The refused retries of a replay-only cycle used len(replay) issue
+        # slots; a checker left with none cannot act at all.
+        if checker is not None and self._check_deque and (
+            replay is None or len(replay) < self._issue_width
+        ):
+            head = self._check_deque[0]
+            if head.squashed:
+                return  # let the issue path drop the stale head
+            complete_at = head.complete_at
+            if complete_at is not None:
+                wake = complete_at
+                reg_ready_get = checker._reg_ready.get
+                for src in head.uop.srcs:
+                    if src != REG_ZERO:
+                        ready = reg_ready_get(src, 0)
+                        if ready > wake:
+                            wake = ready
+                if wake <= now:
+                    if replay is None or checker.probe_stalled_at != now - 1:
                         return  # head may check (or is blocked structurally)
-                    if target is None or wake < target:
-                        target = wake
+                elif target is None or wake < target:
+                    target = wake
+        # Fetch: the end of the active stall (None: fetch waits on an event).
         if self._wp_branch is not None:
             stall = self._wp_icache_stall_until
-            if stall <= now:
-                return  # wrong-path fetch may run this cycle
-            if target is None or stall < target:
-                target = stall
         elif self._waiting_branch is None and self._fetch_index < self._trace_len:
             stall = self._fetch_stall_until
             icache = self._icache_stall_until
             if icache > stall:
                 stall = icache
-            if stall <= now:
-                return  # correct-path fetch may run this cycle
-            if target is None or stall < target:
-                target = stall
+        else:
+            stall = None
+        lsq_stalled = False
+        if stall is not None:
+            if stall > now:
+                if target is None or stall < target:
+                    target = stall
+            else:
+                blocked = self._fetch_blocked()
+                if blocked is None:
+                    return  # fetch may run this cycle
+                lsq_stalled = blocked
+        if replay is not None:
+            horizon = self.hierarchy.replay_horizon()
+            if horizon <= now:
+                return
+            if target is None or horizon < target:
+                target = horizon
         if target is not None and target > now:
             bound = self._cycle_limit + 1
             if target > bound:
                 target = bound
                 if target <= now:
                     return
-            self.stats.cycles_skipped += target - now
+            skipped = target - now
+            stats = self.stats
+            stats.cycles_skipped += skipped
+            if lsq_stalled:
+                stats.lsq_full_stalls += skipped
+            if replay is not None:
+                stats.replay_slots_used += len(replay) * skipped
+                for op in replay:
+                    op.replays += skipped
+                    if op.wrong_path:
+                        stats.wrong_path_mem_replays += skipped
+                        stats.wrong_path_slots_used += skipped
+                    else:
+                        stats.mem_replays += skipped
+                self.hierarchy.repeat_refusals(now - 1, skipped)
             self._now = target
+
+    def _fetch_blocked(self) -> bool | None:
+        """How a fetch stage free to run this cycle fares (for _maybe_skip).
+
+        ``None`` if it may make progress.  Otherwise it fetches nothing
+        until a commit or a squash frees window or LSQ space or ends the
+        wrong-path episode: ``True`` if it stalls on a full LSQ ahead of a
+        load/store, counting one ``lsq_full_stalls`` per cycle; ``False``
+        if it stalls silently (full window, exhausted wrong-path stream).
+        """
+        if len(self._window) >= self.params.window_size:
+            return False
+        if self._wp_branch is not None:
+            if self._wp_exhausted:
+                return False
+            uop = self._wp_peek
+            if uop is None:
+                return None  # the next wrong-path op is not synthesized yet
+        else:
+            uop = self._trace[self._fetch_index]
+        if (
+            self._memdep_on
+            and (uop.op is OpClass.LOAD or uop.op is OpClass.STORE)
+            and len(self._lsq) >= self._lsq_size
+        ):
+            return True
+        return None
 
     # ------------------------------------------------------------ cycle step
 
@@ -684,6 +796,7 @@ class SuperscalarCore:
         record = self.params.record_retired
         gate_on_check = self.checker is not None
         lsq = self._lsq if self._memdep_on else None
+        lsq_index = self._lsq_index
         tracer = self.tracer
         fault_tracker = self._fault_tracker
         while window and done < budget:
@@ -696,6 +809,12 @@ class SuperscalarCore:
             window.popleft()
             if lsq is not None and lsq and lsq[0] is op:
                 lsq.popleft()
+                addr = op.uop.addr
+                entries = lsq_index[addr]
+                if len(entries) == 1:
+                    del lsq_index[addr]
+                else:
+                    del entries[0]
             op.committed_at = now
             dest = op.uop.dest
             if reg_producer.get(dest) is op:
@@ -723,6 +842,7 @@ class SuperscalarCore:
         must not look like idle issue bandwidth to the checker).
         """
         slots = budget
+        refused = 0
         pop_live = self._ready.pop_live
         stash: list[DynOp] | None = None
         fu = self._fu
@@ -770,6 +890,7 @@ class SuperscalarCore:
                     if not result.ok:
                         op.replays += 1
                         slots -= 1
+                        refused += 1
                         stats.replay_slots_used += 1
                         if op.wrong_path:
                             stats.wrong_path_mem_replays += 1
@@ -835,6 +956,12 @@ class SuperscalarCore:
             push = self._ready.push
             for op in stash:
                 push(op)
+            if refused == len(stash) == budget - slots and self._skip_enabled:
+                # Replay-only cycle: nothing issued and every popped op was
+                # refused.  _maybe_skip decides how many cycles repeat it.
+                self._replay = stash
+                self._replay_at = now
+                self._replay_heap_len = len(self._ready_heap)
         return slots
 
     # ------------------------------------------------------ memory dependence
@@ -842,20 +969,18 @@ class SuperscalarCore:
     def _forwarding_store(self, load: DynOp) -> DynOp | None:
         """Youngest older same-address store that can forward to ``load``.
 
-        Scans the LSQ youngest-first so the first older matching store is
-        the one whose value the load must see.  A matching store that has
-        not issued yet cannot forward (its data does not exist) — the load
-        proceeds to the D-cache and the store's later issue catches the
-        ordering violation.  Wrong-path stores never forward: their values
-        are fiction and they vanish at resolution.
+        Walks the load's address list youngest-first, so the first older
+        store is the one whose value the load must see.  A matching store
+        that has not issued yet cannot forward (its data does not exist) —
+        the load proceeds to the D-cache and the store's later issue
+        catches the ordering violation.  Wrong-path stores never forward:
+        their values are fiction and they vanish at resolution, so the
+        index leaves them out.
         """
-        addr = load.uop.addr
         seq = load.seq
         store_cls = OpClass.STORE
-        for entry in reversed(self._lsq):
-            if entry.seq >= seq:
-                continue
-            if entry.uop.op is store_cls and not entry.wrong_path and entry.uop.addr == addr:
+        for entry in reversed(self._lsq_index[load.uop.addr]):
+            if entry.seq < seq and entry.uop.op is store_cls:
                 return entry if entry.issued_at is not None else None
         return None
 
@@ -866,26 +991,39 @@ class SuperscalarCore:
         unless it forwarded from a store *younger* than this one (in which
         case it saw the closer value, which is correct).  Only the oldest
         violator matters — squashing from it removes every younger one —
-        and the LSQ is program-ordered, so the scan stops at the first
-        match.  The squash is posted as an EV_MEM_VIOLATION event for the
-        next cycle rather than applied mid-issue: the issue loop is walking
-        the ready queue and must not mutate the window under itself.
+        and the address list is program-ordered, so the walk stops at the
+        first match.  The squash is posted as an EV_MEM_VIOLATION event for
+        the next cycle rather than applied mid-issue: the issue loop is
+        walking the ready queue and must not mutate the window under itself.
         """
-        addr = store.uop.addr
         sseq = store.seq
         load_cls = OpClass.LOAD
-        for entry in self._lsq:
-            if entry.seq <= sseq or entry.wrong_path:
-                continue
-            if entry.uop.op is not load_cls or entry.issued_at is None:
-                continue
-            if entry.uop.addr != addr:
+        for entry in self._lsq_index[store.uop.addr]:
+            if entry.seq <= sseq or entry.uop.op is not load_cls or entry.issued_at is None:
                 continue
             fwd = entry.fwd_from
             if fwd is not None and fwd.seq > sseq:
                 continue
             self._wheel.post(now + 1, EV_MEM_VIOLATION, (store, entry))
             break
+
+    def _trim_lsq(self) -> None:
+        """Refund the LSQ slots (and index entries) of squashed ops.
+
+        A squash always takes the youngest ops, so its victims form a tail
+        of the LSQ and of every address list.
+        """
+        lsq = self._lsq
+        index = self._lsq_index
+        while lsq and lsq[-1].squashed:
+            op = lsq.pop()
+            if not op.wrong_path:
+                addr = op.uop.addr
+                entries = index[addr]
+                if len(entries) == 1:
+                    del index[addr]
+                else:
+                    entries.pop()
 
     # ----------------------------------------------------------------- fetch
 
@@ -982,6 +1120,7 @@ class SuperscalarCore:
                 if uop is None:
                     uop = next(wp_iter, None)
                     if uop is None:
+                        self._wp_exhausted = True
                         break  # stream exhausted: wait for resolution
                     self._wp_peek = uop
                 if (
@@ -1056,10 +1195,17 @@ class SuperscalarCore:
             if opc is OpClass.LOAD or opc is OpClass.STORE:
                 # Every in-flight memory op (wrong-path included) holds an
                 # LSQ slot from rename to commit or squash; only
+                # correct-path ops are indexed by address, and only
                 # correct-path stores are visible to the predictor.
                 self._lsq.append(op)
-                if not wrong_path and opc is OpClass.STORE:
-                    self._storesets.store_fetched(uop.pc, op, now)
+                if not wrong_path:
+                    entries = self._lsq_index.get(uop.addr)
+                    if entries is None:
+                        self._lsq_index[uop.addr] = [op]
+                    else:
+                        entries.append(op)
+                    if opc is OpClass.STORE:
+                        self._storesets.store_fetched(uop.pc, op, now)
         if uop.op is OpClass.NOP:
             # Nops consume front-end and commit bandwidth only; they never
             # enter the ready or check queues.
@@ -1142,6 +1288,7 @@ class SuperscalarCore:
                     self._wp_source(uop, op.seq, self.params.wrong_path_depth)
                 )
                 self._wp_peek = None
+                self._wp_exhausted = False
                 # Snapshot the producer map: during the episode only
                 # wrong-path renames (overwrites) and in-order commits
                 # (deletions) touch it, so the resolution squash restores

@@ -261,10 +261,12 @@ class CoreParams:
             fault-recovery model the goldens pin; a positive interval
             enables verified-state checkpointing with rollback-based
             recovery cost.
-        cycle_skip: Let the run loop jump ``now`` to the next scheduled
-            wakeup when the machine is provably idle (ready queue empty,
-            fetch stalled, no stage able to make progress) instead of
-            ticking cycle by cycle.  A pure wall-clock optimization: the
+        cycle_skip: Let the run loop jump ``now`` to the next cycle that
+            can differ when the cycles ahead provably repeat the last one
+            (nothing issuable or only refused memory retries, fetch
+            stalled or blocked, no other stage able to make progress)
+            instead of ticking cycle by cycle, charging the skipped
+            retries analytically.  A pure wall-clock optimization: the
             simulated schedule and every statistic are identical either
             way (asserted by the cycle-skip identity tests), so it is on
             by default and excluded from serialized configs unless

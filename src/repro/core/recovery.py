@@ -312,9 +312,7 @@ class RecoveryManager:
         stats.squashed_by_cause[RecoveryCause.BRANCH_MISPREDICT.value] += squashed
         if core._memdep_on:
             # Wrong-path memory ops occupied real LSQ slots; refund them.
-            lsq = core._lsq
-            while lsq and lsq[-1].squashed:
-                lsq.pop()
+            core._trim_lsq()
         # Restore the pre-episode producer map rather than rescanning the
         # window.  Equivalent to rebuild_producers(): no correct-path op
         # was renamed during the episode, and commit is in-order, so the
@@ -480,9 +478,7 @@ class RecoveryManager:
             if victim.uop.op in UNPIPELINED_OPS:
                 self.release_victim_fu(victim, now)
         if core._memdep_on:
-            lsq = core._lsq
-            while lsq and lsq[-1].squashed:
-                lsq.pop()
+            core._trim_lsq()
         self.rebuild_producers()
 
     def end_wrong_path(self) -> None:
@@ -491,6 +487,7 @@ class RecoveryManager:
         core._wp_branch = None
         core._wp_iter = None
         core._wp_peek = None
+        core._wp_exhausted = False
         core._wp_resolve_at = None
         core._wp_icache_stall_until = 0
         core._wp_saved_producers = {}

@@ -143,10 +143,12 @@ class CoreStats:
     wall_seconds: float = 0.0
     #: Timed wakeups posted to the event wheel over the run.
     sched_events: int = 0
-    #: Idle cycles the run loop jumped over (``CoreParams.cycle_skip``).
-    #: Telemetry, not simulated state: a skipped cycle is one the machine
-    #: provably did nothing in, so ``cycles`` and every other counter are
-    #: identical with skipping on or off.
+    #: Cycles the run loop jumped over (``CoreParams.cycle_skip``).
+    #: Telemetry, not simulated state: a skipped cycle provably repeats the
+    #: one before it (nothing issued, or only refused memory retries; fetch
+    #: stalled or blocked), and the retries and LSQ stalls it would have
+    #: counted are charged analytically, so ``cycles`` and every other
+    #: counter are identical with skipping on or off.
     cycles_skipped: int = 0
 
     @property

@@ -129,6 +129,11 @@ class OutcomeTracker:
     def note_false_alarm(self, op: "DynOp", now: int) -> None:
         self._resolve(op, FaultOutcome.FALSE_ALARM, now)
 
+    def unresolved(self) -> int:
+        """Injected faults that have no outcome yet."""
+        resolved = self._resolved
+        return sum(1 for op in self._injected if id(op) not in resolved)
+
     def finalize(self, now: int) -> None:
         """End of run: anything committed-and-still-live is SDC."""
         for op in self._injected:

@@ -5,7 +5,9 @@ The hierarchy answers the core's question "if this access issues at cycle
 refusals (all data-cache ports busy this cycle, MSHR file full, merge-target
 overflow) come back as a non-OK :class:`AccessResult` and the core replays
 the access on a later cycle, exactly the throttle that bounds memory-level
-parallelism in the paper's experiments.
+parallelism in the paper's experiments.  A refusal changes no state but
+its counters, so cycles that only repeat earlier refusals can be counted
+without being re-run (:meth:`MemoryHierarchy.repeat_refusals`).
 
 State updates are *eager*: a miss installs its line immediately while the
 returned ready cycle carries the timing, which keeps the model single-pass
@@ -146,6 +148,10 @@ class MemoryHierarchy:
         # when a response is due, replacing the per-access poll.
         self._wheel = None
         self._fills_armed = False
+        # The refusals handed out during cycle `_refusal_cycle`, as
+        # (reason, bank) pairs: what repeat_refusals charges again.
+        self._refusal_cycle = -1
+        self._refusals: list[tuple[str, int]] = []
 
     def attach_wheel(self, wheel) -> None:
         """Route deferred-fill arrivals through ``wheel`` (an
@@ -202,6 +208,10 @@ class MemoryHierarchy:
 
     # ------------------------------------------------------------------ banks
 
+    def _bank(self, addr: int) -> int:
+        """The (line-interleaved) D-cache bank holding byte ``addr``."""
+        return (addr // self.params.line_bytes) % self._nbanks
+
     def _take_bank_slot(self, addr: int, now: int, checker: bool) -> bool:
         """Claim a per-cycle slot in ``addr``'s (line-interleaved) bank.
 
@@ -211,7 +221,7 @@ class MemoryHierarchy:
         if now != self._bank_cycle:
             self._bank_cycle = now
             self._banks_used = [0] * self._nbanks
-        bank = (addr // self.params.line_bytes) % self._nbanks
+        bank = self._bank(addr)
         if self._banks_used[bank] >= self._bank_ports:
             if checker:
                 self.stats.checker_bank_conflicts[bank] += 1
@@ -233,11 +243,66 @@ class MemoryHierarchy:
         self.stats.checker_probes += 1
         if not self._take_port(now):
             self.stats.checker_port_conflicts += 1
+            self._log_refusal(now, "checker_port")
             return False
         if not self._take_bank_slot(addr, now, checker=True):
             self._ports_used -= 1
+            self._log_refusal(now, "checker_bank", self._bank(addr))
             return False
         return True
+
+    # ---------------------------------------------------------- repeat refusals
+
+    def _log_refusal(self, now: int, reason: str, bank: int = -1) -> None:
+        if now != self._refusal_cycle:
+            self._refusal_cycle = now
+            self._refusals = []
+        self._refusals.append((reason, bank))
+
+    def replay_horizon(self) -> float:
+        """First cycle at which a refused request may be answered differently.
+
+        Port and bank use restart every cycle, and a refused request
+        changes no other state.  So the requests refused at one cycle, made
+        again in the same order on a later cycle, are refused again the
+        same way — until an arrived fill is applied to the L1D or an
+        in-flight miss completes and frees its MSHR.  Returns ``-inf``
+        while an arrived fill waits for the next access to apply it, and
+        ``inf`` when no miss is in flight.
+        """
+        if self._fills_armed:
+            return float("-inf")
+        return self.mshrs.next_ready
+
+    def repeat_refusals(self, now: int, cycles: int) -> None:
+        """Count ``cycles`` more cycles that each repeat cycle ``now``'s refusals.
+
+        The cycle-skipping core calls this after proving (see
+        :meth:`replay_horizon`) that every data access and checker probe
+        refused at ``now`` would be refused the same way on each of the
+        next ``cycles`` cycles, instead of making each request again.
+        Every refusal counter is bumped exactly as the repeats would have.
+        """
+        if now != self._refusal_cycle:
+            return
+        stats = self.stats
+        mshrs = self.mshrs
+        for reason, bank in self._refusals:
+            if reason == "port":
+                stats.port_conflicts += cycles
+            elif reason == "bank":
+                stats.bank_conflicts[bank] += cycles
+            elif reason == "mshr":
+                mshrs.full_stalls += cycles
+            elif reason == "mshr_target":
+                mshrs.target_stalls += cycles
+            elif reason == "checker_port":
+                stats.checker_probes += cycles
+                stats.checker_port_conflicts += cycles
+                stats.port_conflicts += cycles
+            else:  # "checker_bank"
+                stats.checker_probes += cycles
+                stats.checker_bank_conflicts[bank] += cycles
 
     # ------------------------------------------------------------- data path
 
@@ -256,11 +321,13 @@ class MemoryHierarchy:
             self._drain_fills(now)
             self._fills_armed = False
         if not self._take_port(now):
+            self._log_refusal(now, "port")
             return AccessResult(ok=False, reason="port")
         if self._nbanks > 1 and not self._take_bank_slot(addr, now, checker=False):
             # Bank saturated even though a port was free: refund the port
             # (the access never reached the array) and replay next cycle.
             self._ports_used -= 1
+            self._log_refusal(now, "bank", self._bank(addr))
             return AccessResult(ok=False, reason="bank")
         if self.l1d.lookup(addr, is_store=is_store):
             self.stats.accesses["l1"] += 1
@@ -283,11 +350,13 @@ class MemoryHierarchy:
             # cycle would otherwise inflate the miss count once per retry.
             self._ports_used -= 1
             self.l1d.stats.misses -= 1
+            self._log_refusal(now, "mshr_target")
             return AccessResult(ok=False, reason="mshr_target")
         if self.mshrs.outstanding(now) >= self.mshrs.entries:
             self.mshrs.request(line, now, now)  # records the full stall
             self._ports_used -= 1
             self.l1d.stats.misses -= 1
+            self._log_refusal(now, "mshr")
             return AccessResult(ok=False, reason="mshr")
 
         ready, level = self._fetch_line(addr, now)
@@ -367,6 +436,8 @@ class MemoryHierarchy:
         self._banks_used = [0] * self._nbanks
         self._pending_fills.clear()
         self._fills_armed = False
+        self._refusal_cycle = -1
+        self._refusals = []
 
     def raw_counters(self) -> dict[str, float | list[int]]:
         """The raw (pre-derivation) counters behind :meth:`snapshot`.

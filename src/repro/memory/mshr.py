@@ -61,6 +61,15 @@ class MSHRFile:
             min(miss.ready_at for miss in misses.values()) if misses else _NEVER
         )
 
+    @property
+    def next_ready(self) -> float:
+        """Earliest completion among the tracked misses (``inf`` if none).
+
+        The file answers every request the same way until a cycle reaches
+        this value and the finished misses are reclaimed.
+        """
+        return self._next_ready
+
     def outstanding(self, now: int) -> int:
         """Number of line misses still in flight at cycle ``now``."""
         self._reclaim(now)

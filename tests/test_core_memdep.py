@@ -5,6 +5,7 @@ import pytest
 from repro.core import CheckerParams, CoreParams, SuperscalarCore
 from repro.core.dynop import DynOp
 from repro.core.params import MemDepParams
+from repro.core.sched import EV_MEM_VIOLATION
 from repro.core.storesets import StoreSetPredictor
 from repro.isa import MicroOp, OpClass
 
@@ -251,6 +252,103 @@ def test_lsq_slots_refunded_on_wrong_path_squash():
     assert stats.wrong_path_fetched > 0
     assert stats.committed == 7
     assert len(core._lsq) == 0
+
+
+def _reference_forwarding_store(lsq, load: DynOp) -> DynOp | None:
+    """The full-LSQ youngest-first scan the address index replaced."""
+    for entry in reversed(lsq):
+        if entry.seq >= load.seq:
+            continue
+        if (
+            entry.uop.op is OpClass.STORE
+            and not entry.wrong_path
+            and entry.uop.addr == load.uop.addr
+        ):
+            return entry if entry.issued_at is not None else None
+    return None
+
+
+def _reference_violating_load(lsq, store: DynOp) -> DynOp | None:
+    """The full-LSQ oldest-first scan the address index replaced."""
+    for entry in lsq:
+        if entry.seq <= store.seq or entry.wrong_path:
+            continue
+        if entry.uop.op is not OpClass.LOAD or entry.issued_at is None:
+            continue
+        if entry.uop.addr != store.uop.addr:
+            continue
+        fwd = entry.fwd_from
+        if fwd is not None and fwd.seq > store.seq:
+            continue
+        return entry
+    return None
+
+
+class _ReferenceCheckedCore(SuperscalarCore):
+    """Checks every indexed LSQ search against the full-scan reference."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.lookups = 0
+        self.violations_posted = 0
+        self.wrong_path_stores_seen = 0
+
+    def _check_index(self, addr: int) -> None:
+        expected = [op for op in self._lsq if not op.wrong_path and op.uop.addr == addr]
+        entries = self._lsq_index.get(addr, [])
+        assert len(entries) == len(expected)
+        assert all(a is b for a, b in zip(entries, expected))
+
+    def _forwarding_store(self, load: DynOp) -> DynOp | None:
+        self._check_index(load.uop.addr)
+        found = super()._forwarding_store(load)
+        assert found is _reference_forwarding_store(self._lsq, load)
+        self.lookups += 1
+        if any(op.wrong_path and op.uop.op is OpClass.STORE for op in self._lsq):
+            self.wrong_path_stores_seen += 1
+        return found
+
+    def _scan_order_violation(self, store: DynOp, now: int) -> None:
+        self._check_index(store.uop.addr)
+        expected = _reference_violating_load(self._lsq, store)
+        posted = self._wheel.posted
+        super()._scan_order_violation(store, now)
+        if expected is None:
+            assert self._wheel.posted == posted
+            return
+        assert self._wheel.posted == posted + 1
+        kind, (got_store, got_load) = self._wheel._due[now + 1][-1]
+        assert kind == EV_MEM_VIOLATION
+        assert got_store is store and got_load is expected
+        self.violations_posted += 1
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_address_index_matches_the_full_lsq_scans(seed: int):
+    from dataclasses import replace
+
+    from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
+    from repro.workloads import PRESETS, WrongPathGenerator, generate
+
+    profile = replace(PRESETS["memory-bound"], store_alias_fraction=0.6)
+    params = CoreParams(
+        window_size=64,
+        memdep=MemDepParams(enabled=True, lsq_size=24),
+        checker=CheckerParams(enabled=True, fault_rate=3e-3, fault_seed=seed + 5),
+    )
+    core = _ReferenceCheckedCore(
+        params,
+        hierarchy=MemoryHierarchy(HierarchyParams(dcache_banks=4)),
+        wrong_path_source=WrongPathGenerator(profile, seed=seed).iter_stream,
+    )
+    stats = core.run(generate(profile, 3_000, seed=seed))
+    assert stats.committed == 3_000
+    # Every squash path ran while the index was live.
+    assert stats.mem_order_violations > 0 and core.violations_posted > 0
+    assert stats.recoveries > 0 and stats.faults_squashed > 0
+    assert core.wrong_path_stores_seen > 0 and stats.wrong_path_squashed > 0
+    assert core.lookups > 0 and stats.loads_forwarded > 0
+    assert not core._lsq and not core._lsq_index
 
 
 # ---------------------------------------------------------------- integration

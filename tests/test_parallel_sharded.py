@@ -12,9 +12,9 @@ import pytest
 
 from repro.cli import main, run_experiment
 from repro.core.core import SuperscalarCore
-from repro.core.params import CoreParams
+from repro.core.params import CheckerParams, CoreParams
 from repro.parallel import plan_shards, run_sharded_experiment
-from repro.workloads import PRESETS, generate
+from repro.workloads import PRESETS, WrongPathGenerator, generate
 
 BRANCHY = PRESETS["branchy"]
 
@@ -73,6 +73,29 @@ def test_run_window_measures_only_past_the_boundary():
     warmup_committed = full.committed - stats.committed
     assert 500 <= warmup_committed <= 500 + params.commit_width
     assert 0 < stats.cycles < full.cycles
+
+
+@pytest.mark.parametrize(
+    ("model", "seed"),
+    [("transient", 6), ("transient", 7), ("intermittent", 3), ("stuck-fu", 4), ("address", 3)],
+)
+def test_run_window_counts_faults_live_at_the_boundary(model: str, seed: int):
+    """A fault injected during warmup but resolved after the boundary is
+    the window's: it counts as injected there, so outcomes still add up."""
+    params = CoreParams(
+        checker=CheckerParams(
+            enabled=True, fault_rate=1e-2, fault_seed=seed + 1, fault_model=model
+        )
+    )
+    core = SuperscalarCore(
+        params, wrong_path_source=WrongPathGenerator(BRANCHY, seed=seed).iter_stream
+    )
+    stats = core.run_window(generate(BRANCHY, 4_000, seed=seed), warmup_ops=2_000)
+    if model == "transient":
+        resolved = stats.faults_detected + stats.faults_squashed
+    else:
+        resolved = sum(stats.fault_outcomes.values())
+    assert resolved == stats.faults_injected > 0
 
 
 # ------------------------------------------------- run_sharded_experiment
