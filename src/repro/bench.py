@@ -1,14 +1,16 @@
-"""Core wall-clock benchmark: the scheduling kernel vs the scan baseline.
+"""Core wall-clock benchmark: the scheduling kernel vs committed references.
 
 ``python -m repro bench`` times :meth:`SuperscalarCore.run` on a branchy
 trace (the workload whose wrong-path episodes exercise every kernel path)
-and compares against the committed pre-refactor reference in
+and compares against the committed reference in
 ``benchmarks/baseline_prerefactor.json`` — wall times and full end-of-run
-stats captured from the old window-rescan core on the same machine.  Two
-claims are verified per configuration and mode:
+stats, each entry labelled with the core it was captured on and the
+capture commit: the old window-rescan (scan) core for ``table1``,
+``big-core`` and ``ci-smoke``, an earlier event kernel for
+``checkpoint``.  Two claims are verified per configuration and mode:
 
 * **Equivalence** — the kernel core's ``CoreStats.to_dict()`` must be
-  *identical* to the scan core's (IPC, detection, faults, memory system —
+  *identical* to the reference's (IPC, detection, faults, memory system —
   every counter).  The kernel is a restructuring, not a remodeling.
 * **Speedup** — wall-clock ratio versus the reference timing.  On the
   ``table1`` machine (128-entry window) the kernel wins a constant factor;
@@ -266,8 +268,9 @@ def run_bench(
     Per config and mode (unchecked / checked) the report carries the best
     wall time over ``repeats`` runs, ops/sec, kernel telemetry, and — when
     the reference has a matching entry (same config name *and* trace
-    length) — the speedup versus the scan core plus a strict stats-identity
-    verdict.
+    length) — the speedup versus that entry's reference core (named with
+    its capture commit in ``reference_kernel``/``reference_commit``) plus
+    a strict stats-identity verdict.
     """
     ref_configs = (reference or {}).get("configs", {})
     report: dict[str, Any] = {
@@ -276,8 +279,6 @@ def run_bench(
         "seed": seed,
         "fault_rate": fault_rate,
         "repeats": repeats,
-        "reference_kernel": (reference or {}).get("kernel"),
-        "reference_commit": (reference or {}).get("captured_at_commit"),
         "configs": {},
     }
     for name in config_names:
@@ -303,6 +304,11 @@ def run_bench(
         if ref_entry is not None and ref_entry.get("ops") != ops:
             ref_entry = None  # trace length differs: wall times incomparable
         entry: dict[str, Any] = dict(shape)
+        if ref_entry is not None:
+            # Each reference entry names the core it was captured on: the
+            # scan core, or the event kernel for entries added after it.
+            entry["reference_kernel"] = ref_entry["kernel"]
+            entry["reference_commit"] = ref_entry["captured_at_commit"]
         for mode, checker in (
             ("unchecked", CheckerParams(enabled=False)),
             (
@@ -433,14 +439,17 @@ def format_bench(report: dict[str, Any]) -> str:
             if "speedup" in mode_report:
                 identical = "identical" if mode_report["stats_identical"] else "DIVERGED"
                 line += (
-                    f"  vs scan {mode_report['baseline_wall_s']:.3f}s "
+                    f"  vs {entry['reference_kernel']} "
+                    f"{mode_report['baseline_wall_s']:.3f}s "
                     f"-> {mode_report['speedup']:.2f}x (stats {identical})"
                 )
             lines.append(line)
     if report.get("headline_speedup") is not None:
+        headline = report["configs"][HEADLINE_CONFIG]
         lines.append(
             f"  headline ({HEADLINE_CONFIG}, checked): "
-            f"{report['headline_speedup']:.2f}x vs pre-refactor scan core"
+            f"{report['headline_speedup']:.2f}x vs the {headline['reference_kernel']} "
+            f"core at {headline['reference_commit']}"
         )
     return "\n".join(lines)
 

@@ -42,6 +42,8 @@ from typing import Sequence
 
 from repro.core.params import CheckerParams, CoreParams, MemDepParams, RecoveryParams
 from repro.core.core import SuperscalarCore
+from repro.core.stats import CoreStats
+from repro.experiments.executor import shared_input
 from repro.faults.models import FAULT_MODELS as _FAULT_MODELS
 from repro.isa.opcodes import FUClass
 from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
@@ -106,7 +108,12 @@ def run_experiment(
     """
     if store_alias_fraction is not None:
         profile = replace(profile, store_alias_fraction=store_alias_fraction)
-    trace = generate(profile, num_ops, seed=seed)
+    # Inside a sweep batch, points with equal inputs share the trace and
+    # the unchecked baseline (see repro.experiments.executor); anywhere
+    # else shared_input just computes.
+    trace = shared_input(
+        "trace", (profile, num_ops, seed), lambda: generate(profile, num_ops, seed=seed)
+    )
     # iter_stream: the core consumes wrong-path streams lazily, so only the
     # prefix fetched before each branch resolves is ever synthesized.
     wp_source = WrongPathGenerator(profile, seed=seed).iter_stream if wrong_path else None
@@ -143,16 +150,29 @@ def run_experiment(
             return None
         return MemoryHierarchy(HierarchyParams(dcache_banks=dcache_banks))
 
-    baseline = SuperscalarCore(
-        core_params(),
-        hierarchy=hierarchy(),
-        wrong_path_source=wp_source,
-        tracer=obs.tracer_for("unchecked") if obs is not None else None,
-    )
-    baseline_stats = baseline.run(trace)
-    if obs is not None:
-        obs.record_telemetry("unchecked", baseline.telemetry)
-        baseline_stats.register_metrics(obs.registry, "unchecked.")
+    def run_baseline() -> CoreStats:
+        baseline = SuperscalarCore(
+            core_params(),
+            hierarchy=hierarchy(),
+            wrong_path_source=wp_source,
+            tracer=obs.tracer_for("unchecked") if obs is not None else None,
+        )
+        stats = baseline.run(trace)
+        if obs is not None:
+            obs.record_telemetry("unchecked", baseline.telemetry)
+            stats.register_metrics(obs.registry, "unchecked.")
+        return stats
+
+    if obs is None:
+        # A disabled checker's fields are never read (pinned by
+        # tests/test_experiments_executor.py), so they are normalized out
+        # of the baseline's identity.
+        unchecked = replace(core_params(), checker=CheckerParams())
+        baseline_stats = shared_input(
+            "unchecked", (profile, num_ops, seed, dcache_banks, unchecked), run_baseline
+        )
+    else:
+        baseline_stats = run_baseline()
     result: dict = {
         "preset": profile.name,
         "ops": num_ops,
@@ -940,8 +960,6 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    # Imported here (not module level): repro.experiments imports
-    # run_experiment from this module.
     from repro.experiments import ResultsStore, SweepSpec, run_sweep
 
     if args.workers <= 0:

@@ -33,17 +33,17 @@ import math
 import random
 import time
 import tomllib
-import traceback
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
-from repro.experiments.runner import (
+from repro.experiments.executor import (
     ELAPSED_KEY,
-    PointTimeout,
     STARTED_KEY,
     WORKER_KEY,
-    _wall_clock_limit,
+    execute_batched,
+    point_row,
+    shared_input,
 )
 from repro.experiments.spec import SCHEMA_VERSION, config_hash
 from repro.experiments.store import ResultsStore
@@ -210,38 +210,18 @@ def execute_campaign_point(
 
     Top-level and picklable, with the same crash-isolation and
     transport-key contract as the sweep runner's ``execute_point``.
+    Inside a campaign batch the point reuses the trace an earlier point
+    of its batch generated.
     """
-    row: dict[str, Any] = {
-        "schema": SCHEMA_VERSION,
-        "config_hash": config_hash(config),
-        "config": config,
-        STARTED_KEY: time.time(),
-        WORKER_KEY: _pid(),
-    }
-    started = time.perf_counter()
-    try:
-        with _wall_clock_limit(timeout_s):
-            result = _simulate_campaign_point(config)
-    except PointTimeout:
-        row["status"] = "error"
-        row["error"] = f"timeout: point exceeded its {timeout_s}s wall-clock budget"
-        row[ELAPSED_KEY] = round(time.perf_counter() - started, 3)
-        return row
-    except Exception:
-        row["status"] = "error"
-        row["error"] = traceback.format_exc()
-        row[ELAPSED_KEY] = round(time.perf_counter() - started, 3)
-        return row
-    row["status"] = "ok"
-    row["result"] = result
-    row[ELAPSED_KEY] = round(time.perf_counter() - started, 3)
+    with point_row(config, timeout_s) as row:
+        row["result"] = _simulate_campaign_point(config)
     return row
 
 
-def _pid() -> int:
-    import os
-
-    return os.getpid()
+def _trace_key(config: dict[str, Any]) -> tuple[str, int, int]:
+    """What a campaign point's trace depends on: every cell and trial with
+    equal keys simulates the same trace."""
+    return (config["preset"], config["ops"], config["seed"])
 
 
 def _simulate_campaign_point(config: dict[str, Any]) -> dict[str, Any]:
@@ -258,7 +238,11 @@ def _simulate_campaign_point(config: dict[str, Any]) -> dict[str, Any]:
 
     profile = preset(config["preset"])
     seed = config["seed"]
-    trace = generate(profile, config["ops"], seed=seed)
+    trace = shared_input(
+        "trace",
+        (profile, config["ops"], seed),
+        lambda: generate(profile, config["ops"], seed=seed),
+    )
     checker = CheckerParams(
         enabled=True,
         fault_rate=0.0,
@@ -318,21 +302,6 @@ class CampaignSummary:
         }
 
 
-def _result_rows(
-    configs: list[dict[str, Any]], workers: int, timeout_s: float | None
-) -> Iterator[dict[str, Any]]:
-    """Ordered fan-out, identical discipline to the sweep runner."""
-    import functools
-    import multiprocessing
-
-    worker = functools.partial(execute_campaign_point, timeout_s=timeout_s)
-    if workers <= 1 or len(configs) <= 1:
-        yield from map(worker, configs)
-        return
-    with multiprocessing.Pool(processes=min(workers, len(configs))) as pool:
-        yield from pool.imap(worker, configs, chunksize=1)
-
-
 def _run_pending(
     configs: list[dict[str, Any]],
     store: ResultsStore,
@@ -341,7 +310,12 @@ def _run_pending(
     progress: ProgressFn | None,
     counters: dict[str, int],
 ) -> None:
-    """Execute the configs whose hashes the store does not yet cover."""
+    """Execute the configs whose hashes the store does not yet cover.
+
+    Points that simulate the same trace run in a few batches, each of
+    which generates the trace once.  ``progress`` counts this phase's
+    points: 1 to the phase's pending total.
+    """
     done = store.completed_hashes()
     seen: set[str] = set()
     pending: list[dict[str, Any]] = []
@@ -352,7 +326,8 @@ def _run_pending(
             continue
         seen.add(digest)
         pending.append(config)
-    for row in _result_rows(pending, workers, timeout_s):
+    rows = execute_batched(execute_campaign_point, pending, _trace_key, workers, timeout_s)
+    for count, row in enumerate(rows, 1):
         row.pop(ELAPSED_KEY, None)
         row.pop(STARTED_KEY, None)
         row.pop(WORKER_KEY, None)
@@ -361,7 +336,7 @@ def _run_pending(
         if row.get("status") != "ok":
             counters["errors"] += 1
         if progress is not None:
-            progress(counters["executed"], len(pending), row)
+            progress(count, len(pending), row)
 
 
 def _ok_rows_by_hash(store: ResultsStore) -> dict[str, dict[str, Any]]:
@@ -381,11 +356,12 @@ def run_campaign(
 ) -> CampaignSummary:
     """Run (or resume) every cell of ``spec`` into ``store``.
 
-    Two phases, each fanned out with ordered ``imap``: calibrations
-    first (trial configs depend on their eligible counts), then all
-    trials.  Both phases skip points the store already covers, so an
-    interrupted campaign resumes where it stopped and a completed one is
-    a no-op.
+    Two phases, each run through the batched executor with rows stored
+    in config order: calibrations first (trial configs depend on their
+    eligible counts), then all trials.  Both phases skip points the store
+    already covers, so an interrupted campaign resumes where it stopped
+    and a completed one is a no-op.  ``progress`` counts each phase from
+    1 to that phase's pending total.
 
     Raises:
         ValueError: if a calibration finds no eligible fault sites — the

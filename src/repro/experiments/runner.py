@@ -2,35 +2,38 @@
 
 ``run_sweep`` expands a :class:`~repro.experiments.spec.SweepSpec`, drops
 every point whose config hash is already in the store (resume/caching),
-and fans the rest out over a :mod:`multiprocessing` pool.  Three
-properties the tests pin down:
+and runs the rest through the batched executor
+(:mod:`repro.experiments.executor`).  Points that differ only in what the
+checked core alone reads share one trace and one unchecked baseline run.
+Three properties the tests pin down:
 
 * **Determinism** — each point's config carries its own seeds (workload
-  seed, fault seed = seed + 1, wrong-path seed) and workers share no
-  state, so results are a pure function of the config.  Rows are appended
-  in submission order (``imap``, not ``imap_unordered``), making the
-  store byte-identical for any ``--workers`` value.
+  seed, fault seed = seed + 1, wrong-path seed), and a shared baseline is
+  the very run each point of its group would have made, so results are a
+  pure function of the config.  Rows are appended in pending order,
+  making the store byte-identical for any ``--workers`` value.
 * **Crash isolation** — :func:`execute_point` catches everything and
   returns an error row; one pathological point cannot take down the sweep,
   and error rows are retried on the next invocation.
-* **Streaming** — rows are appended (and progress reported) as each point
-  finishes, so an interrupted sweep keeps its completed prefix.
+* **Streaming** — a row is appended (and progress reported) as soon as
+  every earlier point has finished, so an interrupted sweep keeps its
+  completed prefix.
 """
 
 from __future__ import annotations
 
-import functools
-import multiprocessing
-import os
-import signal
-import threading
 import time
-import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.experiments.spec import RunPoint, SCHEMA_VERSION, config_hash
+from repro.experiments.executor import (
+    ELAPSED_KEY,
+    STARTED_KEY,
+    WORKER_KEY,
+    execute_batched,
+    point_row,
+)
+from repro.experiments.spec import RunPoint, canonical_json
 from repro.experiments.store import ResultsStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -40,17 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Progress callback: (completed count, pending total, the row just stored).
 ProgressFn = Callable[[int, int, dict], None]
 
-#: Transient row key carrying the point's wall time from the worker to the
-#: parent.  Popped before the row reaches the store: store rows must stay a
-#: pure function of the config (byte-identical across machines and worker
-#: counts), and wall time is neither.
-ELAPSED_KEY = "_elapsed_s"
-
-#: More transport-only keys (same contract as :data:`ELAPSED_KEY`): the
-#: wall-clock start of the point and the worker process that ran it, which
-#: become runner spans in the parent when span collection is on.
-STARTED_KEY = "_started_at"
-WORKER_KEY = "_worker"
+#: Config keys only the checked core reads.  Points whose configs differ in
+#: nothing else run the same unchecked baseline on the same trace, so they
+#: run as one group that computes both once.
+_CHECKER_KEYS = frozenset({"fault_rate", "slot_policy", "reserved_slots", "fault_model"})
 
 
 @dataclass(slots=True)
@@ -82,40 +78,6 @@ class SweepSummary:
         }
 
 
-class PointTimeout(Exception):
-    """A grid point exceeded its per-point wall-clock budget."""
-
-
-@contextmanager
-def _wall_clock_limit(seconds: float | None):
-    """Raise :class:`PointTimeout` in the calling thread after ``seconds``.
-
-    Uses ``SIGALRM``/``setitimer`` (pool tasks run on each worker's main
-    thread, where the signal is deliverable).  Where the timer cannot be
-    armed — platforms without ``SIGALRM`` (Windows), or an in-process
-    ``run_sweep`` called from a non-main thread — the limit degrades to a
-    no-op instead of erroring every point.
-    """
-    if (
-        seconds is None
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield
-        return
-
-    def _expired(signum, frame):
-        raise PointTimeout()
-
-    previous = signal.signal(signal.SIGALRM, _expired)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def execute_point(
     config: dict[str, Any], timeout_s: float | None = None
 ) -> dict[str, Any]:
@@ -126,55 +88,40 @@ def execute_point(
     ``spawn`` pay it once here rather than at module import in the parent.
     A point that exceeds ``timeout_s`` wall seconds becomes an error row —
     retried by the next invocation like any other error — instead of a
-    stuck worker.  The row's ``_elapsed_s`` is transport-only (see
-    :data:`ELAPSED_KEY`).
+    stuck worker.  Inside a sweep batch, the point reuses the trace and
+    unchecked baseline an earlier point of its group computed; its
+    ``_elapsed_s`` (transport-only, see
+    :data:`~repro.experiments.executor.ELAPSED_KEY`) and its budget cover
+    only what it computed itself.
     """
-    row: dict[str, Any] = {
-        "schema": SCHEMA_VERSION,
-        "config_hash": config_hash(config),
-        "config": config,
-        STARTED_KEY: time.time(),
-        WORKER_KEY: os.getpid(),
-    }
-    started = time.perf_counter()
-    try:
+    with point_row(config, timeout_s) as row:
         from repro.cli import run_experiment
         from repro.workloads import preset
 
         point = RunPoint.from_config(config)
         row["group_hash"] = point.group_hash()
-        with _wall_clock_limit(timeout_s):
-            result = run_experiment(
-                preset(point.preset),
-                num_ops=point.ops,
-                seed=point.seed,
-                check=True,
-                fault_rate=point.fault_rate,
-                real_predictor=point.real_predictor,
-                wrong_path=point.wrong_path,
-                wrong_path_depth=point.wrong_path_depth,
-                params=point.core_params(),
-                dcache_banks=point.dcache_banks,
-                store_alias_fraction=(
-                    point.store_alias_fraction if point.store_alias_fraction else None
-                ),
-            )
-    except PointTimeout:
-        row["status"] = "error"
-        row["error"] = (
-            f"timeout: point exceeded its {timeout_s}s wall-clock budget"
+        row["result"] = run_experiment(
+            preset(point.preset),
+            num_ops=point.ops,
+            seed=point.seed,
+            check=True,
+            fault_rate=point.fault_rate,
+            real_predictor=point.real_predictor,
+            wrong_path=point.wrong_path,
+            wrong_path_depth=point.wrong_path_depth,
+            params=point.core_params(),
+            dcache_banks=point.dcache_banks,
+            store_alias_fraction=(
+                point.store_alias_fraction if point.store_alias_fraction else None
+            ),
         )
-        row[ELAPSED_KEY] = round(time.perf_counter() - started, 3)
-        return row
-    except Exception:
-        row["status"] = "error"
-        row["error"] = traceback.format_exc()
-        row[ELAPSED_KEY] = round(time.perf_counter() - started, 3)
-        return row
-    row["status"] = "ok"
-    row["result"] = result
-    row[ELAPSED_KEY] = round(time.perf_counter() - started, 3)
     return row
+
+
+def _baseline_key(config: dict[str, Any]) -> str:
+    """The inputs of a point's unchecked baseline: its config without the
+    keys only the checked core reads."""
+    return canonical_json({k: v for k, v in config.items() if k not in _CHECKER_KEYS})
 
 
 def _pending_points(
@@ -265,7 +212,7 @@ def run_sweep(
     busy = 0.0
     new_timings: dict[str, float] = {}
     started = time.perf_counter()
-    for row in _result_rows(configs, workers, timeout_s):
+    for row in execute_batched(execute_point, configs, _baseline_key, workers, timeout_s):
         # In-invocation retry: re-run error rows in the parent (crash
         # isolation still holds — execute_point never raises) with
         # exponential backoff, keeping whichever row the last attempt
@@ -333,15 +280,3 @@ def run_sweep(
         registry.set_gauge("sweep.worker_utilization", summary.worker_utilization)
     return summary
 
-
-def _result_rows(
-    configs: list[dict[str, Any]], workers: int, timeout_s: float | None
-) -> Iterator[dict[str, Any]]:
-    worker = functools.partial(execute_point, timeout_s=timeout_s)
-    if workers <= 1 or len(configs) <= 1:
-        yield from map(worker, configs)
-        return
-    with multiprocessing.Pool(processes=min(workers, len(configs))) as pool:
-        # Ordered imap: rows stream back as they finish but are yielded in
-        # submission order, so the store layout is worker-count-invariant.
-        yield from pool.imap(worker, configs, chunksize=1)

@@ -71,16 +71,16 @@ class Cache:
         self.num_sets = require_power_of_two(size_bytes // (ways * line_bytes), f"{name} set count")
         self._line_shift = line_bytes.bit_length() - 1
         self._set_mask = self.num_sets - 1
-        # Each set maps line address -> dirty flag, in LRU order (oldest first).
-        self._sets: list[OrderedDict[int, bool]] = [OrderedDict() for _ in range(self.num_sets)]
+        # Each set maps line address -> dirty flag, in LRU order (oldest
+        # first).  A set's map is created by its first fill, so building or
+        # invalidating a cache costs one list, not one dict per set (a run
+        # of a few thousand ops touches a small fraction of a 2 MB L2).
+        self._sets: list[OrderedDict[int, bool] | None] = [None] * self.num_sets
         self.stats = CacheStats()
 
     def line_addr(self, addr: int) -> int:
         """Return the line-aligned address containing byte ``addr``."""
         return addr >> self._line_shift
-
-    def _set_for(self, line: int) -> OrderedDict[int, bool]:
-        return self._sets[line & self._set_mask]
 
     def lookup(self, addr: int, is_store: bool = False) -> bool:
         """Probe the cache; returns True on hit.
@@ -90,8 +90,8 @@ class Cache:
         atomic-latency modelling).
         """
         line = self.line_addr(addr)
-        cache_set = self._set_for(line)
-        if line in cache_set:
+        cache_set = self._sets[line & self._set_mask]
+        if cache_set is not None and line in cache_set:
             cache_set.move_to_end(line)
             if is_store:
                 cache_set[line] = True
@@ -107,8 +107,11 @@ class Cache:
         (and merges the dirty flag) rather than evicting.
         """
         line = self.line_addr(addr)
-        cache_set = self._set_for(line)
-        if line in cache_set:
+        index = line & self._set_mask
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
+        elif line in cache_set:
             cache_set[line] = cache_set[line] or dirty
             cache_set.move_to_end(line)
             return None
@@ -124,9 +127,9 @@ class Cache:
     def contains(self, addr: int) -> bool:
         """Non-destructive presence check (no LRU update, no stats)."""
         line = self.line_addr(addr)
-        return line in self._set_for(line)
+        cache_set = self._sets[line & self._set_mask]
+        return cache_set is not None and line in cache_set
 
     def invalidate_all(self) -> None:
         """Drop every line (used between independent simulation regions)."""
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._sets = [None] * self.num_sets

@@ -36,7 +36,7 @@ from typing import Any
 from repro.core.core import SuperscalarCore
 from repro.core.params import CheckerParams, CoreParams
 from repro.core.stats import CoreStats
-from repro.experiments.runner import PointTimeout, _wall_clock_limit
+from repro.experiments.executor import PointTimeout, wall_clock_limit
 from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
 from repro.obs import ObsSession, PipelineTracer
 from repro.workloads import WorkloadProfile, WrongPathGenerator
@@ -181,7 +181,7 @@ def _execute_shard(task: _ShardTask) -> _ShardResult:
     result = _ShardResult(index=window.index)
     started = time.perf_counter()
     try:
-        with _wall_clock_limit(task.timeout_s):
+        with wall_clock_limit(task.timeout_s):
             generator = TraceGenerator(task.profile, seed=task.seed)
             generator.fast_forward(window.fetch_start)
             trace = [

@@ -164,6 +164,19 @@ def test_every_trial_resolves_each_fault_to_exactly_one_outcome(tmp_path):
         assert row["config"]["force_fault_index"] < result["eligible"]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_progress_counts_each_phase_from_one_to_its_total(tmp_path, workers):
+    calls = []
+    store = ResultsStore(tmp_path / "r.jsonl")
+    run_campaign(SPEC, store, workers=workers,
+                 progress=lambda done, total, row: calls.append(
+                     (row["config"]["kind"], done, total)))
+    cells, trials = len(SPEC.cells()), len(SPEC.cells()) * SPEC.trials
+    assert calls == [("calibration", done, cells) for done in range(1, cells + 1)] + [
+        ("trial", done, trials) for done in range(1, trials + 1)
+    ]
+
+
 def test_cell_with_no_eligible_sites_is_a_hard_error(tmp_path):
     store = ResultsStore(tmp_path / "r.jsonl")
     spec = CampaignSpec(name="empty", presets=["int-heavy"],
