@@ -11,7 +11,6 @@ younger instructions and replays them from the verified state.
 from repro.core.checker import Checker
 from repro.core.core import SuperscalarCore
 from repro.core.dynop import DynOp
-from repro.core.faults import FaultInjector
 from repro.core.params import CheckerParams, CoreParams
 from repro.core.recovery import RecoveryCause, RecoveryManager, RecoveryParams
 from repro.core.sched import CheckQueue, DeadlockError, EventWheel, ReadyQueue
@@ -28,7 +27,6 @@ __all__ = [
     "DynOp",
     "EventWheel",
     "FUPool",
-    "FaultInjector",
     "ReadyQueue",
     "RecoveryCause",
     "RecoveryManager",

@@ -69,7 +69,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.branch.combining import CombiningPredictor
 from repro.core.checker import Checker
@@ -99,6 +99,9 @@ from repro.obs.telemetry import IntervalTelemetry
 from repro.obs.tracer import PipelineTracer
 from repro.workloads.synthetic import WrongPathGenerator
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.capture import CoreState
+
 #: Signature of a wrong-path stream source: (branch uop, branch seq,
 #: depth) -> the micro-ops the front end finds down the wrong path.  The
 #: core consumes the iterable lazily, so generator-backed sources only pay
@@ -122,7 +125,7 @@ class SuperscalarCore:
         # Observability is opt-in objects, not no-op objects: with no
         # tracer the commit/recovery paths hold None and pay one is-None
         # test per finalized op; with telemetry_interval == 0 the run loop
-        # is the uninstrumented one.  May also be assigned directly before
+        # has no per-cycle observer.  May also be assigned directly before
         # calling run() (the CLI does).
         self.tracer = tracer
         self.telemetry: IntervalTelemetry | None = None
@@ -276,79 +279,45 @@ class SuperscalarCore:
         # Wrong-path seqs start past the trace so they always read as
         # "younger than any real op" to the squash machinery.
         self._wp_next_seq = len(self._trace)
-        # run() overwrites this with the real bound before the cycle loop;
+        # begin() overwrites this with the real bound before the cycle loop;
         # the default covers direct _step()-driven unit tests.
         self._cycle_limit = 10_000 + 400 * len(self._trace)
         self._now = 0
 
     # ------------------------------------------------------------------- run
 
-    def run(self, trace: Sequence[MicroOp], max_cycles: int | None = None) -> CoreStats:
+    def run(
+        self,
+        trace: Sequence[MicroOp],
+        max_cycles: int | None = None,
+        start: CoreState | None = None,
+    ) -> CoreStats:
         """Simulate ``trace`` to completion and return the stats.
+
+        With ``start`` (a :meth:`capture` of a fault-free core part-way
+        through this same ``trace`` object), the run resumes from that
+        state instead of cycle 0 and returns exactly the statistics of an
+        uninterrupted run.  This core's params may differ from the captured
+        core's only in the checker's ``fault_seed`` and
+        ``force_fault_index``; its fault model starts with the captured
+        eligible count, and its wrong-path source must give the captured
+        core's streams.  The run takes over the state's memory hierarchy
+        contents and queues, so one state starts one run.
 
         Raises:
             DeadlockError: if the simulation exceeds ``max_cycles``
                 (defaults to a generous bound scaled by trace length) — a
                 deadlock guard, not an expected exit.  The message names
                 the stuck oldest op and its unmet dependencies.
+            ValueError: if ``start`` cannot resume on this core (see
+                :func:`repro.core.capture.resume`).
         """
-        self._trace = trace  # before the reset: wrong-path seqs start past it
-        self._reset_run_state()
-        limit = max_cycles if max_cycles is not None else 10_000 + 400 * len(trace)
-        # Cycle skipping must not leap past the deadlock guard: a stuck run
-        # still stops (and reports its state) at limit + 1, as if ticking.
-        self._cycle_limit = limit
+        self.begin(trace, max_cycles, start)
         started = time.perf_counter()
-        step = self._step
-        trace_len = len(trace)
-        window = self._window
-        skip = self._skip_enabled
-        ready_heap = self._ready_heap
-        maybe_skip = self._maybe_skip
-        telemetry = self.telemetry
-        if telemetry is None:
-            while self._fetch_index < trace_len or window:
-                if self._now > limit:
-                    raise DeadlockError(self._deadlock_report(limit))
-                step()
-                # Cycle skipping: with nothing ready to issue, or only
-                # refused retries, jump to the next cycle that can differ.
-                if skip and (not ready_heap or self._replay is not None):
-                    maybe_skip()
-        else:
-            # Instrumented twin of the loop above: one boundary comparison
-            # per cycle, a delta sample at each crossing.  Kept as a
-            # separate loop so the telemetry-off path above is verbatim
-            # unchanged.  A cycle skip that jumps several boundaries yields
-            # one sample spanning the gap (its `cycles` field says so).
-            next_at = telemetry.next_boundary(self._now)
-            while self._fetch_index < trace_len or window:
-                if self._now > limit:
-                    telemetry.finalize(self._now)
-                    raise DeadlockError(
-                        self._flight_recorder_report(limit, telemetry),
-                        samples=telemetry.recent_samples(),
-                    )
-                step()
-                if self._now >= next_at:
-                    telemetry.sample(self._now)
-                    next_at = telemetry.next_boundary(self._now)
-                if skip and (not ready_heap or self._replay is not None):
-                    maybe_skip()
-            telemetry.finalize(self._now)
-        self.stats.cycles = self._now
-        if self.fault_injector is not None:
-            self.stats.faults_injected = self.fault_injector.injected
-        if self._fault_tracker is not None:
-            # Committed-and-still-live silent faults resolve as SDC; after
-            # this every injected fault has exactly one outcome.
-            self._fault_tracker.finalize(self._now)
-        if self._storesets is not None:
-            self.stats.ssit_decays = self._storesets.decays
-        self.stats.wall_seconds = time.perf_counter() - started
-        self.stats.sched_events = self._wheel.posted
-        self.stats.memory = self.hierarchy.snapshot()
-        return self.stats
+        self.advance()
+        if self.telemetry is not None:
+            self.telemetry.finalize(self._now)
+        return self._finish(started)
 
     def run_window(
         self,
@@ -379,63 +348,128 @@ class SuperscalarCore:
         """
         if warmup_ops <= 0:
             return self.run(trace, max_cycles=max_cycles)
-        self._trace = trace  # before the reset: wrong-path seqs start past it
-        self._reset_run_state()
+        self.begin(trace, max_cycles)
         if self.telemetry is not None:
             raise ValueError(
                 "interval telemetry is not supported with warm-start windows"
             )
-        limit = max_cycles if max_cycles is not None else 10_000 + 400 * len(trace)
-        self._cycle_limit = limit
         started = time.perf_counter()
+        stats = self.stats
+        # Warmup stops right after the cycle whose commit count reaches the
+        # target, so any cycles that cycle lets the loop skip are skipped
+        # (and charged) inside the measured window.
+        self.advance(lambda: stats.committed >= warmup_ops)
+        # Measurement boundary: snapshot what finalize subtracts, then zero
+        # the window counters in place (subsystems hold references to this
+        # stats object).  `committed` stays cumulative — the checkpointing
+        # policy keys off it — and is re-based at finalize.
+        base = (
+            self._now,
+            stats.committed,
+            # A fault still unresolved at the boundary resolves inside the
+            # window, so the window counts it as injected too.
+            self.fault_injector.injected - self._unresolved_faults()
+            if self.fault_injector is not None
+            else 0,
+            self._storesets.decays if self._storesets is not None else 0,
+            self.hierarchy.raw_counters(),
+            self._wheel.posted,
+        )
+        stats.reset_window()
+        stats.committed = base[1]
+        self.advance()
+        return self._finish(started, base)
+
+    def begin(
+        self,
+        trace: Sequence[MicroOp],
+        max_cycles: int | None = None,
+        start: CoreState | None = None,
+    ) -> None:
+        """Set up a run of ``trace`` — from cycle 0, or from a captured
+        ``start`` state (see :meth:`run`) — without simulating a cycle.
+
+        :meth:`advance` then simulates it.
+        """
+        self._trace = trace  # before the reset: wrong-path seqs start past it
+        self._reset_run_state()
+        # Cycle skipping must not leap past the deadlock guard: a stuck run
+        # still stops (and reports its state) at the limit + 1, as if ticking.
+        self._cycle_limit = (
+            max_cycles if max_cycles is not None else 10_000 + 400 * len(trace)
+        )
+        if start is not None:
+            # Imported on first use, like capture(): only campaign trials
+            # need it, and the module costs import time everywhere else.
+            from repro.core.capture import resume
+
+            resume(self, start)
+
+    def advance(self, stop: Callable[[], bool] | None = None) -> bool:
+        """Simulate the begun run until ``stop()`` holds after a cycle
+        (returns True) or the trace has drained (returns False).
+
+        This is the core's one cycle loop; :meth:`run`, :meth:`run_window`
+        and a campaign's fault-free leader all drive it.  With telemetry
+        attached, every cycle goes to its sampler (``observe``).  A stopped
+        loop continues exactly as if it had never stopped: the cycles the
+        last cycle lets it skip are skipped when it is entered again.
+
+        Raises:
+            DeadlockError: past the run's cycle limit (see :meth:`run`).
+        """
         step = self._step
-        trace_len = len(trace)
+        trace_len = self._trace_len
         window = self._window
         skip = self._skip_enabled
         ready_heap = self._ready_heap
         maybe_skip = self._maybe_skip
+        limit = self._cycle_limit
+        telemetry = self.telemetry
+        observe = telemetry.observe if telemetry is not None else None
+        while self._fetch_index < trace_len or window:
+            # Cycle skipping: with nothing ready to issue, or only refused
+            # retries, jump to the next cycle that can differ.
+            if skip and (not ready_heap or self._replay is not None):
+                maybe_skip()
+            if self._now > limit:
+                raise self._deadlock(limit)
+            step()
+            if observe is not None:
+                observe(self._now)
+            if stop is not None and stop():
+                return True
+        return False
+
+    def capture(self) -> CoreState:
+        """Copy this fault-free core's run state at the current cycle
+        boundary, for another core to :meth:`run` on from there.
+
+        Raises:
+            ValueError: if a fault has been injected, or a tracer or
+                telemetry is attached.
+        """
+        from repro.core.capture import CoreState
+
+        return CoreState(self)
+
+    def _finish(
+        self,
+        started: float,
+        base: tuple[int, int, int, int, dict | None, int] = (0, 0, 0, 0, None, 0),
+    ) -> CoreStats:
+        """Finalize the run's stats; ``base`` holds a warm-start window's
+        boundary counters (cycle, committed, injected, store-set decays,
+        raw memory counters, posted events)."""
+        base_cycle, base_committed, base_injected, base_decays, base_memory, base_posted = base
         stats = self.stats
-        # --- warmup phase: the plain run loop, halted right after the first
-        # cycle whose commit count reaches the warmup target.  That cycle
-        # never skips: cycles after it belong to the measured window ---
-        while self._fetch_index < trace_len or window:
-            if self._now > limit:
-                raise DeadlockError(self._deadlock_report(limit))
-            step()
-            if stats.committed >= warmup_ops:
-                break
-            if skip and (not ready_heap or self._replay is not None):
-                maybe_skip()
-        # --- measurement boundary: snapshot what must be subtracted at
-        # finalize, then zero the window counters in place (subsystems hold
-        # references to this stats object).  `committed` stays cumulative
-        # — the checkpointing policy keys off it — and is re-based below.
-        base_cycle = self._now
-        base_committed = stats.committed
-        # A fault still unresolved at the boundary resolves inside the
-        # window, so the window counts it as injected too.
-        base_injected = (
-            self.fault_injector.injected - self._unresolved_faults()
-            if self.fault_injector is not None
-            else 0
-        )
-        base_decays = self._storesets.decays if self._storesets is not None else 0
-        base_memory = self.hierarchy.raw_counters()
-        base_posted = self._wheel.posted
-        stats.reset_window()
-        stats.committed = base_committed
-        # --- measured phase: the telemetry-off run loop, verbatim ---
-        while self._fetch_index < trace_len or window:
-            if self._now > limit:
-                raise DeadlockError(self._deadlock_report(limit))
-            step()
-            if skip and (not ready_heap or self._replay is not None):
-                maybe_skip()
         stats.cycles = self._now - base_cycle
         stats.committed -= base_committed
         if self.fault_injector is not None:
             stats.faults_injected = self.fault_injector.injected - base_injected
         if self._fault_tracker is not None:
+            # Committed-and-still-live silent faults resolve as SDC; after
+            # this every injected fault has exactly one outcome.
             self._fault_tracker.finalize(self._now)
         if self._storesets is not None:
             stats.ssit_decays = self._storesets.decays - base_decays
@@ -455,18 +489,22 @@ class SuperscalarCore:
             return self._fault_tracker.unresolved()
         return sum(1 for op in self._window if op.faulty)
 
-    def _flight_recorder_report(
-        self, limit: int, telemetry: IntervalTelemetry
-    ) -> str:
-        """Deadlock report plus the telemetry flight recorder's last samples."""
+    def _deadlock(self, limit: int) -> DeadlockError:
+        """The error for a run past its cycle limit; with telemetry, it
+        carries (and its message appends) the flight recorder's last
+        samples."""
+        telemetry = self.telemetry
         report = self._deadlock_report(limit)
+        if telemetry is None:
+            return DeadlockError(report)
+        telemetry.finalize(self._now)
         samples = telemetry.recent_samples()
         if samples:
             lines = [report, f"flight recorder (last {len(samples)} telemetry samples):"]
             for row in samples:
                 lines.append("  " + json.dumps(row, sort_keys=True))
             report = "\n".join(lines)
-        return report
+        return DeadlockError(report, samples=samples)
 
     def _deadlock_report(self, limit: int) -> str:
         """Describe why the window is stuck (for :class:`DeadlockError`)."""

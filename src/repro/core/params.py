@@ -273,8 +273,8 @@ class CoreParams:
             disabled.
         telemetry_interval: Cycles between interval-telemetry samples
             (see :class:`~repro.obs.telemetry.IntervalTelemetry`).  0 (the
-            default) disables sampling entirely — the run loop is then the
-            uninstrumented one, with zero per-cycle overhead.  Sampling is
+            default) disables sampling entirely — the run loop then has no
+            per-cycle observer to call.  Sampling is
             read-only: every ``CoreStats`` field is identical at any
             interval (pinned by the trace-identity tests).
     """

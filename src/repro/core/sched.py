@@ -114,7 +114,11 @@ class EventWheel:
         return self._due.pop(cycle, None)
 
     def next_cycle(self) -> int | None:
-        """Earliest cycle with a pending event (deadlock diagnostics)."""
+        """Earliest cycle with a pending event, or None.
+
+        The cycle skipper reads it on every skip attempt (its next bound),
+        and deadlock reports name it.
+        """
         return min(self._due) if self._due else None
 
     def __len__(self) -> int:

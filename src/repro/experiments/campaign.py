@@ -35,7 +35,7 @@ import time
 import tomllib
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.experiments.executor import (
     ELAPSED_KEY,
@@ -44,9 +44,14 @@ from repro.experiments.executor import (
     execute_batched,
     point_row,
     shared_input,
+    shared_state,
 )
 from repro.experiments.spec import SCHEMA_VERSION, config_hash
 from repro.experiments.store import ResultsStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.capture import CoreState
+    from repro.core.core import SuperscalarCore
 
 #: Progress callback, same shape as the sweep runner's.
 ProgressFn = Callable[[int, int, dict], None]
@@ -211,7 +216,9 @@ def execute_campaign_point(
     Top-level and picklable, with the same crash-isolation and
     transport-key contract as the sweep runner's ``execute_point``.
     Inside a campaign batch the point reuses the trace an earlier point
-    of its batch generated.
+    of its batch generated, and a trial resumes from the batch's
+    fault-free leader core; its ``_elapsed_s`` then includes advancing
+    the leader to its site.
     """
     with point_row(config, timeout_s) as row:
         row["result"] = _simulate_campaign_point(config)
@@ -224,11 +231,43 @@ def _trace_key(config: dict[str, Any]) -> tuple[str, int, int]:
     return (config["preset"], config["ops"], config["seed"])
 
 
+def _run_order(config: dict[str, Any]) -> tuple[str, int]:
+    """The order a batch runs its points in: by model, then by fault site,
+    so the batch's leader core for each cell only moves forward."""
+    return (config["fault_model"], config.get("force_fault_index", -1))
+
+
+def _leader_key(config: dict[str, Any]) -> tuple:
+    """What a trial's fault-free prefix depends on: its config minus the
+    trial's own fault seed and site (its cell's calibration run)."""
+    own = ("kind", "trial", "fault_seed", "force_fault_index")
+    return tuple(sorted((k, v) for k, v in config.items() if k not in own))
+
+
+def _state_before(leader: "SuperscalarCore", site: int) -> "CoreState":
+    """Advance ``leader`` to the first cycle boundary where eligible event
+    ``site`` could come within a cycle, and capture it there.
+
+    At most ``issue_width`` events are eligible per cycle, so the site is
+    still ahead at that boundary.  Trials run by site, so the leader only
+    moves forward.
+    """
+    injector = leader.fault_injector
+    width = leader.params.issue_width
+    if injector.eligible + width <= site:
+        leader.advance(lambda: injector.eligible + width > site)
+    assert injector.eligible <= site, (injector.eligible, site)
+    return leader.capture()
+
+
 def _simulate_campaign_point(config: dict[str, Any]) -> dict[str, Any]:
     """Simulate one checked core under the configured fault model.
 
     Campaigns run the checked core only: the unchecked baseline tells us
-    nothing about outcomes, and skipping it halves the per-trial cost.
+    nothing about outcomes, and skipping it halves the per-trial cost.  A
+    trial starts from its batch's fault-free leader core just before its
+    fault site: up to the site it would replay the leader's schedule
+    exactly, because a forced fault draws no random numbers before it.
     Imports are deferred so spawn-method pool workers pay them here.
     """
     from repro.core.core import SuperscalarCore
@@ -243,22 +282,36 @@ def _simulate_campaign_point(config: dict[str, Any]) -> dict[str, Any]:
         (profile, config["ops"], seed),
         lambda: generate(profile, config["ops"], seed=seed),
     )
-    checker = CheckerParams(
-        enabled=True,
-        fault_rate=0.0,
-        fault_seed=config.get("fault_seed", seed + 1),
-        fault_model=config["fault_model"],
-        fault_burst=config.get("fault_burst", 4),
-        fault_fu=config.get("fault_fu", "IALU"),
-        fault_repair_cycles=config.get("fault_repair_cycles", 200),
-        force_fault_index=config.get("force_fault_index"),
-    )
-    params = CoreParams(wrong_path_seed=seed, checker=checker)
-    core = SuperscalarCore(
-        params,
-        wrong_path_source=WrongPathGenerator(profile, seed=seed).iter_stream,
-    )
-    stats = core.run(trace)
+
+    def checked_core(fault_seed: int, force_fault_index: int | None) -> SuperscalarCore:
+        checker = CheckerParams(
+            enabled=True,
+            fault_rate=0.0,
+            fault_seed=fault_seed,
+            fault_model=config["fault_model"],
+            fault_burst=config.get("fault_burst", 4),
+            fault_fu=config.get("fault_fu", "IALU"),
+            fault_repair_cycles=config.get("fault_repair_cycles", 200),
+            force_fault_index=force_fault_index,
+        )
+        return SuperscalarCore(
+            CoreParams(wrong_path_seed=seed, checker=checker),
+            wrong_path_source=WrongPathGenerator(profile, seed=seed).iter_stream,
+        )
+
+    def new_leader() -> SuperscalarCore:
+        leader = checked_core(seed + 1, None)
+        leader.begin(trace)
+        return leader
+
+    site = config.get("force_fault_index")
+    core = checked_core(config.get("fault_seed", seed + 1), site)
+    if site is None:
+        stats = core.run(trace)
+    else:
+        with shared_state("leader", _leader_key(config), new_leader) as leader:
+            state = _state_before(leader, site)
+        stats = core.run(trace, start=state)
     if stats.fault_model_enabled:
         outcomes = dict(stats.fault_outcomes)
     else:
@@ -326,7 +379,9 @@ def _run_pending(
             continue
         seen.add(digest)
         pending.append(config)
-    rows = execute_batched(execute_campaign_point, pending, _trace_key, workers, timeout_s)
+    rows = execute_batched(
+        execute_campaign_point, pending, _trace_key, workers, timeout_s, _run_order
+    )
     for count, row in enumerate(rows, 1):
         row.pop(ELAPSED_KEY, None)
         row.pop(STARTED_KEY, None)

@@ -7,10 +7,12 @@ byte-identical for any ``--workers`` value and across resume.
 re-computing what it already knows.  Configs with equal *share keys* run
 back to back in one process, and what they have in common -- a generated
 trace, an unchecked baseline run -- is computed by the first point that
-needs it and reused by the rest (:func:`shared_input`).  The per-point
-executor (``execute_point``, ``execute_campaign_point``) is still called
-once per config, so every row is exactly the row that executor returns on
-its own.
+needs it and reused by the rest (:func:`shared_input`).  A caller may also
+order each group's points: a campaign runs its trials by fault site, so
+the one fault-free leader core its batch keeps only moves forward
+(:func:`shared_state`).  The per-point executor (``execute_point``,
+``execute_campaign_point``) is still called once per config, so every row
+is exactly the row that executor returns on its own.
 
 Three properties the tests pin down:
 
@@ -19,7 +21,8 @@ Three properties the tests pin down:
 * **Crash isolation** -- a point executor never raises: :func:`point_row`
   turns any exception, or an exceeded wall-clock budget, into an error row.
 * **Streaming** -- a row is yielded as soon as every earlier row is in, so
-  an interrupted run keeps its completed prefix.
+  an interrupted run keeps its completed prefix (in config order: points
+  that ran out of config order wait for the earlier ones).
 """
 
 from __future__ import annotations
@@ -145,15 +148,26 @@ def shared_input(kind: str, key: Any, compute: Callable[[], T]) -> T:
     or times out part-way leaves the next point to compute it.  Outside a
     batch this is just ``compute()``.
     """
+    with shared_state(kind, key, compute) as value:
+        return value
+
+
+@contextmanager
+def shared_state(kind: str, key: Any, make: Callable[[], T]) -> Iterator[T]:
+    """Borrow the running batch's ``kind`` value for an equal ``key``, or
+    ``make()`` one, for a ``with`` body that may change it.
+
+    The value is out of the batch while the body runs and goes back only
+    when the body completes, so a point that fails or times out part-way
+    leaves no half-changed value for the next point.  Outside a batch the
+    value is made afresh and dropped after the body.
+    """
     memo = _shared.get()
-    if memo is None:
-        return compute()
-    held = memo.get(kind)
-    if held is not None and held[0] == key:
-        return held[1]
-    value = compute()
-    memo[kind] = (key, value)
-    return value
+    held = memo.pop(kind, None) if memo is not None else None
+    value = held[1] if held is not None and held[0] == key else make()
+    yield value
+    if memo is not None:
+        memo[kind] = (key, value)
 
 
 def _batch_rows(
@@ -182,8 +196,10 @@ def _batches(
     configs: list[dict[str, Any]],
     share_key: Callable[[dict[str, Any]], Hashable],
     workers: int,
+    order: Callable[[dict[str, Any]], Any] | None,
 ) -> list[list[tuple[int, dict[str, Any]]]]:
-    """Group the indexed configs by share key, then cut the groups into batches.
+    """Group the indexed configs by share key, sort each group by ``order``
+    (config order if None), then cut the groups into batches.
 
     One worker runs one batch: every group back to back, in order of first
     appearance.  A pool gets each group cut into chunks of about
@@ -192,6 +208,9 @@ def _batches(
     groups: dict[Hashable, list[tuple[int, dict[str, Any]]]] = {}
     for index, config in enumerate(configs):
         groups.setdefault(share_key(config), []).append((index, config))
+    if order is not None:
+        for group in groups.values():
+            group.sort(key=lambda item: order(item[1]))
     if workers <= 1:
         return [[item for group in groups.values() for item in group]]
     size = -(-len(configs) // (workers * BATCHES_PER_WORKER))
@@ -222,15 +241,17 @@ def execute_batched(
     share_key: Callable[[dict[str, Any]], Hashable],
     workers: int,
     timeout_s: float | None,
+    order: Callable[[dict[str, Any]], Any] | None = None,
 ) -> Iterator[dict[str, Any]]:
     """``execute(config, timeout_s)`` for every config, yielded in config order.
 
     Configs with equal ``share_key(config)`` run back to back in one batch,
-    where :func:`shared_input` lets each point reuse what an earlier point
-    of its batch computed.  With ``workers > 1`` the batches run on a
-    process pool (``execute`` must then be a picklable top-level function).
+    in ascending ``order(config)`` (config order if None), where
+    :func:`shared_input` and :func:`shared_state` let each point reuse
+    what an earlier point of its batch computed.  With ``workers > 1`` the
+    batches run on a process pool (``execute`` must then be picklable).
     """
-    batches = _batches(configs, share_key, workers)
+    batches = _batches(configs, share_key, workers, order)
     if workers <= 1 or len(batches) <= 1:
         yield from _in_config_order(
             pair for batch in batches for pair in _batch_rows(execute, timeout_s, batch)

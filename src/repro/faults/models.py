@@ -27,9 +27,9 @@ Two trigger mechanisms are shared by all models:
   counts eligible events, then each trial picks one uniformly by index.
 
 :class:`TransientFault` is bit-compatible with the historical
-``FaultInjector`` (same constructor, same RNG draw sequence, same
-force-seq semantics), which keeps the golden cells and every committed
-store byte-identical — it *is* ``repro.core.faults.FaultInjector`` now.
+single-model ``FaultInjector`` it replaced (same constructor, same RNG
+draw sequence, same force-seq semantics), which keeps the golden cells
+and every committed store byte-identical.
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ line reports a writeback so the hierarchy can charge bus bandwidth.
 
 from __future__ import annotations
 
+import copy
+from array import array
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.util import require_power_of_two
 
@@ -76,6 +78,9 @@ class Cache:
         # invalidating a cache costs one list, not one dict per set (a run
         # of a few thousand ops touches a small fraction of a 2 MB L2).
         self._sets: list[OrderedDict[int, bool] | None] = [None] * self.num_sets
+        #: Indices of the sets created so far, so a copy skips the rest
+        #: (an array: a list would keep an int object alive per index).
+        self._filled = array("I")
         self.stats = CacheStats()
 
     def line_addr(self, addr: int) -> int:
@@ -111,6 +116,7 @@ class Cache:
         cache_set = self._sets[index]
         if cache_set is None:
             cache_set = self._sets[index] = OrderedDict()
+            self._filled.append(index)
         elif line in cache_set:
             cache_set[line] = cache_set[line] or dirty
             cache_set.move_to_end(line)
@@ -133,3 +139,14 @@ class Cache:
     def invalidate_all(self) -> None:
         """Drop every line (used between independent simulation regions)."""
         self._sets = [None] * self.num_sets
+        self._filled = array("I")
+
+    def copy(self) -> "Cache":
+        """An independent copy: contents, LRU order and counters."""
+        clone = copy.copy(self)
+        sets = clone._sets = self._sets.copy()
+        for index in self._filled:
+            sets[index] = sets[index].copy()
+        clone._filled = self._filled[:]
+        clone.stats = replace(self.stats)
+        return clone

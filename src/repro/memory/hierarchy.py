@@ -23,7 +23,9 @@ golden-equivalence suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
+from typing import Any
 
 from repro.memory.bus import MemoryBus
 from repro.memory.cache import LINE_BYTES, Cache, CacheStats
@@ -438,6 +440,39 @@ class MemoryHierarchy:
         self._fills_armed = False
         self._refusal_cycle = -1
         self._refusals = []
+
+    def save_state(self) -> dict[str, Any]:
+        """An independent copy of everything a run changes, for
+        :meth:`restore_state` (a core capturing its run state)."""
+        stats = self.stats
+        return {
+            "l1i": self.l1i.copy(),
+            "l1d": self.l1d.copy(),
+            "l2": self.l2.copy(),
+            "mshrs": self.mshrs.copy(),
+            "bus": copy.copy(self.bus),
+            "stats": replace(
+                stats,
+                accesses=dict(stats.accesses),
+                bank_conflicts=list(stats.bank_conflicts),
+                checker_bank_conflicts=list(stats.checker_bank_conflicts),
+            ),
+            "_port_cycle": self._port_cycle,
+            "_ports_used": self._ports_used,
+            "_bank_cycle": self._bank_cycle,
+            "_banks_used": list(self._banks_used),
+            "_pending_fills": {line: list(fill) for line, fill in self._pending_fills.items()},
+            "_fills_armed": self._fills_armed,
+            "_refusal_cycle": self._refusal_cycle,
+            "_refusals": list(self._refusals),
+        }
+
+    def restore_state(self, saved: dict[str, Any]) -> None:
+        """Continue from ``saved`` (a :meth:`save_state` of a hierarchy with
+        these params), which this hierarchy takes over.  The attached event
+        wheel stays: the core restores the events posted to it."""
+        for name, value in saved.items():
+            setattr(self, name, value)
 
     def raw_counters(self) -> dict[str, float | list[int]]:
         """The raw (pre-derivation) counters behind :meth:`snapshot`.

@@ -10,6 +10,7 @@ window capacity (the C factor) drives the paper's floating-point results.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 
@@ -106,6 +107,14 @@ class MSHRFile:
             self._next_ready = ready_at
         self.allocations += 1
         return MSHROutcome.NEW, ready_at
+
+    def copy(self) -> "MSHRFile":
+        """An independent copy: in-flight misses and counters."""
+        clone = copy.copy(self)
+        clone._misses = {
+            line: _Miss(miss.ready_at, miss.targets) for line, miss in self._misses.items()
+        }
+        return clone
 
     def flush(self) -> None:
         """Drop all in-flight state (between independent regions)."""

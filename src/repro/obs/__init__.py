@@ -2,8 +2,9 @@
 
 The package is organized around one rule: **the disabled path is the
 absence of the objects**, not no-op objects.  A core without a tracer
-holds ``None`` and its run loop never branches on observability state;
-only when the CLI builds an :class:`ObsSession` do hooks exist.  The
+holds ``None``, and without telemetry its run loop has no per-cycle
+observer to call; only when the CLI builds an :class:`ObsSession` do
+hooks exist.  The
 golden-equivalence suite, the committed sweep store, and the bench floor
 all pin that the disabled path is bit-for-bit and throughput-for-
 throughput unchanged.

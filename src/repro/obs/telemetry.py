@@ -63,7 +63,15 @@ FLIGHT_RECORDER_DEPTH = 8
 class IntervalTelemetry:
     """Delta-sampled time series over one ``run()`` call."""
 
-    __slots__ = ("interval", "samples", "_core", "_last", "_last_cycle", "_last_bank")
+    __slots__ = (
+        "interval",
+        "samples",
+        "_core",
+        "_last",
+        "_last_cycle",
+        "_last_bank",
+        "_next_at",
+    )
 
     def __init__(self, interval: int, core: "SuperscalarCore"):
         if interval <= 0:
@@ -74,12 +82,22 @@ class IntervalTelemetry:
         self._last = dict.fromkeys(COUNTER_FIELDS, 0)
         self._last_cycle = 0
         self._last_bank = 0
+        self._next_at = interval
 
     # -------------------------------------------------------------- sampling
 
     def next_boundary(self, now: int) -> int:
         """First sampling cycle strictly after ``now``."""
         return (now // self.interval + 1) * self.interval
+
+    def observe(self, now: int) -> None:
+        """Per-cycle hook of the core's run loop: sample once ``now`` has
+        reached the next boundary.  A cycle skip that jumps several
+        boundaries yields one sample spanning the gap (its ``cycles``
+        field says so)."""
+        if now >= self._next_at:
+            self.sample(now)
+            self._next_at = self.next_boundary(now)
 
     def sample(self, now: int) -> None:
         """Record the delta sample ``(last_cycle, now]``.

@@ -8,7 +8,9 @@ contract on shortened versions of the committed bench configurations and
 on seeded random draws across the knob space, in both unchecked and
 checked modes: ``CoreStats.to_dict()`` (memory snapshot included), the
 MSHR target stalls and every retired op's replay count must be identical
-with skipping on or off, and the skipping run must actually skip.
+with skipping on or off, and the skipping run must actually skip.  The
+random draws also pin that a run stopped at any cycle boundary, captured
+and resumed in a fresh core ends exactly as the uninterrupted run.
 """
 
 import random
@@ -33,23 +35,15 @@ DRAWS = 24
 SKIP_FLOOR = {"memdep": 0.6}
 
 
-def _run(shape: dict, cycle_skip: bool, checked: bool):
+def _trace(shape: dict):
     profile = PRESETS[shape.get("preset", "branchy")]
     if shape.get("store_alias_fraction"):
         profile = replace(profile, store_alias_fraction=shape["store_alias_fraction"])
-    seed = shape.get("seed", 0)
-    trace = generate(profile, NUM_OPS, seed=seed)
-    checker = (
-        CheckerParams(
-            enabled=True,
-            fault_rate=1e-3,
-            fault_seed=seed + 1,
-            fault_model=shape.get("fault_model", "transient"),
-            slot_policy=shape.get("slot_policy", "opportunistic"),
-        )
-        if checked
-        else CheckerParams(enabled=False, fault_rate=0.0)
-    )
+    return generate(profile, NUM_OPS, seed=shape.get("seed", 0))
+
+
+def _core(shape: dict, cycle_skip: bool, checker: CheckerParams) -> SuperscalarCore:
+    profile = PRESETS[shape.get("preset", "branchy")]
     depth = shape["wrong_path_depth"]
     params = CoreParams(
         window_size=shape["window_size"],
@@ -74,12 +68,27 @@ def _run(shape: dict, cycle_skip: bool, checked: bool):
             mshr_entries=shape.get("mshr_entries", 32),
         )
     )
-    core = SuperscalarCore(
+    return SuperscalarCore(
         params,
         hierarchy=hierarchy,
-        wrong_path_source=WrongPathGenerator(profile, seed=seed).iter_stream,
+        wrong_path_source=WrongPathGenerator(profile, seed=shape.get("seed", 0)).iter_stream,
     )
-    return core, core.run_window(trace, shape.get("warmup", 0))
+
+
+def _checker(shape: dict, fault_rate: float) -> CheckerParams:
+    return CheckerParams(
+        enabled=True,
+        fault_rate=fault_rate,
+        fault_seed=shape.get("seed", 0) + 1,
+        fault_model=shape.get("fault_model", "transient"),
+        slot_policy=shape.get("slot_policy", "opportunistic"),
+    )
+
+
+def _run(shape: dict, cycle_skip: bool, checked: bool):
+    checker = _checker(shape, 1e-3) if checked else CheckerParams(enabled=False, fault_rate=0.0)
+    core = _core(shape, cycle_skip, checker)
+    return core, core.run_window(_trace(shape), shape.get("warmup", 0))
 
 
 def _assert_identical(ticked_core, ticked, skipped_core, skipped) -> None:
@@ -135,6 +144,21 @@ def test_skip_is_stat_identical_on_random_configs(index: int):
     ticked_core, ticked = _run(shape, cycle_skip=False, checked=checked)
     skipped_core, skipped = _run(shape, cycle_skip=True, checked=checked)
     _assert_identical(ticked_core, ticked, skipped_core, skipped)
+
+
+@pytest.mark.parametrize("index", range(DRAWS))
+def test_resuming_a_captured_run_is_stat_identical_on_random_configs(index: int):
+    """A fault-free checked run captured at a seeded cycle boundary and
+    resumed in a fresh core ends exactly as the uninterrupted run."""
+    shape = _draw(index)
+    trace = _trace(shape)
+    whole = _core(shape, True, _checker(shape, 0.0)).run(trace)
+    boundary = random.Random(f"capture-{index}").randrange(1, whole.cycles)
+    leader = _core(shape, True, _checker(shape, 0.0))
+    leader.begin(trace)
+    assert leader.advance(lambda: leader._now >= boundary)
+    resumed = _core(shape, True, _checker(shape, 0.0))
+    assert resumed.run(trace, start=leader.capture()).to_dict() == whole.to_dict()
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.dynop import DynOp
-from repro.core.faults import FaultInjector
+from repro.faults import TransientFault
 from repro.isa import MicroOp, OpClass
 
 
@@ -14,7 +14,7 @@ def dynop(uop: MicroOp, seq: int = 0) -> DynOp:
 
 
 def test_forced_seq_is_injected_exactly_once():
-    injector = FaultInjector(rate=0.0, force_seqs=frozenset({3}))
+    injector = TransientFault(rate=0.0, force_seqs=frozenset({3}))
     op = dynop(MicroOp(op=OpClass.IALU, dest=1), seq=3)
     assert injector.maybe_inject(op) is True
     assert op.faulty and op.fault_at == 10
@@ -25,7 +25,7 @@ def test_forced_seq_is_injected_exactly_once():
 
 
 def test_only_register_writing_ops_are_eligible():
-    injector = FaultInjector(rate=1.0)
+    injector = TransientFault(rate=1.0)
     store = dynop(MicroOp(op=OpClass.STORE, srcs=(1, 2), addr=0x40))
     branch = dynop(MicroOp(op=OpClass.BRANCH, srcs=(1,), taken=True, target=0x80))
     assert injector.maybe_inject(store) is False
@@ -34,7 +34,7 @@ def test_only_register_writing_ops_are_eligible():
 
 
 def test_rate_one_always_injects_on_eligible_ops():
-    injector = FaultInjector(rate=1.0)
+    injector = TransientFault(rate=1.0)
     op = dynop(MicroOp(op=OpClass.FMUL, dest=33, srcs=(32,)))
     assert injector.maybe_inject(op) is True
 
@@ -42,7 +42,7 @@ def test_rate_one_always_injects_on_eligible_ops():
 def test_same_seed_gives_same_injection_sequence():
     outcomes = []
     for _ in range(2):
-        injector = FaultInjector(rate=0.5, seed=123)
+        injector = TransientFault(rate=0.5, seed=123)
         outcomes.append(
             [
                 injector.maybe_inject(dynop(MicroOp(op=OpClass.IALU, dest=1), seq=i))
@@ -56,7 +56,7 @@ def test_same_seed_gives_same_injection_sequence():
 @pytest.mark.parametrize("rate", [-0.1, 1.5])
 def test_rejects_out_of_range_rate(rate):
     with pytest.raises(ValueError):
-        FaultInjector(rate=rate)
+        TransientFault(rate=rate)
 
 
 def test_divide_squashed_mid_execution_releases_its_unit():

@@ -6,7 +6,11 @@ store built by running the point executor on one config at a time and
 appending its rows, at any worker count and across resume.
 """
 
+import functools
+import json
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,7 @@ from repro.experiments.executor import (
     execute_batched,
     shared_input,
 )
+from repro.experiments import campaign
 from repro.experiments.runner import _baseline_key
 from repro.workloads import preset
 
@@ -172,6 +177,86 @@ def test_a_campaign_batch_generates_its_trace_once(tmp_path, monkeypatch):
     monkeypatch.setattr(repro.workloads, "generate", counted_generate)
     run_campaign(CAMPAIGN, ResultsStore(tmp_path / "campaign.jsonl"), workers=1)
     assert len(traces) == 2  # one batch for the calibrations, one for the trials
+
+
+def _log_call(log_dir: Path, config: dict) -> None:
+    with open(log_dir / f"{os.getpid()}.log", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(config) + "\n")
+
+
+def _probe(log_dir: Path, config: dict, timeout_s: float | None) -> dict:
+    """A point executor that logs each call to its process's file, in order."""
+    _log_call(log_dir, config)
+    return {"i": config["i"]}
+
+
+def _campaign_probe(log_dir: Path, config: dict, timeout_s: float | None) -> dict:
+    _log_call(log_dir, config)
+    return execute_campaign_point(config, timeout_s)
+
+
+def _calls(log_dir: Path) -> list[list[dict]]:
+    """Every process's calls, in the order it made them."""
+    return [
+        [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        for log in sorted(log_dir.glob("*.log"))
+    ]
+
+
+#: Three share groups; the sites are distinct and out of config order.
+PROBE_CONFIGS = [{"i": i, "group": i % 3, "site": 19 * i % 100} for i in range(60)]
+
+
+@pytest.mark.parametrize("cut", [0, 25], ids=["fresh", "resumed-mid-group"])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_batches_run_in_the_callers_order_and_rows_come_in_config_order(
+    tmp_path, workers, cut
+):
+    configs = PROBE_CONFIGS[cut:]  # a resumed run passes what the store lacks
+    rows = execute_batched(
+        functools.partial(_probe, tmp_path),
+        configs,
+        lambda config: config["group"],
+        workers,
+        None,
+        order=lambda config: config["site"],
+    )
+    assert [row["i"] for row in rows] == [config["i"] for config in configs]
+    calls = _calls(tmp_path)
+    assert sorted(c["i"] for process in calls for c in process) == [c["i"] for c in configs]
+    for process in calls:
+        for group in range(3):
+            sites = [c["site"] for c in process if c["group"] == group]
+            assert sites == sorted(sites)
+    if workers == 1:
+        # One batch: the groups back to back in order of first appearance.
+        groups = list(dict.fromkeys(config["group"] for config in configs))
+        assert [c["group"] for c in calls[0]] == sorted(
+            (c["group"] for c in configs), key=groups.index
+        )
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_campaign_runs_its_trials_by_model_and_site(
+    tmp_path, monkeypatch, campaign_reference, workers
+):
+    monkeypatch.setattr(
+        campaign, "execute_campaign_point", functools.partial(_campaign_probe, tmp_path)
+    )
+    store = _truncated_copy(tmp_path / "campaign.jsonl", campaign_reference, 7)
+    run_campaign(CAMPAIGN, store, workers=workers)
+    assert store.path.read_bytes() == campaign_reference
+    for process in _calls(tmp_path):
+        trials = [
+            (c["fault_model"], c["force_fault_index"])
+            for c in process
+            if c["kind"] == "trial"
+        ]
+        assert trials == sorted(trials)
+    if workers == 1:  # ... which is not the config order the rows come in
+        (process,) = _calls(tmp_path)
+        executed = [(c["fault_model"], c["trial"]) for c in process if c["kind"] == "trial"]
+        assert executed != sorted(executed)
 
 
 def test_every_unchecked_input_keys_the_shared_baseline():

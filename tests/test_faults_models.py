@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.dynop import DynOp
-from repro.core.faults import FaultInjector
 from repro.core.params import CheckerParams
 from repro.faults import (
     FAULT_MODELS,
@@ -33,12 +32,6 @@ def ialu(seq: int = 0, issued_at: int = 0) -> DynOp:
 
 
 # ---------------------------------------------------------------- transient
-
-
-def test_transient_is_the_legacy_injector():
-    """The shim keeps old imports working and byte-identical behaviour is
-    trivially guaranteed: they are the same class object."""
-    assert FaultInjector is TransientFault
 
 
 def test_force_index_triggers_exactly_the_kth_eligible_op():
