@@ -69,6 +69,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
+from heapq import heappop
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.branch.combining import CombiningPredictor
@@ -877,13 +878,17 @@ class SuperscalarCore:
         refused — are stashed and re-pushed for the next cycle, matching
         the scan core's behaviour of skipping them without losing them.
         A refused memory access still burns its issue slot (a replay storm
-        must not look like idle issue bandwidth to the checker).
+        must not look like idle issue bandwidth to the checker).  A refused
+        retry costs one heap pop, one ``access`` call and one re-push.
         """
         slots = budget
         refused = 0
-        pop_live = self._ready.pop_live
+        ready_heap = self._ready_heap
         stash: list[DynOp] | None = None
         fu = self._fu
+        fu_counts = fu._counts
+        fu_used = fu._used
+        fu_blocked = fu._blocked
         stats = self.stats
         lat_by_op = self._lat_by_op
         fu_by_op = self._fu_by_op
@@ -898,15 +903,17 @@ class SuperscalarCore:
         load_cls = OpClass.LOAD
         memdep_on = self._memdep_on
         fwd_latency = self._fwd_latency
-        while slots:
-            op = pop_live()
-            if op is None:
-                break
+        while slots and ready_heap:
+            # ReadyQueue.pop_live, inlined: squashed and issued entries drop.
+            op = heappop(ready_heap)[2]
+            if op.squashed or op.issued_at is not None:
+                continue
             uop = op.uop
             op_cls = uop.op
             cls = fu_by_op[op_cls]
             if op_cls is load_cls or op_cls is store_cls:
-                if fu.available(cls) <= 0:
+                # FUPool.available, read from the pool's lists.
+                if fu_counts[cls] - fu_used[cls] - len(fu_blocked[cls]) <= 0:
                     if stash is None:
                         stash = [op]
                     else:
@@ -924,7 +931,7 @@ class SuperscalarCore:
                     stats.loads_forwarded += 1
                     fu.acquire(cls)
                 else:
-                    result = access(uop.addr, now, is_store=op_cls is store_cls)
+                    result = access(uop.addr, now, op_cls is store_cls)
                     if not result.ok:
                         op.replays += 1
                         slots -= 1
@@ -991,9 +998,7 @@ class SuperscalarCore:
                 self._waiting_branch = waiting_branch = None
                 self._recovery.schedule_branch_redirect(complete)
         if stash is not None:
-            push = self._ready.push
-            for op in stash:
-                push(op)
+            self._ready.push_all(stash)
             if refused == len(stash) == budget - slots and self._skip_enabled:
                 # Replay-only cycle: nothing issued and every popped op was
                 # refused.  _maybe_skip decides how many cycles repeat it.

@@ -146,6 +146,15 @@ class ReadyQueue:
         self._tick += 1
         heappush(self._heap, (op.seq, self._tick, op))
 
+    def push_all(self, ops: list[DynOp]) -> None:
+        """:meth:`push` each of ``ops``, in order."""
+        heap = self._heap
+        tick = self._tick
+        for op in ops:
+            tick += 1
+            heappush(heap, (op.seq, tick, op))
+        self._tick = tick
+
     def pop_live(self) -> DynOp | None:
         """Pop the oldest live entry; drop squashed/issued entries on the way.
 

@@ -14,7 +14,7 @@ updating cache and MSHR state as a side effect.
 from repro.memory.bus import MemoryBus
 from repro.memory.cache import Cache, CacheStats
 from repro.memory.hierarchy import AccessResult, HierarchyParams, MemoryHierarchy
-from repro.memory.mshr import MSHRFile, MSHROutcome
+from repro.memory.mshr import MSHRFile
 
 __all__ = [
     "AccessResult",
@@ -22,7 +22,6 @@ __all__ = [
     "CacheStats",
     "HierarchyParams",
     "MSHRFile",
-    "MSHROutcome",
     "MemoryBus",
     "MemoryHierarchy",
 ]

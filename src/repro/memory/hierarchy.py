@@ -2,11 +2,15 @@
 
 The hierarchy answers the core's question "if this access issues at cycle
 ``now``, when does its value arrive — and may it issue at all?".  Structural
-refusals (all data-cache ports busy this cycle, MSHR file full, merge-target
-overflow) come back as a non-OK :class:`AccessResult` and the core replays
-the access on a later cycle, exactly the throttle that bounds memory-level
-parallelism in the paper's experiments.  A refusal changes no state but
-its counters, so cycles that only repeat earlier refusals can be counted
+refusals (all data-cache ports busy this cycle, the access's D-cache bank
+saturated, MSHR file full, merge-target overflow) come back as a non-OK
+:class:`AccessResult` and the core replays the access on a later cycle,
+exactly the throttle that bounds memory-level parallelism in the paper's
+experiments.  A refusal leaves the caches, the MSHRs and the bus alone and
+holds no port.  Besides its refusal counter it changes one thing: an
+access refused at the MSHRs keeps the bank slot it claimed until the cycle
+ends (see ``HierarchyParams.dcache_banks``).  Port and bank use restart
+every cycle, so cycles that only repeat earlier refusals can be counted
 without being re-run (:meth:`MemoryHierarchy.repeat_refusals`).
 
 State updates are *eager*: a miss installs its line immediately while the
@@ -29,7 +33,7 @@ from typing import Any
 
 from repro.memory.bus import MemoryBus
 from repro.memory.cache import LINE_BYTES, Cache, CacheStats
-from repro.memory.mshr import MSHRFile, MSHROutcome
+from repro.memory.mshr import MSHRFile
 
 #: Mirror of :data:`repro.core.sched.EV_MEM_FILL` (importing it here would
 #: cycle: repro.core.core imports this module).  Pinned equal by a test.
@@ -54,7 +58,10 @@ class HierarchyParams:
             accesses per cycle, so same-bank accesses conflict even when
             ports remain — and checker re-accesses (see
             ``MemoryHierarchy.checker_probe``) contend with the primary
-            path for the same bank slots.
+            path for the same bank slots.  An access refused at the MSHRs
+            (file full or targets full) keeps its bank slot for the cycle,
+            so a same-bank access behind it is refused ``bank``, even an
+            L1 hit.
         mshr_entries / mshr_targets: MSHR file bounds (32 entries, 8 targets).
         bus_cycles_per_transfer: Line occupancy of the memory bus.
     """
@@ -79,6 +86,9 @@ class HierarchyParams:
 class AccessResult:
     """Answer to one data access.
 
+    Results are read-only: callers must not change one.  Every refusal
+    with the same ``reason`` returns the same shared object.
+
     Attributes:
         ok: False when the access could not issue this cycle and must be
             replayed (see ``reason``).
@@ -93,6 +103,13 @@ class AccessResult:
     ready_at: int = 0
     level: str = "l1"
     reason: str | None = None
+
+
+#: The shared refusals, one per reason.  A refusal carries no cycle.
+REFUSED_PORT = AccessResult(ok=False, reason="port")
+REFUSED_BANK = AccessResult(ok=False, reason="bank")
+REFUSED_MSHR = AccessResult(ok=False, reason="mshr")
+REFUSED_MSHR_TARGET = AccessResult(ok=False, reason="mshr_target")
 
 
 @dataclass(slots=True)
@@ -139,6 +156,10 @@ class MemoryHierarchy:
         self.mshrs = MSHRFile(entries=p.mshr_entries, targets_per_entry=p.mshr_targets)
         self.bus = MemoryBus(cycles_per_transfer=p.bus_cycles_per_transfer)
         self.stats = self._fresh_stats()
+        # Params the access path reads on every call.
+        self._ports = p.dcache_ports
+        self._l1_latency = p.l1_latency
+        self._line_shift = p.line_bytes.bit_length() - 1
         self._port_cycle = -1
         self._ports_used = 0
         # line -> [ready_at, byte_addr, dirty]; L1D fills are applied only
@@ -190,7 +211,7 @@ class MemoryHierarchy:
         stats.checker_bank_conflicts = [0] * self._nbanks
         return stats
 
-    # ------------------------------------------------------------------ ports
+    # ---------------------------------------------------------- ports and banks
 
     def ports_free(self, now: int) -> int:
         """Data-cache ports still available at cycle ``now``."""
@@ -198,59 +219,36 @@ class MemoryHierarchy:
             return self.params.dcache_ports
         return self.params.dcache_ports - self._ports_used
 
-    def _take_port(self, now: int) -> bool:
-        if now != self._port_cycle:
-            self._port_cycle = now
-            self._ports_used = 0
-        if self._ports_used >= self.params.dcache_ports:
-            self.stats.port_conflicts += 1
-            return False
-        self._ports_used += 1
-        return True
-
-    # ------------------------------------------------------------------ banks
-
-    def _bank(self, addr: int) -> int:
-        """The (line-interleaved) D-cache bank holding byte ``addr``."""
-        return (addr // self.params.line_bytes) % self._nbanks
-
-    def _take_bank_slot(self, addr: int, now: int, checker: bool) -> bool:
-        """Claim a per-cycle slot in ``addr``'s (line-interleaved) bank.
-
-        Only called when ``dcache_banks > 1``.  Refusals are counted
-        per-bank, attributed to the checker or the primary path.
-        """
-        if now != self._bank_cycle:
-            self._bank_cycle = now
-            self._banks_used = [0] * self._nbanks
-        bank = self._bank(addr)
-        if self._banks_used[bank] >= self._bank_ports:
-            if checker:
-                self.stats.checker_bank_conflicts[bank] += 1
-            else:
-                self.stats.bank_conflicts[bank] += 1
-            return False
-        self._banks_used[bank] += 1
-        return True
-
     def checker_probe(self, addr: int, now: int) -> bool:
         """One checker re-access attempt at ``addr``; True if it may proceed.
 
         The core wires this into the :class:`~repro.core.checker.Checker`
         only when banking is modelled (``dcache_banks > 1``).  A successful
         probe consumes a real port and bank slot, so checker traffic
-        genuinely contends with the primary path; a refusal stalls the
-        in-order check pipeline for the cycle and is counted per bank.
+        genuinely contends with the primary path; a refusal holds neither,
+        stalls the in-order check pipeline for the cycle and is counted
+        per bank.
         """
-        self.stats.checker_probes += 1
-        if not self._take_port(now):
-            self.stats.checker_port_conflicts += 1
+        stats = self.stats
+        stats.checker_probes += 1
+        if now != self._port_cycle:
+            self._port_cycle = now
+            self._ports_used = 0
+        if self._ports_used >= self._ports:
+            stats.port_conflicts += 1
+            stats.checker_port_conflicts += 1
             self._log_refusal(now, "checker_port")
             return False
-        if not self._take_bank_slot(addr, now, checker=True):
-            self._ports_used -= 1
-            self._log_refusal(now, "checker_bank", self._bank(addr))
+        if now != self._bank_cycle:
+            self._bank_cycle = now
+            self._banks_used = [0] * self._nbanks
+        bank = (addr >> self._line_shift) % self._nbanks
+        if self._banks_used[bank] >= self._bank_ports:
+            stats.checker_bank_conflicts[bank] += 1
+            self._log_refusal(now, "checker_bank", bank)
             return False
+        self._banks_used[bank] += 1
+        self._ports_used += 1
         return True
 
     # ---------------------------------------------------------- repeat refusals
@@ -314,60 +312,91 @@ class MemoryHierarchy:
         Hits cost the L1 latency.  Misses consult the MSHR file: a hit on an
         in-flight miss merges (``level == "mshr"``); otherwise a fresh MSHR
         is allocated and the line fetched from L2 or memory, installing it
-        into both levels.  Refusals (``ok=False``) consume no port.
+        into both levels.  A refused access (``ok=False``) holds no port,
+        but one refused at the MSHRs keeps its bank slot for the cycle, so
+        a same-bank access behind it is refused ``bank``.
+
+        This method is the MSHR policy's one owner: it reads and updates
+        the :class:`~repro.memory.mshr.MSHRFile`'s misses and counters
+        itself.  It is also the core's hottest memory call, so its body
+        does all of it — port, bank, L1D set, MSHR entry — without helper
+        calls, and a refusal calls nothing but the refusal log.
         """
-        p = self.params
         if self._wheel is None:
             self._drain_fills(now)
         elif self._fills_armed:
             self._drain_fills(now)
             self._fills_armed = False
-        if not self._take_port(now):
+        if now != self._port_cycle:
+            self._port_cycle = now
+            self._ports_used = 0
+        if self._ports_used >= self._ports:
+            self.stats.port_conflicts += 1
             self._log_refusal(now, "port")
-            return AccessResult(ok=False, reason="port")
-        if self._nbanks > 1 and not self._take_bank_slot(addr, now, checker=False):
-            # Bank saturated even though a port was free: refund the port
-            # (the access never reached the array) and replay next cycle.
-            self._ports_used -= 1
-            self._log_refusal(now, "bank", self._bank(addr))
-            return AccessResult(ok=False, reason="bank")
-        if self.l1d.lookup(addr, is_store=is_store):
+            return REFUSED_PORT
+        # Only a served access claims its port: a refusal holds none.
+        line = addr >> self._line_shift
+        if self._nbanks > 1:
+            if now != self._bank_cycle:
+                self._bank_cycle = now
+                self._banks_used = [0] * self._nbanks
+            bank = line % self._nbanks
+            if self._banks_used[bank] >= self._bank_ports:
+                self.stats.bank_conflicts[bank] += 1
+                self._log_refusal(now, "bank", bank)
+                return REFUSED_BANK
+            # Kept even if the MSHRs refuse the access below.
+            self._banks_used[bank] += 1
+        l1d = self.l1d
+        # Cache.lookup's hit path, inlined.
+        cache_set = l1d._sets[line & l1d._set_mask]
+        if cache_set is not None and line in cache_set:
+            cache_set.move_to_end(line)
+            if is_store:
+                cache_set[line] = True
+            l1d.stats.hits += 1
+            self._ports_used += 1
             self.stats.accesses["l1"] += 1
-            return AccessResult(ok=True, ready_at=now + p.l1_latency, level="l1")
+            return AccessResult(True, now + self._l1_latency, "l1")
 
-        line = self.l1d.line_addr(addr)
-        in_flight = self.mshrs.lookup(line, now)
-        if in_flight is not None:
-            outcome, ready = self.mshrs.request(line, now, in_flight)
-            if outcome is MSHROutcome.MERGED:
-                if is_store and line in self._pending_fills:
-                    self._pending_fills[line][2] = True
-                self.stats.accesses["mshr"] += 1
-                # Merging never beats an L1 hit: data arriving with the fill
-                # still crosses the L1 access path.
-                return AccessResult(
-                    ok=True, ready_at=max(ready, now + p.l1_latency), level="mshr"
-                )
-            # Refused accesses do not hold their port, and their replay next
-            # cycle would otherwise inflate the miss count once per retry.
-            self._ports_used -= 1
-            self.l1d.stats.misses -= 1
-            self._log_refusal(now, "mshr_target")
-            return AccessResult(ok=False, reason="mshr_target")
-        if self.mshrs.outstanding(now) >= self.mshrs.entries:
-            self.mshrs.request(line, now, now)  # records the full stall
-            self._ports_used -= 1
-            self.l1d.stats.misses -= 1
+        mshrs = self.mshrs
+        heap = mshrs._ready_heap
+        if heap and heap[0][0] <= now:
+            mshrs._reclaim(now)
+        miss = mshrs._misses.get(line)
+        if miss is not None:
+            if miss.targets >= mshrs.targets_per_entry:
+                mshrs.target_stalls += 1
+                self._log_refusal(now, "mshr_target")
+                return REFUSED_MSHR_TARGET
+            miss.targets += 1
+            mshrs.merges += 1
+            l1d.stats.misses += 1
+            self._ports_used += 1
+            if is_store:
+                fill = self._pending_fills.get(line)
+                if fill is not None:
+                    fill[2] = True
+            self.stats.accesses["mshr"] += 1
+            # Merging never beats an L1 hit: data arriving with the fill
+            # still crosses the L1 access path.
+            ready = miss.ready_at
+            l1_ready = now + self._l1_latency
+            return AccessResult(True, ready if ready > l1_ready else l1_ready, "mshr")
+        if len(mshrs._misses) >= mshrs.entries:
+            mshrs.full_stalls += 1
             self._log_refusal(now, "mshr")
-            return AccessResult(ok=False, reason="mshr")
+            return REFUSED_MSHR
 
+        l1d.stats.misses += 1
+        self._ports_used += 1
         ready, level = self._fetch_line(addr, now)
-        self.mshrs.request(line, now, ready)
+        mshrs._allocate(line, ready)
         self._pending_fills[line] = [ready, addr, is_store]
         if self._wheel is not None:
             self._wheel.post(ready, _EV_MEM_FILL, line)
         self.stats.accesses[level] += 1
-        return AccessResult(ok=True, ready_at=ready, level=level)
+        return AccessResult(True, ready, level)
 
     def _fetch_line(self, addr: int, now: int) -> tuple[int, str]:
         """Bring ``addr``'s line from L2 or memory; returns (ready, level)."""

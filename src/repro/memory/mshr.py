@@ -6,26 +6,22 @@ outstanding miss (8 targets per MSHR).  When either bound is hit the
 requesting load/store cannot issue this cycle — the core replays it — which
 is exactly the memory-level-parallelism throttle whose interaction with
 window capacity (the C factor) drives the paper's floating-point results.
+
+:class:`MSHRFile` holds the in-flight misses and the MSHR counters.  The
+policy that reads them (merge onto an in-flight miss, refuse on full
+targets or a full file, else allocate) lives in one place,
+:meth:`repro.memory.hierarchy.MemoryHierarchy.access`, the file's only user.
 """
 
 from __future__ import annotations
 
 import copy
-import enum
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 
 #: Sentinel "no in-flight miss" completion cycle (any real cycle is lower).
 _NEVER = float("inf")
-
-
-class MSHROutcome(enum.Enum):
-    """Result of asking the MSHR file to track a miss."""
-
-    NEW = "new"  #: allocated a fresh MSHR for this line
-    MERGED = "merged"  #: attached as an extra target on an existing miss
-    NO_MSHR = "no_mshr"  #: all MSHRs busy — retry later
-    NO_TARGET = "no_target"  #: line already has the maximum merged targets
 
 
 @dataclass(slots=True)
@@ -43,70 +39,42 @@ class MSHRFile:
         self.entries = entries
         self.targets_per_entry = targets_per_entry
         self._misses: dict[int, _Miss] = {}
-        # Earliest in-flight completion: reclaim scans only when some miss
-        # can actually have finished (this sits on the access hot path).
-        self._next_ready = _NEVER
+        # The tracked misses again as (ready_at, line), earliest first: a
+        # reclaim pops exactly the finished ones (this sits on the access
+        # hot path, which reads the heap directly).
+        self._ready_heap: list[tuple[int, int]] = []
         self.allocations = 0
         self.merges = 0
         self.full_stalls = 0
         self.target_stalls = 0
 
     def _reclaim(self, now: int) -> None:
-        if now < self._next_ready:
-            return
+        """Drop the misses that have completed by ``now``."""
+        heap = self._ready_heap
         misses = self._misses
-        finished = [line for line, miss in misses.items() if miss.ready_at <= now]
-        for line in finished:
-            del misses[line]
-        self._next_ready = (
-            min(miss.ready_at for miss in misses.values()) if misses else _NEVER
-        )
+        while heap and heap[0][0] <= now:
+            del misses[heappop(heap)[1]]
+
+    def _allocate(self, line: int, ready_at: int) -> None:
+        """Track a new miss on ``line`` completing at ``ready_at``."""
+        self._misses[line] = _Miss(ready_at, 1)
+        heappush(self._ready_heap, (ready_at, line))
+        self.allocations += 1
 
     @property
     def next_ready(self) -> float:
         """Earliest completion among the tracked misses (``inf`` if none).
 
-        The file answers every request the same way until a cycle reaches
-        this value and the finished misses are reclaimed.
+        The hierarchy answers every MSHR question the same way until a
+        cycle reaches this value and the finished misses are reclaimed.
         """
-        return self._next_ready
+        heap = self._ready_heap
+        return heap[0][0] if heap else _NEVER
 
     def outstanding(self, now: int) -> int:
         """Number of line misses still in flight at cycle ``now``."""
         self._reclaim(now)
         return len(self._misses)
-
-    def lookup(self, line: int, now: int) -> int | None:
-        """Return the ready cycle of an in-flight miss on ``line``, if any."""
-        self._reclaim(now)
-        miss = self._misses.get(line)
-        return miss.ready_at if miss is not None else None
-
-    def request(self, line: int, now: int, ready_at: int) -> tuple[MSHROutcome, int]:
-        """Track a miss on ``line`` issued at ``now`` completing at ``ready_at``.
-
-        Returns:
-            ``(outcome, ready_cycle)``.  For ``MERGED`` the returned ready
-            cycle is the existing miss's completion time; for refusals it is
-            ``now`` (meaningless, the access must be retried).
-        """
-        self._reclaim(now)
-        miss = self._misses.get(line)
-        if miss is not None:
-            if miss.targets >= self.targets_per_entry:
-                self.target_stalls += 1
-                return MSHROutcome.NO_TARGET, now
-            miss.targets += 1
-            self.merges += 1
-            return MSHROutcome.MERGED, miss.ready_at
-        if len(self._misses) >= self.entries:
-            self.full_stalls += 1
-            return MSHROutcome.NO_MSHR, now
-        self._misses[line] = _Miss(ready_at=ready_at, targets=1)
-        if ready_at < self._next_ready:
-            self._next_ready = ready_at
-        self.allocations += 1
-        return MSHROutcome.NEW, ready_at
 
     def copy(self) -> "MSHRFile":
         """An independent copy: in-flight misses and counters."""
@@ -114,12 +82,13 @@ class MSHRFile:
         clone._misses = {
             line: _Miss(miss.ready_at, miss.targets) for line, miss in self._misses.items()
         }
+        clone._ready_heap = self._ready_heap.copy()
         return clone
 
     def flush(self) -> None:
         """Drop all in-flight state (between independent regions)."""
         self._misses.clear()
-        self._next_ready = _NEVER
+        self._ready_heap.clear()
 
     def reset(self) -> None:
         """Drop in-flight state *and* counters (between independent runs)."""

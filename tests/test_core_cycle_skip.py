@@ -10,7 +10,8 @@ checked modes: ``CoreStats.to_dict()`` (memory snapshot included), the
 MSHR target stalls and every retired op's replay count must be identical
 with skipping on or off, and the skipping run must actually skip.  The
 random draws also pin that a run stopped at any cycle boundary, captured
-and resumed in a fresh core ends exactly as the uninterrupted run.
+and resumed in a fresh core ends exactly as the uninterrupted run, and
+that a core run twice gives the same run twice.
 """
 
 import random
@@ -159,6 +160,19 @@ def test_resuming_a_captured_run_is_stat_identical_on_random_configs(index: int)
     assert leader.advance(lambda: leader._now >= boundary)
     resumed = _core(shape, True, _checker(shape, 0.0))
     assert resumed.run(trace, start=leader.capture()).to_dict() == whole.to_dict()
+
+
+@pytest.mark.parametrize("index", range(DRAWS))
+def test_rerunning_the_same_core_is_stat_identical_on_random_configs(index: int):
+    """A core run twice on the same trace gives the same run twice: no
+    state of the first run (the hierarchy's in-flight misses and pending
+    fills, the event wheel) leaks into the second."""
+    shape = _draw(index)
+    core, first = _run(shape, cycle_skip=True, checked=index % 2 == 1)
+    second = core.run(_trace(shape))
+    assert second.to_dict() == first.to_dict()
+    assert second.cycles_skipped == first.cycles_skipped
+    assert second.sched_events == first.sched_events
 
 
 @pytest.mark.parametrize(

@@ -49,6 +49,25 @@ def test_wheel_delivers_exactly_the_due_cycle_in_posting_order():
     assert wheel.posted == 3
 
 
+def test_wheel_next_cycle_follows_pops_and_posts():
+    wheel = EventWheel()
+    for cycle in (7, 3, 5):
+        wheel.post(cycle, EV_DEP_WAKE, cycle)
+    assert wheel.next_cycle() == 3
+    wheel.pop_due(3)  # the head bucket
+    assert wheel.next_cycle() == 5
+    wheel.post(5, EV_CHECK_DONE, "again")  # into an existing bucket
+    assert wheel.next_cycle() == 5
+    assert wheel.pop_due(5) == [(EV_DEP_WAKE, 5), (EV_CHECK_DONE, "again")]
+    assert wheel.next_cycle() == 7
+    wheel.post(6, EV_DEP_WAKE, 6)
+    assert wheel.next_cycle() == 6
+    wheel.pop_due(7)  # ahead of the earlier bucket at 6
+    assert wheel.next_cycle() == 6
+    wheel.pop_due(6)
+    assert wheel.next_cycle() is None
+
+
 # ------------------------------------------------------------------ ReadyQueue
 
 

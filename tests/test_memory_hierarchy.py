@@ -1,5 +1,11 @@
 """Memory hierarchy: latencies per level, ports, MSHR bounds, bus charging."""
 
+import hashlib
+import random
+
+import pytest
+
+from repro.core.sched import EV_MEM_FILL, EventWheel
 from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
 
 P = HierarchyParams()  # Table 1 defaults
@@ -108,6 +114,39 @@ def test_store_dirties_line_and_eviction_writes_back_to_l2():
     assert hierarchy.l1d.stats.writebacks >= 1
 
 
+def test_arrived_fills_apply_in_miss_allocation_order():
+    """Two fills that arrive before the next access are applied in the
+    order their misses were allocated, not the order they arrived: here
+    that decides which line the set's next fill evicts."""
+    hierarchy = MemoryHierarchy(HierarchyParams(l1d_size=128, l1_ways=2))  # one set
+    first, second, third, fourth = (COLD_A + 64 * k for k in range(4))
+    t = 0
+    for addr in (second, third, fourth):  # `second` ends up in the L2 only
+        hierarchy.access(addr, now=t)
+        t += 1000
+    assert hierarchy.access(first, now=t).level == "mem"  # allocated first
+    assert hierarchy.access(second, now=t + 100).level == "l2"  # arrives first
+    assert hierarchy.access(COLD_B, now=t + 300).level == "mem"  # drains both
+    # Applied in allocation order, `second` is the set's most recent line,
+    # so COLD_B's fill evicts `first`.
+    assert hierarchy.access(second, now=t + 1000).level == "l1"
+    assert hierarchy.access(first, now=t + 1001).level == "l2"
+
+
+def test_a_new_miss_on_an_undelivered_fill_takes_over_its_record():
+    """With a wheel attached a fill applies only once its arrival is
+    delivered (``fills_due``).  A new miss on a line whose arrived fill
+    was never delivered takes over that fill: the old arrival no longer
+    applies it."""
+    hierarchy = MemoryHierarchy()
+    hierarchy.attach_wheel(EventWheel())
+    first = hierarchy.access(COLD_A, now=0)
+    again = hierarchy.access(COLD_A, now=first.ready_at + 10)
+    assert again.level == "l2"  # the MSHR was freed, the L1D never filled
+    hierarchy.fills_due()
+    assert hierarchy.access(COLD_A, now=again.ready_at - 1).level == "mshr"
+
+
 def test_ifetch_miss_stalls_but_prefetched_lines_hit():
     hierarchy = MemoryHierarchy()
     pc = 0x0040_0000
@@ -134,3 +173,163 @@ def test_snapshot_exposes_key_counters():
     snap = hierarchy.snapshot()
     assert snap["bus_transfers"] == 1
     assert 0.0 <= snap["l1d_miss_rate"] <= 1.0
+
+
+# ------------------------------------------------------------ pinned stream
+
+#: sha256 of everything the seeded stream below gets back from the four
+#: hierarchies: each call's answer, each replay horizon, the final
+#: snapshot, raw counters and MSHR counters.  Any change to what the
+#: hierarchy computes changes it.
+STREAM_SHA256 = "bb3ac70fa104c507df2a85704ec0bfeb013d0f8a9a55368b6e49791f839db8f3"
+
+
+def _stream(seed: int = 15, cycles: int = 1_500) -> list[tuple[int, list[tuple]]]:
+    """A seeded call stream: per cycle, how many cycles a repeat of its
+    refusals may skip, and its calls.
+
+    Loads and stores go to a few hot lines, to lines that share one L1D
+    set (evictions, writebacks, same-set fills arriving together) and to
+    fresh cold lines.  Correct-path ifetches (with prefetch) walk a code
+    region with jumps; wrong-path ones (without) land in the I-cache sets
+    of the lines the stream buffer just brought in, evicting some.
+    """
+    rng = random.Random(seed)
+    hot = [0x1000_0000 + 64 * k for k in range(6)]
+    same_set = [0x2000_0000 + 32 * 1024 * k for k in range(6)]
+    cold = 0x4000_0000
+    pc = 0x0040_0000
+    stream = []
+    for _ in range(cycles):
+        calls: list[tuple] = []
+        for _ in range(rng.choice((0, 1, 2, 3, 4, 6, 8))):
+            pick = rng.random()
+            if pick < 0.55:
+                kind = rng.random()
+                if kind < 0.5:
+                    addr = rng.choice(hot) + 8 * rng.randrange(8)
+                elif kind < 0.75:
+                    addr = rng.choice(same_set)
+                else:
+                    cold += 64
+                    addr = cold
+                calls.append(("access", addr, rng.random() < 0.3))
+            elif pick < 0.75:
+                calls.append(("probe", rng.choice(hot + same_set)))
+            elif rng.random() < 0.75:
+                jump = rng.random()
+                if jump < 0.1:
+                    pc = 0x0040_0000 + 64 * rng.randrange(64)
+                elif jump < 0.15:
+                    pc += 32 * 1024 * rng.choice((1, 2))
+                else:
+                    pc += 16
+                calls.append(("ifetch", pc, True))
+            else:
+                ahead = 64 * rng.randint(1, 4) + 32 * 1024 * rng.randint(1, 3)
+                calls.append(("ifetch", pc + ahead, False))
+        stream.append((rng.randint(1, 4), calls))
+    return stream
+
+
+def _drive(hierarchy: MemoryHierarchy, stream) -> list:
+    """Run ``stream`` the way the core would and record every answer."""
+    wheel = EventWheel()
+    hierarchy.attach_wheel(wheel)
+    banked = hierarchy.params.dcache_banks > 1
+    seen: list = []
+    now = 0
+    for repeat, calls in stream:
+        events = wheel.pop_due(now)
+        for kind, _ in events or ():
+            if kind == EV_MEM_FILL:
+                hierarchy.fills_due()
+        asked = refused = 0
+        for call in calls:
+            if call[0] == "access":
+                result = hierarchy.access(call[1], now, call[2])
+            elif call[0] == "probe":
+                if not banked:
+                    continue
+                granted = hierarchy.checker_probe(call[1], now)
+                seen.append(("probe", granted))
+                asked += 1
+                refused += not granted
+                continue
+            else:
+                result = hierarchy.ifetch(call[1], now, prefetch=call[2])
+                seen.append(("ifetch", result.level, result.ready_at))
+                continue
+            seen.append((result.ok, result.reason, result.level, result.ready_at))
+            asked += 1
+            refused += not result.ok
+        horizon = hierarchy.replay_horizon()
+        seen.append(("horizon", horizon))
+        if asked and refused == asked:
+            # Repeat the refusals over cycles that cannot differ, as the
+            # cycle-skipping core does.
+            bound = horizon
+            due = wheel.next_cycle()
+            if due is not None and due < bound:
+                bound = due
+            cycles = min(repeat, bound - now - 1)
+            if cycles > 0:
+                hierarchy.repeat_refusals(now, cycles)
+                seen.append(("repeat", cycles))
+                now += cycles
+        now += 1
+    mshrs = hierarchy.mshrs
+    seen.append(hierarchy.snapshot())
+    seen.append(hierarchy.raw_counters())
+    seen.append((mshrs.allocations, mshrs.merges, mshrs.full_stalls, mshrs.target_stalls))
+    return seen
+
+
+def test_seeded_stream_answers_are_pinned():
+    """One seeded stream of ~5,000 calls through 1 and 4 banks, each with
+    the Table 1 MSHR file and with 2 entries x 2 targets: every answer and
+    final counter is pinned, so no restructuring of the hierarchy can
+    change what it computes."""
+    stream = _stream()
+    assert 4_000 < sum(len(calls) for _, calls in stream) < 6_000
+    digest = hashlib.sha256()
+    for banks in (1, 4):
+        for entries, targets in ((P.mshr_entries, P.mshr_targets), (2, 2)):
+            params = HierarchyParams(
+                dcache_banks=banks, mshr_entries=entries, mshr_targets=targets
+            )
+            digest.update(repr(_drive(MemoryHierarchy(params), stream)).encode())
+    assert digest.hexdigest() == STREAM_SHA256
+
+
+@pytest.mark.parametrize(
+    ("params", "reason"),
+    [
+        (HierarchyParams(dcache_banks=4, mshr_entries=1), "mshr"),
+        (HierarchyParams(dcache_banks=4, mshr_targets=1), "mshr_target"),
+    ],
+)
+def test_an_mshr_refusal_keeps_its_bank_slot_for_the_cycle(params, reason):
+    """The bank-slot rule: an access refused at the MSHRs gives back its
+    port but not its bank slot, so a same-bank access behind it in the
+    same cycle is refused ``bank`` even when it would hit in the L1D."""
+    hierarchy = MemoryHierarchy(params)  # 4 ports over 4 banks: 1 slot each
+    hot = COLD_A  # bank 0
+    same_bank = COLD_A + 4 * P.line_bytes  # bank 0 as well
+    hierarchy.access(hot, now=0)
+    now = COLD_READY + 10  # hot's fill has landed
+    if reason == "mshr":
+        # Bank 1 takes the only MSHR; the bank-0 miss finds none.
+        assert hierarchy.access(COLD_A + P.line_bytes, now=now).level == "mem"
+        refused = hierarchy.access(same_bank, now=now)
+    else:
+        # A bank-0 miss in flight with its one target used up.
+        assert hierarchy.access(same_bank, now=now).level == "mem"
+        now += 1
+        refused = hierarchy.access(same_bank + 8, now=now)
+    assert not refused.ok and refused.reason == reason
+    ports_free = hierarchy.ports_free(now)
+    behind = hierarchy.access(hot, now=now)
+    assert not behind.ok and behind.reason == "bank"
+    assert hierarchy.ports_free(now) == ports_free  # neither holds a port
+    assert hierarchy.access(hot, now=now + 1).level == "l1"
