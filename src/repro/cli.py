@@ -1,6 +1,6 @@
 """Experiment CLI: single runs, parallel sweeps, and paper-style reports.
 
-Three subcommands:
+Four subcommands:
 
 * ``python -m repro run --preset int-heavy --check`` — one (preset, seed,
   config) point through an unchecked baseline core and (with ``--check``)
@@ -21,10 +21,6 @@ Three subcommands:
 * ``python -m repro report`` — aggregates a results store across seeds
   (mean ± stddev) into the paper's tables, plus CSV and
   ``BENCH_sweep.json`` outputs.
-* ``python -m repro bench`` — wall-clock benchmark of the event-driven
-  scheduling kernel against the committed pre-refactor (window-rescan)
-  reference, verifying stat-identity and writing ``BENCH_core.json`` (see
-  :mod:`repro.bench`).
 
 For back-compatibility, an invocation whose first argument is not a
 subcommand (``python -m repro --preset int-heavy --check``) is treated as
@@ -55,7 +51,7 @@ from repro.workloads import PRESET_NAMES, PRESETS, WorkloadProfile, WrongPathGen
 _DEFAULT_WRONG_PATH_DEPTH = CoreParams().wrong_path_depth
 
 #: Subcommand names — anything else in argv[0] position is legacy ``run``.
-COMMANDS = ("run", "sweep", "campaign", "report", "bench")
+COMMANDS = ("run", "sweep", "campaign", "report")
 
 #: Default results-store path shared by ``sweep`` and ``report`` so the
 #: bare two-command flow works without plumbing a path through by hand.
@@ -431,9 +427,12 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--checkpoint-overhead",
         type=int,
-        default=1,
+        default=None,
         metavar="CYCLES",
-        help="fetch-stall cycles charged per checkpoint creation",
+        help=(
+            "fetch-stall cycles charged per checkpoint creation (default 1; "
+            "requires --checkpoint-interval)"
+        ),
     )
     parallel_group = parser.add_argument_group(
         "parallel simulation",
@@ -459,8 +458,8 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="OPS",
         help=(
             "warm-up ops each shard after the first simulates and discards "
-            "before its measured window (default 5000; only meaningful "
-            "with --shards > 1)"
+            "before its measured window (default 5000; requires "
+            "--shards > 1)"
         ),
     )
     parallel_group.add_argument(
@@ -468,7 +467,10 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for sharded runs (default: one per shard)",
+        help=(
+            "worker processes for sharded runs (default: one per shard; "
+            "requires --shards > 1)"
+        ),
     )
     parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     parser.add_argument(
@@ -560,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(
-        dest="command", required=True, metavar="{run,sweep,campaign,report,bench}"
+        dest="command", required=True, metavar="{run,sweep,campaign,report}"
     )
 
     run_parser = sub.add_parser(
@@ -709,68 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    bench_parser = sub.add_parser(
-        "bench",
-        help=(
-            "wall-clock benchmark of the scheduling kernel vs the committed "
-            "pre-refactor reference (writes BENCH_core.json)"
-        ),
-    )
-    from repro.bench import BENCH_CONFIGS, DEFAULT_OUTPUT, DEFAULT_REFERENCE
-
-    bench_parser.add_argument(
-        "--config",
-        choices=(*BENCH_CONFIGS, "all"),
-        default="all",
-        help=(
-            "machine shape to benchmark: table1 (the paper's 128-entry "
-            "window), big-core (1024-entry window, deep wrong paths), "
-            "memdep (memory-bound aliasing workload with store sets and a "
-            "banked D-cache), checkpoint (table1 shape with verified-state "
-            "checkpointing on), ci-smoke (short big-core run), sharded "
-            "(time-sharded parallel fast mode vs the monolithic run), or "
-            "all full-length configs"
-        ),
-    )
-    bench_parser.add_argument(
-        "--configs",
-        default=None,
-        metavar="NAME[,NAME...]",
-        help=(
-            "comma-separated subset of bench configs to run (overrides "
-            "--config); e.g. --configs table1,sharded"
-        ),
-    )
-    bench_parser.add_argument("--seed", type=int, default=0, help="workload RNG seed")
-    bench_parser.add_argument(
-        "--ops", type=int, default=None, help="override the config's trace length"
-    )
-    bench_parser.add_argument(
-        "--fault-rate", type=float, default=1e-4, help="checked-mode fault rate"
-    )
-    bench_parser.add_argument(
-        "--repeats", type=int, default=2, help="timed runs per point (best-of)"
-    )
-    bench_parser.add_argument(
-        "--reference",
-        default=str(DEFAULT_REFERENCE),
-        help="committed pre-refactor reference JSON",
-    )
-    bench_parser.add_argument(
-        "--out", default=DEFAULT_OUTPUT, help="machine-readable output path"
-    )
-    bench_parser.add_argument(
-        "--min-ops-per-sec",
-        default=None,
-        help=(
-            "fail if the benchmarked config's checked-mode throughput falls "
-            "below this floor (CI regression gate); 'ref' uses the "
-            "reference's ci_floor_ops_per_sec"
-        ),
-    )
-    bench_parser.add_argument(
-        "--json", action="store_true", help="print the JSON report instead of text"
-    )
     return parser
 
 
@@ -799,7 +739,9 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error(
             f"--checkpoint-interval must be non-negative, got {args.checkpoint_interval}"
         )
-    if args.checkpoint_overhead < 0:
+    if args.checkpoint_overhead is not None and not args.checkpoint_interval:
+        parser.error("--checkpoint-overhead requires --checkpoint-interval")
+    if args.checkpoint_overhead is not None and args.checkpoint_overhead < 0:
         parser.error(
             f"--checkpoint-overhead must be non-negative, got {args.checkpoint_overhead}"
         )
@@ -811,6 +753,10 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error("--telemetry-out requires --telemetry-interval")
     if args.shards < 1:
         parser.error(f"--shards must be at least 1, got {args.shards}")
+    if args.shard_warmup is not None and args.shards == 1:
+        parser.error("--shard-warmup requires --shards > 1")
+    if args.shard_workers is not None and args.shards == 1:
+        parser.error("--shard-workers requires --shards > 1")
     if args.shard_warmup is not None and args.shard_warmup < 0:
         parser.error(f"--shard-warmup must be non-negative, got {args.shard_warmup}")
     if args.shard_workers is not None and args.shard_workers < 1:
@@ -864,10 +810,10 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             enabled=True, ssit_decay_cycles=args.ssit_decay_cycles
         )
     if args.checkpoint_interval:
-        base_kwargs["recovery"] = RecoveryParams(
-            checkpoint_interval=args.checkpoint_interval,
-            checkpoint_overhead=args.checkpoint_overhead,
-        )
+        recovery_kwargs = {"checkpoint_interval": args.checkpoint_interval}
+        if args.checkpoint_overhead is not None:
+            recovery_kwargs["checkpoint_overhead"] = args.checkpoint_overhead
+        base_kwargs["recovery"] = RecoveryParams(**recovery_kwargs)
     base_params = CoreParams(**base_kwargs) if base_kwargs else None
     obs = (
         ObsSession(
@@ -1113,90 +1059,6 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.bench import (
-        BENCH_CONFIGS,
-        format_bench,
-        load_reference,
-        run_bench,
-        sharded_gate_failures,
-        write_bench_json,
-    )
-
-    if args.repeats <= 0:
-        parser.error(f"--repeats must be positive, got {args.repeats}")
-    if args.ops is not None and args.ops <= 0:
-        parser.error(f"--ops must be positive, got {args.ops}")
-    if args.configs is not None:
-        config_names = [name.strip() for name in args.configs.split(",") if name.strip()]
-        if not config_names:
-            parser.error("--configs wants at least one config name")
-        unknown = [name for name in config_names if name not in BENCH_CONFIGS]
-        if unknown:
-            parser.error(
-                f"unknown bench config(s) {', '.join(unknown)} — "
-                f"choose from {', '.join(BENCH_CONFIGS)}"
-            )
-    elif args.config == "all":
-        # The full-length configs; ci-smoke only runs when named.
-        config_names = [name for name in BENCH_CONFIGS if name != "ci-smoke"]
-    else:
-        config_names = [args.config]
-    reference = load_reference(args.reference)
-    if reference is None:
-        print(f"note: no reference at {args.reference}; reporting timings only")
-    report = run_bench(
-        config_names,
-        seed=args.seed,
-        fault_rate=args.fault_rate,
-        repeats=args.repeats,
-        reference=reference,
-        ops_override=args.ops,
-    )
-    write_bench_json(report, args.out)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_bench(report))
-        print(f"wrote {args.out}")
-    if not report["all_stats_identical"]:
-        print("FAIL: kernel stats diverged from the pre-refactor reference",
-              file=sys.stderr)
-        return 1
-    sharded_failures = sharded_gate_failures(report)
-    if sharded_failures:
-        for failure in sharded_failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    floor = args.min_ops_per_sec
-    if floor is not None:
-        if floor == "ref":
-            floor = (reference or {}).get("ci_floor_ops_per_sec")
-            if floor is None:
-                parser.error("--min-ops-per-sec=ref but the reference has no "
-                             "ci_floor_ops_per_sec")
-        try:
-            floor = float(floor)
-        except ValueError:
-            parser.error(f"--min-ops-per-sec must be a number or 'ref', got {floor!r}")
-        # The sharded comparison entry carries no timed monolithic modes;
-        # the floor gates the per-core kernel configs.
-        timed = [
-            entry["checked"]["ops_per_sec"]
-            for entry in report["configs"].values()
-            if isinstance(entry.get("checked"), dict)
-        ]
-        slowest = min(timed) if timed else float("inf")
-        if slowest < floor:
-            print(
-                f"FAIL: checked-mode throughput {slowest:,.0f} ops/s is below "
-                f"the committed floor {floor:,.0f} ops/s",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Legacy interface: `python -m repro --preset int-heavy --check` (and
@@ -1210,7 +1072,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "sweep": _cmd_sweep,
         "campaign": _cmd_campaign,
         "report": _cmd_report,
-        "bench": _cmd_bench,
     }[args.command]
     return handler(args, parser)
 

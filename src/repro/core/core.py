@@ -67,7 +67,6 @@ schedule (and every statistic) is identical to ticking cycle by cycle.
 from __future__ import annotations
 
 import json
-import time
 from collections import deque
 from heapq import heappop
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -314,11 +313,10 @@ class SuperscalarCore:
                 :func:`repro.core.capture.resume`).
         """
         self.begin(trace, max_cycles, start)
-        started = time.perf_counter()
         self.advance()
         if self.telemetry is not None:
             self.telemetry.finalize(self._now)
-        return self._finish(started)
+        return self._finish()
 
     def run_window(
         self,
@@ -354,7 +352,6 @@ class SuperscalarCore:
             raise ValueError(
                 "interval telemetry is not supported with warm-start windows"
             )
-        started = time.perf_counter()
         stats = self.stats
         # Warmup stops right after the cycle whose commit count reaches the
         # target, so any cycles that cycle lets the loop skip are skipped
@@ -379,7 +376,7 @@ class SuperscalarCore:
         stats.reset_window()
         stats.committed = base[1]
         self.advance()
-        return self._finish(started, base)
+        return self._finish(base)
 
     def begin(
         self,
@@ -456,7 +453,6 @@ class SuperscalarCore:
 
     def _finish(
         self,
-        started: float,
         base: tuple[int, int, int, int, dict | None, int] = (0, 0, 0, 0, None, 0),
     ) -> CoreStats:
         """Finalize the run's stats; ``base`` holds a warm-start window's
@@ -474,7 +470,6 @@ class SuperscalarCore:
             self._fault_tracker.finalize(self._now)
         if self._storesets is not None:
             stats.ssit_decays = self._storesets.decays - base_decays
-        stats.wall_seconds = time.perf_counter() - started
         stats.sched_events = self._wheel.posted - base_posted
         stats.memory = self.hierarchy.snapshot(baseline=base_memory)
         return stats

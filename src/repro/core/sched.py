@@ -97,7 +97,7 @@ class EventWheel:
 
     def __init__(self) -> None:
         self._due: dict[int, list[tuple[int, Any]]] = {}
-        #: Total events ever posted (kernel telemetry, surfaced by bench).
+        #: Total events ever posted (kernel telemetry, surfaced by perfbench).
         self.posted = 0
 
     def post(self, cycle: int, kind: int, payload: Any) -> None:

@@ -139,8 +139,6 @@ class CoreStats:
     # state; deliberately excluded from to_dict() so result rows — and the
     # sweep stores built from them — stay deterministic and byte-identical
     # across machines, worker counts, and kernel revisions) ---
-    #: Wall-clock seconds one run() call took (read by `repro bench`).
-    wall_seconds: float = 0.0
     #: Timed wakeups posted to the event wheel over the run.
     sched_events: int = 0
     #: Cycles the run loop jumped over (``CoreParams.cycle_skip``).
@@ -273,7 +271,6 @@ class CoreStats:
         self.memory = {}
         self._reservoir_rng = _reservoir_rng()
         self._detections_seen = 0
-        self.wall_seconds = 0.0
         self.sched_events = 0
         self.cycles_skipped = 0
 

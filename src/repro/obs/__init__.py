@@ -5,8 +5,8 @@ absence of the objects**, not no-op objects.  A core without a tracer
 holds ``None``, and without telemetry its run loop has no per-cycle
 observer to call; only when the CLI builds an :class:`ObsSession` do
 hooks exist.  The
-golden-equivalence suite, the committed sweep store, and the bench floor
-all pin that the disabled path is bit-for-bit and throughput-for-
+golden-equivalence suite, the committed sweep store, and the throughput
+floor all pin that the disabled path is bit-for-bit and throughput-for-
 throughput unchanged.
 
 Pieces (each importable directly from ``repro.obs``):

@@ -174,7 +174,6 @@ def merge_core_stats(parts: Sequence[CoreStats]) -> CoreStats:
     ``parts`` must be in shard order.  Machine-shape fields
     (``issue_width``, the ``*_enabled`` flags) come from the first part;
     everything measured follows the rules in the module docstring.
-    ``wall_seconds`` is the max (shards run concurrently), not the sum.
     """
     if not parts:
         raise ValueError("merge_core_stats needs at least one part")
@@ -214,5 +213,4 @@ def merge_core_stats(parts: Sequence[CoreStats]) -> CoreStats:
     merged.memory = merge_memory(
         [part.memory for part in parts], [part.cycles for part in parts]
     )
-    merged.wall_seconds = max(part.wall_seconds for part in parts)
     return merged

@@ -22,7 +22,7 @@ from plausibly-warm caches, predictor, store sets, and checker pipeline
 instead of a cold machine.  ``--shards 1`` (no warmup, no pool) is
 bit-identical to the monolithic path; N > 1 is an explicitly approximate
 fast mode — cold-boundary effects and per-shard fault-RNG divergence are
-real — whose error is measured and gated by the ``sharded`` bench config.
+real — whose error is measured and gated by tests/test_parallel_sharded.py.
 """
 
 from __future__ import annotations

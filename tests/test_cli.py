@@ -255,7 +255,7 @@ def test_checkpoint_flags_flow_into_the_run_and_report(capsys):
     assert "checkpoint:" in capsys.readouterr().out
 
 
-def test_checkpoint_and_decay_flags_validate():
+def test_checkpoint_and_decay_flags_validate(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--checkpoint-interval", "-1"])
     with pytest.raises(SystemExit):
@@ -264,6 +264,11 @@ def test_checkpoint_and_decay_flags_validate():
         main(["run", "--ssit-decay-cycles", "100"])  # requires --memdep
     with pytest.raises(SystemExit):
         main(["run", "--memdep", "--ssit-decay-cycles", "-5"])
+    capsys.readouterr()
+    # Without checkpoints the overhead would be dropped silently.
+    with pytest.raises(SystemExit):
+        main(["run", "--checkpoint-overhead", "5"])
+    assert "--checkpoint-overhead requires --checkpoint-interval" in capsys.readouterr().err
 
 
 def test_default_run_emits_no_recovery_or_decay_keys(capsys):

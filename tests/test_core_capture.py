@@ -3,8 +3,9 @@
 Campaign trials start from a copy of their cell's fault-free leader core,
 taken just before their fault site.  Every statistic a resumed trial
 returns must equal the same trial run from cycle 0: across the five fault
-models, at sites spread over the trace, on the Table 1 machine and on a
-memory-dependence machine with banked D-cache and checkpoints.  Capture
+models, at sites spread over the trace, on the Table 1 machine (branchy
+and int-heavy) and on a memory-dependence machine with banked D-cache
+and checkpoints.  Capture
 also has to survive the boundaries random ones rarely hit (a wrong-path
 op peeked behind an I-cache miss or a full LSQ, a full LSQ, a replay-only
 cycle's pending skip) and refuse states it cannot share.
@@ -22,9 +23,12 @@ from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
 from repro.obs.tracer import PipelineTracer
 from repro.workloads import PRESETS, WrongPathGenerator, generate
 
-#: (preset, ops, core params, memory params) of the two machines.
+#: (preset, ops, core params, memory params) of the machines.  int-heavy's
+#: unpipelined divides hold FU reservations across its capture points, so
+#: a resumed trial that shared them with the leader would diverge.
 SHAPES = {
     "branchy-table1": ("branchy", 1_000, CoreParams(), HierarchyParams()),
+    "int-heavy-table1": ("int-heavy", 1_000, CoreParams(), HierarchyParams()),
     "memory-bound-memdep": (
         "memory-bound",
         800,

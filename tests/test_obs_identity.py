@@ -1,10 +1,9 @@
 """Trace identity: observability must not perturb the simulation.
 
-For every bench machine shape (the same shapes ``python -m repro bench``
-times), a run with the tracer attached and telemetry sampling at an
-arbitrary interval must produce a ``CoreStats`` identical *field for
-field* to the uninstrumented run — observability reads the machine, it
-never schedules it.
+For every benchmarked machine shape, a run with the tracer attached and
+telemetry sampling at an arbitrary interval must produce a ``CoreStats``
+identical *field for field* to the uninstrumented run — observability
+reads the machine, it never schedules it.
 """
 
 import pytest
@@ -16,9 +15,9 @@ from repro.obs import ObsSession
 from repro.obs.tracer import PipelineTracer
 from repro.workloads import PRESETS, generate
 
-#: Miniature versions of the bench shapes (see repro.bench.BENCH_CONFIGS):
-#: the paper's table-1 machine, a big-core window, the memdep shape, and
-#: the checkpointing shape.
+#: Miniature versions of the benchmarked shapes (see SHAPES in
+#: tests/test_core_cycle_skip.py): the paper's table-1 machine, a big-core
+#: window, the memdep shape, and the checkpointing shape.
 SHAPES = {
     "table1": dict(window_size=128, wrong_path_depth=64),
     "big-core": dict(window_size=1024, wrong_path_depth=512),
