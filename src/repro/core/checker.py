@@ -36,8 +36,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.dynop import DynOp
-from repro.core.sched import EV_CHECK_DONE, CheckQueue, EventWheel
-from repro.core.scheduler import FUPool
+from repro.core.sched import EV_CHECK_DONE, CheckQueue, EventWheel, FUPool
 from repro.core.stats import CoreStats
 from repro.isa.opcodes import OpClass, UNPIPELINED_OPS, fu_class_for
 from repro.isa.registers import REG_ZERO
@@ -157,13 +156,18 @@ class Checker:
             Number of issue slots consumed.
         """
         used = 0
-        pending = self._pending
-        head = pending.head
-        popleft = pending.popleft
+        # The check queue's deque, the FU pool's lists and the wheel's
+        # buckets, read and updated in place (see the layout notes in
+        # repro.core.sched).
+        queue = self._pending._queue
         fu = self._fu
+        fu_counts = fu._counts
+        fu_used = fu._used
+        fu_blocked = fu._blocked
         reg_ready = self._reg_ready
         reg_ready_get = reg_ready.get
-        wheel_post = self._wheel.post
+        wheel = self._wheel
+        due = wheel._due
         lat_by_op = self._check_lat_by_op
         fu_by_op = self._fu_by_op
         unpip_by_op = self._unpip_by_op
@@ -171,10 +175,11 @@ class Checker:
         fault_hook = self.fault_hook
         load_cls = OpClass.LOAD
         store_cls = OpClass.STORE
-        while used < slots:
-            op = head()
-            if op is None:
-                break
+        while used < slots and queue:
+            op = queue[0]
+            if op.squashed:
+                queue.popleft()  # a recovery victim, dropped lazily
+                continue
             complete_at = op.complete_at
             if complete_at is None or complete_at > now:
                 break
@@ -187,31 +192,40 @@ class Checker:
             if blocked:
                 break
             op_cls = uop.op
+            cls = fu_by_op[op_cls]
+            if fu_counts[cls] - fu_used[cls] - len(fu_blocked[cls]) <= 0:
+                break
             if probe is not None and (op_cls is load_cls or op_cls is store_cls):
-                # Win the FU first (available > 0 guarantees the acquire
-                # below succeeds), then the D-cache bank: a probe that wins
-                # a bank slot but loses its FU would waste real bandwidth.
-                if fu.available(fu_by_op[op_cls]) <= 0:
-                    break
+                # The FU is won first, then the D-cache bank: a probe that
+                # wins a bank slot but loses its FU would waste real
+                # bandwidth.
                 if not probe(uop.addr, now):
                     if not used:
                         self.probe_stalled_at = now
                     break  # bank/port conflict: in-order pipe stalls here
             complete = now + lat_by_op[op_cls]
-            if not fu.try_acquire(
-                fu_by_op[op_cls], complete if unpip_by_op[op_cls] else None
-            ):
-                break
+            if unpip_by_op[op_cls]:
+                fu_blocked[cls].append(complete)
+                fu._any_blocked = True
+            else:
+                if not fu_used[cls]:
+                    fu._used_classes.append(cls)
+                fu_used[cls] += 1
             op.check_issued_at = now
             op.check_complete_at = complete
             if fault_hook is not None:
                 fault_hook(op, now)
-            wheel_post(complete, EV_CHECK_DONE, op)
+            bucket = due.get(complete)
+            if bucket is None:
+                due[complete] = [(EV_CHECK_DONE, op)]
+            else:
+                bucket.append((EV_CHECK_DONE, op))
             dest = uop.dest
             if dest is not None and dest != REG_ZERO:
                 reg_ready[dest] = complete
-            popleft()
+            queue.popleft()
             used += 1
+        wheel.posted += used
         self._stats.checker_slots_used += used
         return used
 

@@ -14,14 +14,15 @@ The machine is trace driven and models the paper's pipeline shape:
   branch and the full penalty is resolution wait + redirect.  Streams are
   consumed lazily: only the prefix the front end actually fetches before
   resolution is ever synthesized.
-* **rename** — source operands capture direct references to their in-flight
-  producers; the zero register never creates a dependency.  Rename also
-  feeds the scheduling kernel (:mod:`repro.core.sched`): an op with
-  outstanding sources registers for their completion wakeups and enters
-  the primary ready queue exactly when the last one lands, and a
-  correct-path op joins the checker's in-order ready queue.  With
-  ``frontend_depth`` > 0, a front-end hold delays issue eligibility by
-  that many extra pipeline cycles.
+* **rename** — done op by op in fetch's group loop: source operands
+  capture direct references to their in-flight producers; the zero
+  register never creates a dependency.  Rename also feeds the scheduling
+  kernel (:mod:`repro.core.sched`): an op with outstanding sources
+  registers for their completion wakeups and enters the primary ready
+  queue exactly when the last one lands, and a correct-path op joins the
+  checker's in-order ready queue.  With ``frontend_depth`` > 0, a
+  front-end hold delays issue eligibility by that many extra pipeline
+  cycles.
 * **issue/execute** — oldest-first out-of-order issue of ready ops into the
   shared issue slots and Table 1 functional units, popping the seq-ordered
   ready queue instead of rescanning the window; loads and stores go
@@ -68,7 +69,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from heapq import heappop
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.branch.combining import CombiningPredictor
@@ -86,9 +87,9 @@ from repro.core.sched import (
     EV_MEM_VIOLATION,
     DeadlockError,
     EventWheel,
+    FUPool,
     ReadyQueue,
 )
-from repro.core.scheduler import FUPool
 from repro.core.stats import CoreStats
 from repro.core.storesets import StoreSetPredictor
 from repro.isa.instruction import MicroOp, format_microop
@@ -810,7 +811,7 @@ class SuperscalarCore:
         # costs two comparisons instead of a call.
         if self._wp_branch is not None:
             if now >= self._wp_icache_stall_until:
-                self._fetch_wrong_path(now)
+                self._fetch(now, True)
         elif (
             self._waiting_branch is None
             and now >= self._fetch_stall_until
@@ -880,15 +881,20 @@ class SuperscalarCore:
         refused = 0
         ready_heap = self._ready_heap
         stash: list[DynOp] | None = None
+        # The FU pool's lists, read and updated in place (see the layout
+        # notes in repro.core.sched).
         fu = self._fu
         fu_counts = fu._counts
         fu_used = fu._used
         fu_blocked = fu._blocked
+        fu_used_classes = fu._used_classes
         stats = self.stats
         lat_by_op = self._lat_by_op
         fu_by_op = self._fu_by_op
         unpip_by_op = self._unpip_by_op
-        wheel_post = self._wheel.post
+        wheel = self._wheel
+        due = wheel._due
+        posted = 0
         access = self.hierarchy.access
         injector = self.fault_injector
         inject_all = injector is not None and not injector.dest_only
@@ -924,7 +930,6 @@ class SuperscalarCore:
                     complete = now + fwd_latency
                     op.fwd_from = fwd
                     stats.loads_forwarded += 1
-                    fu.acquire(cls)
                 else:
                     result = access(uop.addr, now, op_cls is store_cls)
                     if not result.ok:
@@ -943,29 +948,43 @@ class SuperscalarCore:
                             stash.append(op)
                         continue
                     complete = result.ready_at
-                    fu.acquire(cls)
                     if memdep_on and op_cls is store_cls and not op.wrong_path:
                         # The store's address just resolved: any younger
                         # load that already read this address from memory
                         # saw stale data and must replay.
                         self._scan_order_violation(op, now)
+                # Loads and stores are pipelined.
+                if not fu_used[cls]:
+                    fu_used_classes.append(cls)
+                fu_used[cls] += 1
             else:
-                complete = now + lat_by_op[op_cls]
-                if not fu.try_acquire(
-                    cls, complete if unpip_by_op[op_cls] else None
-                ):
+                if fu_counts[cls] - fu_used[cls] - len(fu_blocked[cls]) <= 0:
                     if stash is None:
                         stash = [op]
                     else:
                         stash.append(op)
                     continue
+                complete = now + lat_by_op[op_cls]
+                if unpip_by_op[op_cls]:
+                    # An unpipelined op blocks its unit through completion
+                    # (the issue cycle included, so it takes no _used slot).
+                    fu_blocked[cls].append(complete)
+                    fu._any_blocked = True
+                else:
+                    if not fu_used[cls]:
+                        fu_used_classes.append(cls)
+                    fu_used[cls] += 1
             op.issued_at = now
             op.complete_at = complete
             slots -= 1
             waiters = op.waiters
             if waiters is not None:
+                bucket = due.get(complete)
+                if bucket is None:
+                    due[complete] = bucket = []
                 for waiter in waiters:
-                    wheel_post(complete, EV_DEP_WAKE, waiter)
+                    bucket.append((EV_DEP_WAKE, waiter))
+                posted += len(waiters)
                 op.waiters = None
             if op.wrong_path:
                 stats.wrong_path_issued += 1
@@ -992,8 +1011,14 @@ class SuperscalarCore:
                 # and any wrong-path work is squashed at resolution.
                 self._waiting_branch = waiting_branch = None
                 self._recovery.schedule_branch_redirect(complete)
+        wheel.posted += posted
         if stash is not None:
-            self._ready.push_all(stash)
+            ready = self._ready
+            tick = ready._tick
+            for op in stash:
+                tick += 1
+                heappush(ready_heap, (op.seq, tick, op))
+            ready._tick = tick
             if refused == len(stash) == budget - slots and self._skip_enabled:
                 # Replay-only cycle: nothing issued and every popped op was
                 # refused.  _maybe_skip decides how many cycles repeat it.
@@ -1065,44 +1090,102 @@ class SuperscalarCore:
 
     # ----------------------------------------------------------------- fetch
 
-    def _fetch(self, now: int) -> None:
+    def _fetch(self, now: int, wrong_path: bool = False) -> None:
+        """Fetch and rename one group, from the trace or down the wrong path.
+
+        Rename happens in the group loop itself: each op captures its
+        in-flight producers (the zero register never creates a
+        dependency), registers for their completion wakeups, and enters
+        the primary ready queue exactly when the last one lands; a
+        correct-path op also joins the checker's in-order queue.  A nop
+        consumes front-end and commit bandwidth only: it is born complete
+        and checked.
+
+        With ``wrong_path``, the group comes from the live episode's
+        stream, and its ops never join the check queue, the LSQ's address
+        index or the store-set predictor; their branches are inert.
+        Wrong-path I-cache misses stall only that stream (their line fills
+        and bus traffic persist): the correct-path redirect after the
+        squash must not inherit a wait for instructions that were never on
+        the program's path.  The stream iterator is advanced only when an
+        op is actually renamed, so resolution leaves the unfetched suffix
+        unsynthesized.
+        """
         # Stall and end-of-trace guards live in _step (inlined on the cycle
-        # loop); this body only runs when correct-path fetch may proceed.
+        # loop); this body only runs when fetch may proceed.  The window
+        # only grows during fetch, so the per-cycle budget is fixed up
+        # front instead of re-deriving len(window) per op.
         params = self.params
-        trace = self._trace
-        trace_len = len(trace)
         window = self._window
-        index = self._fetch_index
-        # The window only grows during fetch, so the per-cycle budget is
-        # fixed up front instead of re-deriving len(window) per op.
-        budget = min(
-            params.fetch_width, trace_len - index, params.window_size - len(window)
-        )
+        budget = params.window_size - len(window)
+        if params.fetch_width < budget:
+            budget = params.fetch_width
+        if wrong_path:
+            seq = self._wp_next_seq
+            color = self._wp_branch.seq
+            wp_iter = self._wp_iter
+            peek = self._wp_peek
+            check_append = None
+            branch_cls = None  # wrong-path branches are inert
+        else:
+            trace = self._trace
+            seq = self._fetch_index
+            if len(trace) - seq < budget:
+                budget = len(trace) - seq
+            color = peek = None
+            check_append = self._check_deque.append if self._check_deque is not None else None
+            branch_cls = OpClass.BRANCH
         if budget <= 0:
             return
+        stats = self.stats
         probed_line: int | None = None
         model_icache = params.model_icache
         line_bytes = self.hierarchy.params.line_bytes
         ifetch = self.hierarchy.ifetch
-        rename = self._rename
-        branch_cls = OpClass.BRANCH
         memdep_on = self._memdep_on
-        load_cls = OpClass.LOAD
-        store_cls = OpClass.STORE
+        # Only correct-path memory ops are indexed by address and seen by
+        # the store-set predictor.
+        memdep_correct = memdep_on and not wrong_path
         lsq = self._lsq
         lsq_size = self._lsq_size
+        # No squash runs inside the loop (a branch only snapshots the map),
+        # so the producer map cannot be replaced under it.
+        reg_producer = self._reg_producer
+        reg_get = reg_producer.get
+        depth = self._frontend_depth
+        wheel = self._wheel
+        due = wheel._due
+        ready = self._ready
+        ready_heap = self._ready_heap
+        nop_cls = OpClass.NOP
+        load_cls = OpClass.LOAD
+        store_cls = OpClass.STORE
+        # The ready queue's tie-break counter and the wheel's event count
+        # live in locals until the finally below: capture() copies both.
+        tick = ready._tick
+        posted = 0
         fetched = 0
         try:
             while fetched < budget:
-                uop = trace[index]
+                if wrong_path:
+                    uop = peek
+                    if uop is None:
+                        uop = next(wp_iter, None)
+                        if uop is None:
+                            self._wp_exhausted = True
+                            break  # stream exhausted: wait for resolution
+                        peek = uop
+                else:
+                    uop = trace[seq]
+                op_cls = uop.op
                 if (
                     memdep_on
-                    and (uop.op is load_cls or uop.op is store_cls)
+                    and (op_cls is load_cls or op_cls is store_cls)
                     and len(lsq) >= lsq_size
                 ):
                     # LSQ full: the front end stalls until commit or a
-                    # squash frees a slot (the op stays at trace[index]).
-                    self.stats.lsq_full_stalls += 1
+                    # squash frees a slot (the op stays where it is).
+                    stats.lsq_full_stalls += 1
                     return
                 if model_icache:
                     # Probe once per cache line the group touches, not once
@@ -1110,186 +1193,130 @@ class SuperscalarCore:
                     # the prefetcher on) its second line too.
                     line = uop.pc // line_bytes
                     if line != probed_line:
-                        result = ifetch(uop.pc, now)
+                        result = ifetch(uop.pc, now, prefetch=not wrong_path)
                         probed_line = line
                         if result.level != "l1":
-                            self._icache_stall_until = result.ready_at
+                            if wrong_path:
+                                self._wp_icache_stall_until = result.ready_at
+                            else:
+                                self._icache_stall_until = result.ready_at
                             return
-                op = rename(uop, now)
+                peek = None
+                # Dependency capture, unrolled for the 0-2 sources nearly
+                # every micro-op has.
+                srcs = uop.srcs
+                n_srcs = len(srcs)
+                if n_srcs == 0:
+                    deps = ()
+                elif n_srcs == 1:
+                    src = srcs[0]
+                    producer = reg_get(src) if src else None
+                    deps = () if producer is None else (producer,)
+                elif n_srcs == 2:
+                    src = srcs[0]
+                    first = reg_get(src) if src else None
+                    src = srcs[1]
+                    second = reg_get(src) if src else None
+                    if first is None:
+                        deps = () if second is None else (second,)
+                    else:
+                        deps = (first,) if second is None else (first, second)
+                else:
+                    deps = tuple(
+                        producer
+                        for src in srcs
+                        if src != REG_ZERO and (producer := reg_get(src)) is not None
+                    )
+                if memdep_correct and op_cls is load_cls:
+                    # Store-set prediction: a load that has conflicted with
+                    # an in-flight store's PC before waits for that store to
+                    # issue (riding the ordinary wakeup machinery) instead
+                    # of racing it to the D-cache.  An already-issued store
+                    # needs no delay: forwarding at issue handles it.
+                    pred = self._storesets.predicted_store(uop.pc, now)
+                    if pred is not None and pred.issued_at is None:
+                        deps = (*deps, pred)
+                        stats.loads_delayed += 1
+                op = DynOp(uop, seq, now, deps, wrong_path, color)
+                if memdep_on and (op_cls is load_cls or op_cls is store_cls):
+                    # Every in-flight memory op holds an LSQ slot from
+                    # rename to commit or squash.
+                    lsq.append(op)
+                    if memdep_correct:
+                        entries = self._lsq_index.get(uop.addr)
+                        if entries is None:
+                            self._lsq_index[uop.addr] = [op]
+                        else:
+                            entries.append(op)
+                        if op_cls is store_cls:
+                            self._storesets.store_fetched(uop.pc, op, now)
+                if op_cls is nop_cls:
+                    op.issued_at = now
+                    op.complete_at = now
+                    op.checked = True
+                else:
+                    dest = uop.dest
+                    if dest is not None and dest != REG_ZERO:
+                        reg_producer[dest] = op
+                    # Producers whose completion cycle is known share one
+                    # wheel event at the latest such cycle (readiness is
+                    # the max); unissued producers each enlist the op on
+                    # their waiter list, and their issue posts its wakeup.
+                    pending = 0
+                    if deps:
+                        wake_at = 0
+                        for producer in deps:
+                            complete = producer.complete_at
+                            if complete is None:
+                                pending += 1
+                                if producer.waiters is None:
+                                    producer.waiters = [op]
+                                else:
+                                    producer.waiters.append(op)
+                            elif complete > wake_at:
+                                wake_at = complete
+                        if wake_at > now:
+                            pending += 1
+                            posted += 1
+                            bucket = due.get(wake_at)
+                            if bucket is None:
+                                due[wake_at] = [(EV_DEP_WAKE, op)]
+                            else:
+                                bucket.append((EV_DEP_WAKE, op))
+                    if depth:
+                        # Front-end pipeline hold: +depth cycles between
+                        # fetch and the first issue opportunity (fetch+1 at
+                        # depth 0, since fetch runs after issue in a cycle).
+                        pending += 1
+                        posted += 1
+                        wake_at = now + depth + 1
+                        bucket = due.get(wake_at)
+                        if bucket is None:
+                            due[wake_at] = [(EV_DEP_WAKE, op)]
+                        else:
+                            bucket.append((EV_DEP_WAKE, op))
+                    if pending:
+                        op.pending_deps = pending
+                    else:
+                        tick += 1
+                        heappush(ready_heap, (seq, tick, op))
+                    if check_append is not None:
+                        check_append(op)
                 window.append(op)
-                index += 1
-                self._fetch_index = index
+                seq += 1
                 fetched += 1
-                if uop.op is branch_cls and self._fetch_branch(op):
+                if op_cls is branch_cls and self._fetch_branch(op):
                     return
         finally:
-            self.stats.fetched += fetched
-
-    def _fetch_wrong_path(self, now: int) -> None:
-        """Fetch down the wrong path while the mispredicted branch is unresolved.
-
-        Wrong-path I-cache misses stall only *this* stream (their line
-        fills and bus traffic persist): the correct-path redirect after the
-        squash must not inherit a wait for instructions that were never on
-        the program's path.  The stream iterator is advanced only when an
-        op is actually renamed, so resolution leaves the unfetched suffix
-        unsynthesized.
-        """
-        params = self.params
-        window = self._window
-        budget = min(params.fetch_width, params.window_size - len(window))
-        if budget <= 0:
-            return
-        probed_line: int | None = None
-        model_icache = params.model_icache
-        line_bytes = self.hierarchy.params.line_bytes
-        ifetch = self.hierarchy.ifetch
-        rename = self._rename
-        wp_iter = self._wp_iter
-        memdep_on = self._memdep_on
-        load_cls = OpClass.LOAD
-        store_cls = OpClass.STORE
-        lsq = self._lsq
-        lsq_size = self._lsq_size
-        fetched = 0
-        try:
-            while fetched < budget:
-                uop = self._wp_peek
-                if uop is None:
-                    uop = next(wp_iter, None)
-                    if uop is None:
-                        self._wp_exhausted = True
-                        break  # stream exhausted: wait for resolution
-                    self._wp_peek = uop
-                if (
-                    memdep_on
-                    and (uop.op is load_cls or uop.op is store_cls)
-                    and len(lsq) >= lsq_size
-                ):
-                    # Wrong-path memory ops need real LSQ slots too; the
-                    # peeked op waits for one (or for resolution).
-                    self.stats.lsq_full_stalls += 1
-                    return
-                if model_icache:
-                    line = uop.pc // line_bytes
-                    if line != probed_line:
-                        result = ifetch(uop.pc, now, prefetch=False)
-                        probed_line = line
-                        if result.level != "l1":
-                            self._wp_icache_stall_until = result.ready_at
-                            return
-                self._wp_peek = None
-                op = rename(uop, now, True)
-                window.append(op)
-                fetched += 1
-        finally:
-            self.stats.wrong_path_fetched += fetched
-
-    def _rename(self, uop: MicroOp, now: int, wrong_path: bool = False) -> DynOp:
-        reg_producer = self._reg_producer
-        srcs = uop.srcs
-        # Unrolled dependency capture: nearly every micro-op has 0-2
-        # sources, and REG_ZERO (register 0) never creates a dependency.
-        n_srcs = len(srcs)
-        if n_srcs == 0:
-            deps = ()
-        elif n_srcs == 1:
-            src = srcs[0]
-            producer = reg_producer.get(src) if src else None
-            deps = () if producer is None else (producer,)
-        elif n_srcs == 2:
-            src = srcs[0]
-            first = reg_producer.get(src) if src else None
-            src = srcs[1]
-            second = reg_producer.get(src) if src else None
-            if first is None:
-                deps = () if second is None else (second,)
+            ready._tick = tick
+            wheel.posted += posted
+            if wrong_path:
+                self._wp_peek = peek
+                self._wp_next_seq = seq
+                stats.wrong_path_fetched += fetched
             else:
-                deps = (first,) if second is None else (first, second)
-        else:
-            deps = tuple(
-                producer
-                for src in srcs
-                if src != REG_ZERO and (producer := reg_producer.get(src)) is not None
-            )
-        if self._memdep_on and not wrong_path and uop.op is OpClass.LOAD:
-            # Store-set prediction: a load that has conflicted with an
-            # in-flight store's PC before waits for that store to issue
-            # (riding the ordinary wakeup machinery) instead of racing it
-            # to the D-cache.  An already-issued store needs no delay —
-            # forwarding at issue handles it.
-            pred = self._storesets.predicted_store(uop.pc, now)
-            if pred is not None and pred.issued_at is None:
-                deps = (*deps, pred)
-                self.stats.loads_delayed += 1
-        if wrong_path:
-            seq = self._wp_next_seq
-            self._wp_next_seq = seq + 1
-            op = DynOp(uop, seq, now, deps, wrong_path=True, branch_color=self._wp_branch.seq)
-        else:
-            op = DynOp(uop, self._fetch_index, now, deps)
-        if self._memdep_on:
-            opc = uop.op
-            if opc is OpClass.LOAD or opc is OpClass.STORE:
-                # Every in-flight memory op (wrong-path included) holds an
-                # LSQ slot from rename to commit or squash; only
-                # correct-path ops are indexed by address, and only
-                # correct-path stores are visible to the predictor.
-                self._lsq.append(op)
-                if not wrong_path:
-                    entries = self._lsq_index.get(uop.addr)
-                    if entries is None:
-                        self._lsq_index[uop.addr] = [op]
-                    else:
-                        entries.append(op)
-                    if opc is OpClass.STORE:
-                        self._storesets.store_fetched(uop.pc, op, now)
-        if uop.op is OpClass.NOP:
-            # Nops consume front-end and commit bandwidth only; they never
-            # enter the ready or check queues.
-            op.issued_at = now
-            op.complete_at = now
-            op.checked = True
-            return op
-        dest = uop.dest
-        if dest is not None and dest != REG_ZERO:
-            reg_producer[dest] = op
-        # --- scheduling-kernel registration: count outstanding sources and
-        # arrange the wakeups that will push the op into the ready queue.
-        # Producers whose completion cycle is already known share a single
-        # wheel event at the latest such cycle (readiness is the max);
-        # unissued producers each enlist the op on their waiter list.
-        pending = 0
-        if deps:
-            wake_at = 0
-            for producer in deps:
-                complete = producer.complete_at
-                if complete is None:
-                    # Producer not issued yet: its issue posts our wakeup.
-                    pending += 1
-                    if producer.waiters is None:
-                        producer.waiters = [op]
-                    else:
-                        producer.waiters.append(op)
-                elif complete > wake_at:
-                    wake_at = complete
-            if wake_at > now:
-                pending += 1
-                self._wheel.post(wake_at, EV_DEP_WAKE, op)
-        depth = self._frontend_depth
-        if depth:
-            # Front-end pipeline hold: +depth cycles between fetch and the
-            # first issue opportunity (which is fetch+1 at depth 0, since
-            # fetch runs after issue within a cycle).
-            pending += 1
-            self._wheel.post(now + depth + 1, EV_DEP_WAKE, op)
-        if pending:
-            op.pending_deps = pending
-        else:
-            self._ready.push(op)
-        if self._check_deque is not None and not wrong_path:
-            self._check_deque.append(op)
-        return op
+                self._fetch_index = seq
+                stats.fetched += fetched
 
     def _fetch_branch(self, op: DynOp) -> bool:
         """Record prediction outcome; True if fetch must stop at ``op``.

@@ -77,11 +77,3 @@ class DynOp:
     #: the op finally issues, each waiter gets an EV_DEP_WAKE at the
     #: completion cycle.  ``None`` once drained (or never needed).
     waiters: list["DynOp"] | None = None
-
-    def deps_ready(self, now: int) -> bool:
-        """True if every source producer has a result by cycle ``now``."""
-        return all(d.complete_at is not None and d.complete_at <= now for d in self.deps)
-
-    def completed(self, now: int) -> bool:
-        """True once primary execution has produced a result by ``now``."""
-        return self.complete_at is not None and self.complete_at <= now

@@ -76,6 +76,10 @@ class CheckerParams:
             )
         if not 0.0 <= self.fault_rate <= 1.0:
             raise ValueError(f"fault_rate must be in [0, 1], got {self.fault_rate}")
+        if self.recovery_penalty < 0:
+            raise ValueError(
+                f"recovery_penalty must be non-negative, got {self.recovery_penalty}"
+            )
         if self.reserved_slots <= 0 and self.slot_policy == "reserved":
             raise ValueError("reserved_slots must be positive under the reserved policy")
         from repro.faults.models import FAULT_MODELS
@@ -308,6 +312,8 @@ class CoreParams:
             raise ValueError("wrong_path_depth must be positive")
         if self.frontend_depth < 0:
             raise ValueError("frontend_depth must be non-negative")
+        if self.mispredict_penalty < 0:
+            raise ValueError("mispredict_penalty must be non-negative")
         if any(count <= 0 for count in self.fu_counts.values()):
             raise ValueError("every functional-unit count must be positive")
         if (

@@ -191,7 +191,7 @@ def test_cycle_zero_fault_reports_its_full_detection_latency():
 
     from repro.core.checker import Checker
     from repro.core.dynop import DynOp
-    from repro.core.scheduler import FUPool
+    from repro.core.sched import FUPool
     from repro.core.stats import CoreStats
     from repro.isa.opcodes import FU_CLASSES, default_latencies
 

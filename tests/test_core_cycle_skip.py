@@ -10,23 +10,43 @@ checked modes: ``CoreStats.to_dict()`` (memory snapshot included), the
 MSHR target stalls and every retired op's replay count must be identical
 with skipping on or off, and the skipping run must actually skip.  The
 random draws also pin that a run stopped at any cycle boundary, captured
-and resumed in a fresh core ends exactly as the uninterrupted run, and
-that a core run twice gives the same run twice.
+and resumed in a fresh core ends exactly as the uninterrupted run, that a
+core run twice gives the same run twice, and that each draw's outputs
+equal the digest recorded for it in ``tests/golden/knob_draws.json``.
 """
 
+import hashlib
+import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.core import CheckerParams, CoreParams, SuperscalarCore
 from repro.core.params import SLOT_POLICIES, MemDepParams, RecoveryParams
 from repro.faults.models import FAULT_MODELS
+from repro.isa.opcodes import FUClass
 from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
 from repro.workloads import PRESETS, WrongPathGenerator, generate
 
 NUM_OPS = 3_000
 DRAWS = 24
+
+#: sha256 of each random draw's outputs (see :func:`_knob_digest`).
+KNOB_DIGESTS = Path(__file__).parent / "golden" / "knob_draws.json"
+
+#: ``CoreParams`` fields a shape may set directly; absent keys keep the
+#: Table 1 defaults.
+CORE_KNOBS = (
+    "fetch_width",
+    "issue_width",
+    "commit_width",
+    "frontend_depth",
+    "use_real_predictor",
+    "model_icache",
+    "fu_counts",
+)
 
 #: The machine shapes the contract is pinned on, each on a 3,000-op
 #: trace: the paper's Table 1 machine; the MEEK-style big core
@@ -89,6 +109,7 @@ def _core(shape: dict, cycle_skip: bool, checker: CheckerParams) -> SuperscalarC
         ),
         cycle_skip=cycle_skip,
         record_retired=True,
+        **{key: shape[key] for key in CORE_KNOBS if key in shape},
     )
     hierarchy = MemoryHierarchy(
         HierarchyParams(
@@ -146,7 +167,11 @@ def test_skip_is_stat_identical_on_bench_configs(config: str, checked: bool):
 
 
 def _draw(index: int) -> dict:
-    """One seeded point of the knob space (wrong-path depth 0: not modelled)."""
+    """One seeded point of the knob space (wrong-path depth 0: not modelled).
+
+    Keys are drawn in a fixed order, and new knobs are appended, so the
+    earlier keys keep their values.
+    """
     rng = random.Random(index)
     return {
         "seed": index,
@@ -162,6 +187,17 @@ def _draw(index: int) -> dict:
         "ssit_decay_cycles": rng.choice([0, 500]),
         "lsq_size": rng.choice([8, 16, 64]),
         "mshr_entries": rng.choice([8, 16, 32]),
+        "fetch_width": rng.choice([2, 4, 8]),
+        "issue_width": rng.choice([4, 8]),
+        "commit_width": rng.choice([2, 4, 8]),
+        "frontend_depth": rng.choice([0, 0, 2, 5]),
+        "use_real_predictor": rng.random() < 0.3,
+        "model_icache": rng.random() < 0.8,
+        "fu_counts": (
+            {FUClass.IALU: 4, FUClass.IMUL: 1, FUClass.FALU: 1, FUClass.FMUL: 1}
+            if rng.random() < 0.5
+            else CoreParams().fu_counts
+        ),
     }
 
 
@@ -202,6 +238,34 @@ def test_rerunning_the_same_core_is_stat_identical_on_random_configs(index: int)
     assert second.sched_events == first.sched_events
 
 
+def _knob_digest(index: int) -> str:
+    """sha256 of draw ``index``'s unchecked and checked ``to_dict()``, of
+    the skipped cycles and posted events that ``to_dict()`` leaves out, and
+    of every retired op's replay count in both runs."""
+    shape = _draw(index)
+    runs = []
+    for checked in (False, True):
+        core, stats = _run(shape, cycle_skip=True, checked=checked)
+        runs.append(
+            {
+                "stats": stats.to_dict(),
+                "cycles_skipped": stats.cycles_skipped,
+                "sched_events": stats.sched_events,
+                "replays": [op.replays for op in core.retired],
+            }
+        )
+    return hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("index", range(DRAWS))
+def test_random_configs_match_their_pinned_digests(index: int):
+    """Each draw's outputs equal the ones recorded in ``KNOB_DIGESTS``, so
+    the knobs no golden cell varies (the three widths, front-end depth,
+    the real predictor, the I-cache model, FU counts) are pinned too."""
+    pinned = json.loads(KNOB_DIGESTS.read_text(encoding="utf-8"))
+    assert _knob_digest(index) == pinned[index]
+
+
 @pytest.mark.parametrize(
     ("seed", "warmup", "checked"), [(3, 1070, False), (6, 197, True)]
 )
@@ -225,3 +289,10 @@ def test_cycle_skip_default_on_and_serialized_only_when_off():
     data = CoreParams(cycle_skip=False).to_dict()
     assert data["cycle_skip"] is False
     assert not CoreParams.from_dict(data).cycle_skip
+
+
+if __name__ == "__main__":
+    # Re-record the pinned digests, only for a change that declares a
+    # model change: PYTHONPATH=src python tests/test_core_cycle_skip.py
+    digests = [_knob_digest(index) for index in range(DRAWS)]
+    KNOB_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")

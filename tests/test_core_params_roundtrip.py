@@ -89,6 +89,18 @@ def test_checker_params_validation():
         CheckerParams(fault_rate=1.5)
     with pytest.raises(ValueError, match="reserved_slots"):
         CheckerParams(slot_policy="reserved", reserved_slots=0)
+    # A negative penalty restarted fetch before the detection cycle and
+    # reported negative recovery stall cycles.
+    with pytest.raises(ValueError, match="recovery_penalty"):
+        CheckerParams(recovery_penalty=-5)
+    assert CheckerParams(recovery_penalty=0).recovery_penalty == 0
+
+
+def test_core_params_validation():
+    # A negative penalty restarted fetch before the branch resolved.
+    with pytest.raises(ValueError, match="mispredict_penalty"):
+        CoreParams(mispredict_penalty=-2)
+    assert CoreParams(mispredict_penalty=0).mispredict_penalty == 0
 
 
 def test_reservation_must_leave_primary_slots():

@@ -6,8 +6,11 @@ first issue opportunity at t+1; commit stage runs before issue within a
 cycle; in-order commit).
 """
 
-from repro.core import CoreParams, SuperscalarCore
+import pytest
+
+from repro.core import CheckerParams, CoreParams, SuperscalarCore
 from repro.isa import MicroOp, OpClass
+from repro.isa.registers import REG_ZERO
 
 
 def small_params(**overrides) -> CoreParams:
@@ -74,6 +77,27 @@ def test_independent_ops_issue_in_parallel_up_to_issue_width():
     # fetch 0-3 @0, issue @1; fetch 4-7 @1, issue @2; commits @2 and @3.
     assert [op.issued_at for op in core.retired] == [1, 1, 1, 1, 2, 2, 2, 2]
     assert stats.cycles == 4
+
+
+@pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
+@pytest.mark.parametrize(
+    "srcs", [(1, REG_ZERO, 2), (2, REG_ZERO, 1)], ids=["slow-first", "slow-last"]
+)
+def test_three_source_op_waits_for_its_latest_producer(srcs: tuple, checked: bool):
+    """An op with three sources, one of them the zero register, depends on
+    exactly its two real producers: it issues when the later one completes,
+    whichever source names it.  The trace generators never emit more than
+    two sources."""
+    trace = [
+        imul(1),  # 0: completes at 4
+        ialu(2),  # 1: completes at 2
+        MicroOp(op=OpClass.IALU, dest=3, srcs=srcs),  # 2: deps 0, 1
+    ]
+    core = SuperscalarCore(small_params(checker=CheckerParams(enabled=checked)))
+    core.run(trace)
+    first, second, op = core.retired
+    assert first.complete_at != second.complete_at
+    assert op.issued_at == max(first.complete_at, second.complete_at)
 
 
 def test_window_bound_throttles_fetch():

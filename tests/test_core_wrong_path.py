@@ -1,9 +1,11 @@
 """Wrong-path execution: fetch past mispredicts, resource waste, squash."""
 
+import pytest
+
 from repro.core import CheckerParams, CoreParams, SuperscalarCore
 from repro.core.checker import Checker
 from repro.core.dynop import DynOp
-from repro.core.scheduler import FUPool
+from repro.core.sched import FUPool
 from repro.core.stats import CoreStats
 from repro.isa import MicroOp, OpClass
 from repro.isa.opcodes import FU_CLASSES, default_latencies
@@ -167,6 +169,26 @@ def test_recovery_sweeps_an_active_wrong_path_episode():
     assert stats.branches == 1 and stats.branch_mispredicts == 1
     assert stats.committed == 5
     assert [op.seq for op in core.retired] == list(range(5))
+
+
+@pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
+def test_wrong_path_nop_is_fetched_complete(checked: bool):
+    """A wrong-path stream may hold nops, which the synthetic generator
+    never emits: one is born issued and complete in its fetch cycle."""
+
+    def source(branch, seq, depth):
+        return iter([MicroOp(op=OpClass.NOP, pc=0x80), ialu(5, 4)])
+
+    core = SuperscalarCore(
+        wp_params(checker=CheckerParams(enabled=checked)), wrong_path_source=source
+    )
+    core.begin(slow_branch_trace())
+    assert core.advance(lambda: any(op.wrong_path for op in core._window))
+    nop = next(op for op in core._window if op.wrong_path)
+    assert nop.uop.op is OpClass.NOP
+    assert nop.issued_at == nop.complete_at == nop.fetched_at
+    assert not core.advance()
+    assert core.stats.committed == 5
 
 
 def test_wrong_path_run_is_deterministic():
