@@ -425,24 +425,40 @@ class MemoryHierarchy:
         assumption holds for the demand (correct-path) stream only, so
         wrong-path probes fill their own lines but must not prefetch the
         correct path's future lines for free.
+
+        Called once per fetched cache line, so, like :meth:`access`, it
+        probes the L1I set and each prefetched line's L1I and L2 sets in
+        its own body; only a miss or a prefetch fill calls out.
         """
-        p = self.params
-        if self.l1i.lookup(pc):
-            result = AccessResult(ok=True, ready_at=now, level="l1")
+        shift = self._line_shift
+        line = pc >> shift
+        l1i = self.l1i
+        l1i_sets = l1i._sets
+        l1i_mask = l1i._set_mask
+        cache_set = l1i_sets[line & l1i_mask]
+        if cache_set is not None and line in cache_set:
+            cache_set.move_to_end(line)
+            l1i.stats.hits += 1
+            result = AccessResult(True, now, "l1")
         else:
+            l1i.stats.misses += 1
             self.stats.ifetch_misses += 1
             ready, level = self._fetch_line(pc, now)
-            self.l1i.fill(pc)
-            result = AccessResult(ok=True, ready_at=ready, level=level)
+            l1i.fill(pc)
+            result = AccessResult(True, ready, level)
         if not prefetch:
             return result
+        l2 = self.l2
         for ahead in range(1, self.IFETCH_PREFETCH_LINES + 1):
-            next_pc = pc + ahead * p.line_bytes
-            if not self.l1i.contains(next_pc):
-                if not self.l2.contains(next_pc):
+            next_line = line + ahead
+            cache_set = l1i_sets[next_line & l1i_mask]
+            if cache_set is None or next_line not in cache_set:
+                next_pc = next_line << shift
+                cache_set = l2._sets[next_line & l2._set_mask]
+                if cache_set is None or next_line not in cache_set:
                     start = self.bus.schedule(now)  # prefetches consume bandwidth
                     self._fill_l2(next_pc, start)
-                self.l1i.fill(next_pc)
+                l1i.fill(next_pc)
         return result
 
     def _fill_l2(self, addr: int, now: int, dirty: bool = False) -> None:

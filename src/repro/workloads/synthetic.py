@@ -27,7 +27,14 @@ from dataclasses import dataclass
 
 from repro.isa.instruction import MicroOp
 from repro.isa.opcodes import OpClass, is_fp
-from repro.isa.registers import NUM_FP_REGS, NUM_INT_REGS, REG_ZERO, fp_reg, int_reg
+from repro.isa.registers import (
+    FP_REG_BASE,
+    NUM_FP_REGS,
+    NUM_INT_REGS,
+    REG_ZERO,
+    fp_reg,
+    int_reg,
+)
 from repro.memory.cache import LINE_BYTES as _LINE_BYTES
 from repro.workloads.profiles import WorkloadProfile
 
@@ -276,6 +283,18 @@ _WRONG_PATH_MIX: dict[OpClass, float] = {
 }
 
 
+#: Kinds of wrong-path op, one per op class of a mix: what an op draws
+#: after its class and sources, and what it yields.
+_WP_INT, _WP_FP, _WP_BRANCH, _WP_LOAD, _WP_STORE = range(5)
+
+#: ``n.bit_length()`` for the 1-8 recent destinations a source can name:
+#: the bit count ``random.Random._randbelow(n)`` draws.
+_RECENT_BITS = (0, 1, 2, 2, 3, 3, 3, 3, 4)
+
+#: Lines of the wrong-path data region a stray access picks from.
+_WRONG_PATH_DATA_LINES = 4096
+
+
 class WrongPathGenerator:
     """Deterministic per-branch wrong-path micro-op streams.
 
@@ -294,19 +313,52 @@ class WrongPathGenerator:
     Wrong-path branches are emitted without outcomes (``taken=None``) —
     the core executes their condition on an ALU but never predicts,
     trains, or forks a nested wrong path from them.
+
+    **Draw contract.**  Each stream seeds its own ``random.Random`` with
+    ``seed * 0x9E3779B1 ^ (pc << 4) ^ seq``, and op *i* makes, in order,
+    the draws these ``random.Random`` calls would make:
+
+    * its class: ``choices(classes, weights)``, one ``random()``;
+    * two sources: once an earlier op has written a register, each
+      draws ``random() < 0.4`` and, when that holds, ``choice(recent)``
+      over the last 8 destinations (before that, neither draws);
+    * a load or store: ``random() < 0.3``, then ``randrange(hot_lines)``
+      (a line of the profile's hot set) or ``randrange(4096)`` (a line of
+      the wrong-path data region);
+    * a destination, for a load or an integer op ``randrange(1, 32)`` and
+      for a floating-point op ``randrange(32)``.
+
+    The body draws through ``getrandbits`` directly: ``choice`` and
+    ``randrange(n)`` are CPython's ``_randbelow(n)`` rejection loop
+    (``k = n.bit_length()`` bits, redrawn while the value is ``>= n``),
+    and ``randrange(1, 32)`` is ``1 + _randbelow(31)``.
+    ``tests/test_core_wrong_path.py`` pins a digest of streams recorded
+    through those calls, and checks on the running CPython that the
+    written-out loops still draw what the calls draw: a CPython change
+    to ``_randbelow`` fails that check.
+
+    A mix with no positive weight outside ``NOP`` builds a generator but
+    has no stream: :meth:`iter_stream` raises ``ValueError``.
     """
 
     def __init__(self, profile: WorkloadProfile | None = None, seed: int = 0):
-        mix = dict(profile.mix) if profile is not None else dict(_WRONG_PATH_MIX)
-        mix.pop(OpClass.NOP, None)  # nops waste no back-end bandwidth
+        self._mix = profile.mix if profile is not None else _WRONG_PATH_MIX
+        # Nops waste no back-end bandwidth.
+        mix = {op: weight for op, weight in self._mix.items() if op is not OpClass.NOP}
         self._ops = tuple(mix.keys())
-        self._weights = tuple(mix.values())
-        # Precomputed cumulative weights reproduce random.choices() exactly
-        # (same accumulate -> random() * total -> bisect arithmetic) while
-        # skipping the per-call accumulation — the stream generator sits on
-        # the core's per-fetched-op hot path.
-        self._cum_weights = list(itertools.accumulate(self._weights))
-        self._total_weight = self._cum_weights[-1] + 0.0
+        self._kinds = tuple(
+            _WP_BRANCH if op is OpClass.BRANCH
+            else _WP_LOAD if op is OpClass.LOAD
+            else _WP_STORE if op is OpClass.STORE
+            else _WP_FP if is_fp(op)
+            else _WP_INT
+            for op in self._ops
+        )
+        # Cumulative weights reproduce random.choices() exactly (same
+        # accumulate -> random() * total -> bisect arithmetic) without the
+        # per-call accumulation.
+        self._cum_weights = list(itertools.accumulate(mix.values()))
+        self._total_weight = self._cum_weights[-1] + 0.0 if mix else 0.0
         self._seed = seed
         self._hot_lines = profile.hot_lines if profile is not None else 256
 
@@ -322,68 +374,96 @@ class WrongPathGenerator:
         stops after *k* ops sees the identical prefix of the eager list —
         the core exploits this to synthesize only what it fetches before
         the branch resolves (~1/6 of the depth on the branchy preset).
+
+        Raises:
+            ValueError: on the first pull, if the mix has no positive
+                weight outside ``NOP`` (``random.choices`` refuses a zero
+                total too).
         """
+        total = self._total_weight
+        if total <= 0.0:
+            named = {op.name: weight for op, weight in self._mix.items()}
+            raise ValueError(f"wrong-path mix {named} has no positive weight outside NOP")
         if branch.taken:
             wrong_pc = branch.pc + 4  # predicted not-taken, fell through
         else:
             wrong_pc = branch.target if branch.target is not None else branch.pc + 4
         rng = random.Random(self._seed * 0x9E3779B1 ^ (branch.pc << 4) ^ seq)
-        rng_random = rng.random
-        rng_randrange = rng.randrange
-        rng_choice = rng.choice
-        population = self._ops
+        draw = rng.random
+        bits = rng.getrandbits
+        ops = self._ops
+        kinds = self._kinds
         cum_weights = self._cum_weights
-        total = self._total_weight
-        hi = len(population) - 1
-        # A plain list with manual trimming draws identically to the old
-        # deque(maxlen=8) (random.choice indexes either) without a
-        # tuple() conversion per source draw.
+        hi = len(ops) - 1
+        # Bits each _randbelow(n) draws: n.bit_length().
+        hot_lines = self._hot_lines
+        hot_bits = hot_lines.bit_length()
+        data_bits = _WRONG_PATH_DATA_LINES.bit_length()
+        int_bits = (NUM_INT_REGS - 1).bit_length()
+        fp_bits = NUM_FP_REGS.bit_length()
+        recent_bits = _RECENT_BITS
+        # The last 8 destinations, oldest first: choice() indexes them.
         recent: list[int] = []
+        n_recent = 0
         micro_op = MicroOp  # positional fields: op, dest, srcs, pc, addr
-        branch_cls = OpClass.BRANCH
-        load_cls = OpClass.LOAD
-        store_cls = OpClass.STORE
-        for i in range(depth):
-            pc = wrong_pc + 4 * i
-            op = population[bisect(cum_weights, rng_random() * total, 0, hi)]
-            # Unrolled two-source draw; short-circuit order (recent
-            # truthiness before the RNG draw) matches the eager generator
-            # exactly, so the RNG stream is unchanged.
-            if recent and rng_random() < 0.4:
-                src0 = rng_choice(recent)
+        for pc in range(wrong_pc, wrong_pc + 4 * depth, 4):
+            index = bisect(cum_weights, draw() * total, 0, hi)
+            kind = kinds[index]
+            if n_recent and draw() < 0.4:
+                k = recent_bits[n_recent]
+                r = bits(k)
+                while r >= n_recent:
+                    r = bits(k)
+                src0 = recent[r]
             else:
                 src0 = REG_ZERO
-            if recent and rng_random() < 0.4:
-                srcs = (src0, rng_choice(recent))
+            if n_recent and draw() < 0.4:
+                k = recent_bits[n_recent]
+                r = bits(k)
+                while r >= n_recent:
+                    r = bits(k)
+                src1 = recent[r]
             else:
-                srcs = (src0, REG_ZERO)
-            if op is branch_cls:
-                yield micro_op(op, None, (src0,), pc)
+                src1 = REG_ZERO
+            if kind == _WP_BRANCH:
+                yield micro_op(ops[index], None, (src0,), pc)
                 continue
-            if op is load_cls or op is store_cls:
-                if rng_random() < 0.3:
+            if kind >= _WP_LOAD:
+                if draw() < 0.3:
                     # Stray into the real working set: contend for its lines.
-                    addr = _HOT_BASE + _LINE_BYTES * rng_randrange(self._hot_lines)
+                    r = bits(hot_bits)
+                    while r >= hot_lines:
+                        r = bits(hot_bits)
+                    addr = _HOT_BASE + _LINE_BYTES * r
                 else:
-                    addr = _WRONG_PATH_DATA_BASE + _LINE_BYTES * rng_randrange(4096)
-                if op is store_cls:
-                    yield micro_op(op, None, srcs, pc, addr)
+                    r = bits(data_bits)
+                    while r >= _WRONG_PATH_DATA_LINES:
+                        r = bits(data_bits)
+                    addr = _WRONG_PATH_DATA_BASE + _LINE_BYTES * r
+                if kind == _WP_STORE:
+                    yield micro_op(ops[index], None, (src0, src1), pc, addr)
                     continue
-                dest = int_reg(rng_randrange(1, NUM_INT_REGS))
-                recent.append(dest)
-                if len(recent) > 8:
-                    del recent[0]
-                yield micro_op(op, dest, (src0,), pc, addr)
-                continue
-            fp = is_fp(op)
-            if fp:
-                dest = fp_reg(rng_randrange(NUM_FP_REGS))
+                srcs = (src0,)
             else:
-                dest = int_reg(rng_randrange(1, NUM_INT_REGS))
-            recent.append(dest)
-            if len(recent) > 8:
+                srcs = (src0, src1)
+                addr = None
+            if kind == _WP_FP:
+                r = bits(fp_bits)
+                while r >= NUM_FP_REGS:
+                    r = bits(fp_bits)
+                dest = FP_REG_BASE + r
+            else:
+                # r1..r31: never the zero register.
+                r = bits(int_bits)
+                while r >= NUM_INT_REGS - 1:
+                    r = bits(int_bits)
+                dest = 1 + r
+            if n_recent < 8:
+                n_recent += 1
+            else:
                 del recent[0]
-            yield micro_op(op, dest, srcs, pc)
+            recent.append(dest)
+            yield micro_op(ops[index], dest, srcs, pc, addr)
 
 
 def generate(profile: WorkloadProfile, num_ops: int, seed: int = 0) -> list[MicroOp]:

@@ -1,15 +1,23 @@
 """Wrong-path execution: fetch past mispredicts, resource waste, squash."""
 
+import hashlib
+import random
+import re
+from dataclasses import replace
+
 import pytest
 
 from repro.core import CheckerParams, CoreParams, SuperscalarCore
 from repro.core.checker import Checker
 from repro.core.dynop import DynOp
+from repro.core.params import MemDepParams
+from repro.core.recovery import RecoveryManager
 from repro.core.sched import FUPool
 from repro.core.stats import CoreStats
 from repro.isa import MicroOp, OpClass
 from repro.isa.opcodes import FU_CLASSES, default_latencies
-from repro.workloads import WrongPathGenerator, generate, preset
+from repro.isa.registers import REG_ZERO
+from repro.workloads import PRESET_NAMES, WorkloadProfile, WrongPathGenerator, generate, preset
 from repro.cli import run_experiment
 
 
@@ -245,3 +253,167 @@ def test_branchy_preset_wrong_path_pressure_and_slowdown():
     assert with_wp["checked"]["wrong_path_slot_rate"] > 0.0
     assert without_wp["checked"]["wrong_path_slots_used"] == 0
     assert with_wp["slowdown"] > without_wp["slowdown"]
+
+
+# ------------------------------------------------------------ pinned streams
+
+#: sha256 of every op of the streams `_pinned_streams` draws: the default
+#: mix and the four presets, a hot set of 300 lines (a rejection loop that
+#: redraws) and of 1 line, three seeds, both sides of a branch and depths
+#: up to 512.  Recorded from the generator that drew through
+#: ``random.Random``'s ``choice``, ``randrange`` and ``random`` calls; a
+#: change to any draw, to its order or to the ops built from it changes it.
+WRONG_PATH_STREAMS_SHA256 = "d43dce0d9f500ae7c6ca351af3a339d155c4d88b1f131859bda7a9a10687b41e"
+
+_PIN_BRANCHES = (
+    MicroOp(op=OpClass.BRANCH, srcs=(3,), pc=0x0040_0100, taken=True, target=0x0040_0400),
+    MicroOp(op=OpClass.BRANCH, srcs=(3,), pc=0x0040_0224, taken=False, target=0x0040_0800),
+    MicroOp(op=OpClass.BRANCH, srcs=(3,), pc=0x0040_0348, taken=False),
+)
+
+
+def _op_key(uop: MicroOp) -> tuple:
+    return (
+        uop.op.name,
+        uop.dest,
+        uop.srcs,
+        uop.pc,
+        uop.addr,
+        uop.taken,
+        uop.target,
+        uop.mispredicted,
+    )
+
+
+def _pinned_streams():
+    memory_bound = preset("memory-bound")
+    profiles = [
+        None,
+        *(preset(name) for name in PRESET_NAMES),
+        replace(memory_bound, name="hot-300", hot_lines=300),
+        replace(memory_bound, name="hot-1", hot_lines=1),
+    ]
+    for profile in profiles:
+        for seed in (0, 1, 47):
+            generator = WrongPathGenerator(profile, seed=seed)
+            for index, branch in enumerate(_PIN_BRANCHES):
+                for depth in (0, 1, 8, 64, 512):
+                    yield depth, generator.stream(branch, 1_000 * index + depth, depth)
+
+
+def test_wrong_path_streams_are_pinned():
+    digest = hashlib.sha256()
+    for depth, stream in _pinned_streams():
+        assert len(stream) == depth
+        digest.update(repr([_op_key(op) for op in stream]).encode())
+    assert digest.hexdigest() == WRONG_PATH_STREAMS_SHA256
+
+
+def test_written_out_draws_match_random_random_calls():
+    """The generator writes `choice(seq)`, `randrange(n)` and
+    `randrange(1, 32)` out as `_randbelow`'s getrandbits rejection loop.
+    The pinned digest cannot see a CPython whose `_randbelow` differs (the
+    generator no longer calls it); this check, run on each CPython, can."""
+
+    def below(rng: random.Random, n: int) -> int:
+        k = n.bit_length()
+        r = rng.getrandbits(k)
+        while r >= n:
+            r = rng.getrandbits(k)
+        return r
+
+    for n in (1, 2, 3, 5, 8, 31, 32, 300, 4096):
+        calls, written_out = random.Random(n), random.Random(n)
+        recent = list(range(100, 100 + n))
+        for _ in range(100):
+            assert calls.randrange(n) == below(written_out, n)
+            assert calls.choice(recent) == recent[below(written_out, n)]
+            assert calls.randrange(1, 32) == 1 + below(written_out, 31)
+
+
+def test_interleaved_iterators_draw_like_separate_streams():
+    """Each stream owns its draws: two open iterators of one generator,
+    pulled alternately, yield what two `stream()` calls yield.  A core
+    pair shares one generator, and a resumed campaign trial reopens its
+    episode's stream part-way."""
+    generator = WrongPathGenerator(preset("fp-heavy"), seed=47)
+    taken, not_taken, _ = _PIN_BRANCHES
+    for first, second in (((taken, 11), (not_taken, 12)), ((taken, 11), (taken, 11))):
+        expected = [generator.stream(*first, 64), generator.stream(*second, 64)]
+        iterators = [generator.iter_stream(*first, 64), generator.iter_stream(*second, 64)]
+        pulled: list[list[MicroOp]] = [[], []]
+        for step in range(64):
+            for which in (0, 1) if step % 3 else (1, 0):
+                pulled[which].append(next(iterators[which]))
+        assert [[_op_key(op) for op in ops] for ops in pulled] == [
+            [_op_key(op) for op in ops] for ops in expected
+        ]
+        assert all(next(iterator, None) is None for iterator in iterators)
+
+
+@pytest.mark.parametrize(
+    "mix",
+    [{OpClass.NOP: 1.0}, {OpClass.NOP: 1.0, OpClass.IALU: 0.0}],
+    ids=["nop-only", "zero-weight-ialu"],
+)
+def test_a_mix_without_positive_non_nop_weight_has_no_wrong_path_stream(mix):
+    """Such a mix builds a generator, but asking it for a stream is an
+    error that names the mix (``random.choices`` refuses a zero total too)
+    instead of an IndexError or a stream of zero-weight ops."""
+    generator = WrongPathGenerator(WorkloadProfile(name="nops", mix=mix), seed=0)
+    named = {op.name: weight for op, weight in mix.items()}
+    with pytest.raises(ValueError, match=re.escape(f"wrong-path mix {named} ")):
+        generator.stream(_PIN_BRANCHES[0], 0, 4)
+
+
+def test_a_nop_only_trace_runs_with_wrong_paths_on():
+    profile = WorkloadProfile(name="nops", mix={OpClass.NOP: 1.0})
+    result = run_experiment(profile, num_ops=200)
+    assert result["unchecked"]["committed"] == result["checked"]["committed"] == 200
+
+
+# ------------------------------------------- producer map after resolution
+
+
+@pytest.mark.parametrize("memdep", [False, True], ids=["no-memdep", "memdep"])
+@pytest.mark.parametrize(("window", "depth"), [(128, 64), (1024, 512)], ids=["w128", "w1024"])
+@pytest.mark.parametrize("name", ["branchy", "memory-bound", "int-heavy"])
+def test_every_wrong_path_resolution_leaves_the_rebuilt_producer_map(
+    monkeypatch, name, window, depth, memdep
+):
+    """After each resolution the producer map holds, per register, the
+    last uncommitted writer in the surviving window: what
+    `RecoveryManager.rebuild_producers` computes.  A map that kept a
+    since-committed producer would only add a dependency that is already
+    complete, so no statistic shows that mistake; this check does."""
+    original = RecoveryManager.squash_wrong_path
+    resolutions = 0
+
+    def checked_squash(manager: RecoveryManager, now: int) -> None:
+        nonlocal resolutions
+        core = manager._core
+        episode = core._wp_branch
+        original(manager, now)
+        if core._wp_branch is episode:
+            return  # a stale event: nothing resolved
+        resolutions += 1
+        expected = {}
+        for op in core._window:
+            dest = op.uop.dest
+            if dest is not None and dest != REG_ZERO and op.uop.op is not OpClass.NOP:
+                expected[dest] = op
+        producers = core._reg_producer
+        assert producers.keys() == expected.keys()
+        assert all(producers[reg] is op for reg, op in expected.items())
+
+    monkeypatch.setattr(RecoveryManager, "squash_wrong_path", checked_squash)
+    params = CoreParams(window_size=window, memdep=MemDepParams(enabled=memdep))
+    run_experiment(
+        preset(name),
+        num_ops=4_000,
+        seed=0,
+        fault_rate=1e-3,
+        wrong_path_depth=depth,
+        params=params,
+    )
+    assert resolutions > 0

@@ -302,6 +302,30 @@ def test_seeded_stream_answers_are_pinned():
     assert digest.hexdigest() == STREAM_SHA256
 
 
+#: sha256 of every answer the seeded stream gets back from a 2-set L1I and
+#: from the Table 1 L1I, plus each L1I set's lines in LRU order and its hit
+#: and miss counts at the end.  With 2 sets the stream buffer's four fills
+#: land in the probed line's own set, so fetching the same line again is
+#: not always a hit that leaves the cache as it was.
+IFETCH_SHA256 = "4089127ea624f4159f917ed008e6ec681bb0f293283ae43e894b57f339e4a826"
+
+
+def test_seeded_ifetch_answers_are_pinned():
+    stream = _stream()
+    digest = hashlib.sha256()
+    misses = []
+    for params in (HierarchyParams(l1i_size=256), HierarchyParams()):
+        hierarchy = MemoryHierarchy(params)
+        seen = _drive(hierarchy, stream)
+        l1i = hierarchy.l1i
+        lines = [(index, list(lru)) for index, lru in enumerate(l1i._sets) if lru]
+        digest.update(repr((seen, lines, l1i.stats.hits, l1i.stats.misses)).encode())
+        misses.append(hierarchy.stats.ifetch_misses)
+    assert hierarchy.l1i.num_sets > MemoryHierarchy.IFETCH_PREFETCH_LINES
+    assert misses[0] > 2 * misses[1]  # the 2-set L1I thrashes
+    assert digest.hexdigest() == IFETCH_SHA256
+
+
 @pytest.mark.parametrize(
     ("params", "reason"),
     [
