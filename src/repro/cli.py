@@ -32,23 +32,33 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 from repro.core.params import CheckerParams, CoreParams, MemDepParams, RecoveryParams
-from repro.core.core import SuperscalarCore
-from repro.core.stats import CoreStats
-from repro.experiments.executor import shared_input
+from repro.experiments import (
+    CampaignSpec,
+    ResultsStore,
+    SweepSpec,
+    aggregate,
+    aggregate_campaign,
+    register_metrics,
+    render_campaign_text,
+    render_text,
+    run_campaign,
+    run_experiment,
+    run_sweep,
+    write_bench_json,
+    write_csv_tables,
+)
+from repro.experiments.campaign import DEFAULT_CAMPAIGN_JSON, DEFAULT_CAMPAIGN_STORE
+from repro.experiments.spec import DEFAULT_WRONG_PATH_DEPTH
 from repro.faults.models import FAULT_MODELS as _FAULT_MODELS
 from repro.isa.opcodes import FUClass
-from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
-from repro.obs import ObsSession
+from repro.obs import MetricsRegistry, ObsSession
 from repro.obs.telemetry import render_table as render_telemetry_table
-from repro.workloads import PRESET_NAMES, PRESETS, WorkloadProfile, WrongPathGenerator, generate
-
-#: Single source of truth for the depth default (the CoreParams field).
-_DEFAULT_WRONG_PATH_DEPTH = CoreParams().wrong_path_depth
+from repro.parallel import DEFAULT_SHARD_WARMUP, run_sharded_experiment
+from repro.workloads import PRESET_NAMES, PRESETS
 
 #: Subcommand names — anything else in argv[0] position is legacy ``run``.
 COMMANDS = ("run", "sweep", "campaign", "report")
@@ -56,153 +66,6 @@ COMMANDS = ("run", "sweep", "campaign", "report")
 #: Default results-store path shared by ``sweep`` and ``report`` so the
 #: bare two-command flow works without plumbing a path through by hand.
 DEFAULT_STORE = "sweep_results.jsonl"
-
-
-def run_experiment(
-    profile: WorkloadProfile,
-    num_ops: int = 20_000,
-    seed: int = 0,
-    check: bool = True,
-    fault_rate: float = 1e-4,
-    real_predictor: bool = False,
-    wrong_path: bool = True,
-    wrong_path_depth: int = _DEFAULT_WRONG_PATH_DEPTH,
-    params: CoreParams | None = None,
-    dcache_banks: int = 1,
-    store_alias_fraction: float | None = None,
-    obs: ObsSession | None = None,
-) -> dict:
-    """Run one preset through baseline and (optionally) checked cores.
-
-    Both cores consume the *same* trace, so every difference in the stats
-    is attributable to the checker's resource sharing and recoveries.
-    Wrong-path streams come from a profile-aware generator so the wasted
-    work the checker competes with matches the workload's own op mix.
-
-    Args:
-        params: Optional base :class:`CoreParams` (issue width, FU counts,
-            checker slot policy, memory-dependence knobs, …).  The explicit
-            keyword arguments — predictor mode, wrong-path knobs, and the
-            per-run checker enable/fault-rate/seed — are applied on top of
-            it; sweeps use this to vary machine shape per grid point.
-        dcache_banks: D-cache banks per core (1 = the legacy unbanked
-            model; more makes checker loads/stores compete for bank slots).
-        store_alias_fraction: When set, overrides the profile's
-            ``store_alias_fraction`` (see
-            :class:`~repro.workloads.profiles.WorkloadProfile`).
-        obs: Optional :class:`~repro.obs.ObsSession`.  When provided, each
-            core gets a pipeline tracer (labelled ``unchecked``/``checked``)
-            if tracing was requested, runs with the session's telemetry
-            interval, and registers its final stats into the session's
-            metrics registry.  ``None`` (the default — every sweep and
-            golden path) leaves the cores entirely uninstrumented.
-
-    The returned dict is fully JSON-serializable (validated by the CLI
-    schema tests): stats are flattened via ``CoreStats.to_dict`` and the
-    effective machine configuration is recorded under ``"params"`` via
-    ``CoreParams.to_dict`` (enum-keyed FU counts become name-keyed).
-    """
-    if store_alias_fraction is not None:
-        profile = replace(profile, store_alias_fraction=store_alias_fraction)
-    # Inside a sweep batch, points with equal inputs share the trace and
-    # the unchecked baseline (see repro.experiments.executor); anywhere
-    # else shared_input just computes.
-    trace = shared_input(
-        "trace", (profile, num_ops, seed), lambda: generate(profile, num_ops, seed=seed)
-    )
-    # iter_stream: the core consumes wrong-path streams lazily, so only the
-    # prefix fetched before each branch resolves is ever synthesized.
-    wp_source = WrongPathGenerator(profile, seed=seed).iter_stream if wrong_path else None
-    base = params if params is not None else CoreParams()
-    # Observability overrides ride the same replace() path as every other
-    # knob; with obs=None the dict is empty and params are untouched.
-    obs_overrides: dict = {}
-    if obs is not None and obs.telemetry_interval:
-        obs_overrides["telemetry_interval"] = obs.telemetry_interval
-
-    def core_params(checker: CheckerParams | None = None) -> CoreParams:
-        return replace(
-            base,
-            use_real_predictor=real_predictor,
-            model_wrong_path=wrong_path,
-            wrong_path_depth=wrong_path_depth,
-            wrong_path_seed=seed,
-            checker=(
-                checker
-                if checker is not None
-                else replace(base.checker, enabled=False, fault_rate=0.0)
-            ),
-            **obs_overrides,
-        )
-
-    checker_params = replace(
-        base.checker, enabled=True, fault_rate=fault_rate, fault_seed=seed + 1
-    )
-
-    def hierarchy() -> MemoryHierarchy | None:
-        # None keeps the core's own default hierarchy; a banked run needs a
-        # *separate* instance per core (hierarchies hold per-run state).
-        if dcache_banks == 1:
-            return None
-        return MemoryHierarchy(HierarchyParams(dcache_banks=dcache_banks))
-
-    def run_baseline() -> CoreStats:
-        baseline = SuperscalarCore(
-            core_params(),
-            hierarchy=hierarchy(),
-            wrong_path_source=wp_source,
-            tracer=obs.tracer_for("unchecked") if obs is not None else None,
-        )
-        stats = baseline.run(trace)
-        if obs is not None:
-            obs.record_telemetry("unchecked", baseline.telemetry)
-            stats.register_metrics(obs.registry, "unchecked.")
-        return stats
-
-    if obs is None:
-        # A disabled checker's fields are never read (pinned by
-        # tests/test_experiments_executor.py), so they are normalized out
-        # of the baseline's identity.
-        unchecked = replace(core_params(), checker=CheckerParams())
-        baseline_stats = shared_input(
-            "unchecked", (profile, num_ops, seed, dcache_banks, unchecked), run_baseline
-        )
-    else:
-        baseline_stats = run_baseline()
-    result: dict = {
-        "preset": profile.name,
-        "ops": num_ops,
-        "seed": seed,
-        "wrong_path": wrong_path,
-        "params": core_params(checker_params if check else None).to_dict(),
-        "unchecked": baseline_stats.to_dict(),
-    }
-    if check:
-        checked = SuperscalarCore(
-            core_params(checker_params),
-            hierarchy=hierarchy(),
-            wrong_path_source=wp_source,
-            tracer=obs.tracer_for("checked") if obs is not None else None,
-        )
-        checked_stats = checked.run(trace)
-        if obs is not None:
-            obs.record_telemetry("checked", checked.telemetry)
-            checked_stats.register_metrics(obs.registry, "checked.")
-        result["checked"] = checked_stats.to_dict()
-        # None (JSON null) rather than inf: json.dumps would emit the
-        # non-RFC-8259 literal `Infinity` for float("inf").
-        result["slowdown"] = (
-            baseline_stats.ipc / checked_stats.ipc if checked_stats.ipc else None
-        )
-        result["fault_coverage"] = _coverage(result["checked"])
-    return result
-
-
-def _coverage(checked: dict) -> float:
-    live = checked["faults_injected"] - checked["faults_squashed"]
-    if live <= 0:
-        return 1.0
-    return checked["faults_detected"] / live
 
 
 def format_report(result: dict) -> str:
@@ -362,7 +225,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--wrong-path-depth",
         type=int,
-        default=_DEFAULT_WRONG_PATH_DEPTH,
+        default=DEFAULT_WRONG_PATH_DEPTH,
         help="max micro-ops fetched down one wrong path before waiting for resolution",
     )
     parser.add_argument(
@@ -789,7 +652,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             f"--fault-repair-cycles must be >= 1, got {args.fault_repair_cycles}"
         )
     base_kwargs: dict = {}
-    # Off-default model knobs ride the base checker params; run_experiment
+    # Off-default model knobs ride the base checker params; run_params
     # layers enabled/fault_rate/fault_seed on top with replace(), so the
     # model selection survives into the checked core.
     fault_kwargs: dict = {}
@@ -829,10 +692,6 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     )
     names = list(PRESET_NAMES) if args.all_presets else [args.preset]
     if args.shards > 1:
-        # Deferred: repro.parallel pulls in the sweep runner, which
-        # imports this module.
-        from repro.parallel import DEFAULT_SHARD_WARMUP, run_sharded_experiment
-
         results = [
             run_sharded_experiment(
                 PRESETS[name],
@@ -906,8 +765,6 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.experiments import ResultsStore, SweepSpec, run_sweep
-
     if args.workers <= 0:
         parser.error(f"--workers must be positive, got {args.workers}")
     try:
@@ -972,17 +829,6 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.experiments import ResultsStore
-    from repro.experiments.campaign import (
-        DEFAULT_CAMPAIGN_JSON,
-        DEFAULT_CAMPAIGN_STORE,
-        CampaignSpec,
-        aggregate_campaign,
-        render_campaign_text,
-        run_campaign,
-        write_campaign_json,
-    )
-
     if args.workers <= 0:
         parser.error(f"--workers must be positive, got {args.workers}")
     if args.timeout is not None and args.timeout <= 0:
@@ -1010,7 +856,7 @@ def _cmd_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         timeout_s=args.timeout,
     )
     report = aggregate_campaign(spec, store)
-    out = write_campaign_json(report, args.bench_json or DEFAULT_CAMPAIGN_JSON)
+    out = write_bench_json(report, args.bench_json or DEFAULT_CAMPAIGN_JSON)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -1027,9 +873,6 @@ def _cmd_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.experiments import ResultsStore, aggregate, render_text, write_bench_json
-    from repro.experiments import write_csv_tables
-
     store = ResultsStore(args.store)
     rows = store.ok_rows()
     if not rows:
@@ -1043,9 +886,6 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if args.csv_dir:
         write_csv_tables(aggregated, args.csv_dir)
     if args.metrics_out:
-        from repro.experiments import register_metrics
-        from repro.obs import MetricsRegistry
-
         registry = MetricsRegistry()
         register_metrics(aggregated, registry)
         registry.write(args.metrics_out)

@@ -94,15 +94,6 @@ class Checker:
         """
         return len(self._pending)
 
-    def enqueue(self, op: DynOp) -> None:
-        """Register a renamed correct-path op for its future in-order check.
-
-        The core calls this at rename in fetch order, which *is* program
-        order for checkable ops (wrong-path ops never check and nops are
-        born checked; neither is enqueued).
-        """
-        self._pending.append(op)
-
     # ----------------------------------------------------------- completions
 
     def process_completions(self, done: list[DynOp], now: int) -> DynOp | None:

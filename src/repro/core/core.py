@@ -1362,14 +1362,3 @@ class SuperscalarCore:
                 self._wp_saved_producers = dict(self._reg_producer)
             return True
         return False
-
-    # -------------------------------------------------------------- recovery
-
-    def _recover(self, faulty: DynOp, now: int) -> None:
-        """Fault-recovery entry point; delegates to the recovery subsystem.
-
-        See :meth:`~repro.core.recovery.RecoveryManager.recover_fault` for
-        the squash-and-replay semantics and the checkpoint-rollback stall
-        model.
-        """
-        self._recovery.recover_fault(faulty, now)

@@ -8,9 +8,15 @@ single run.  This package turns the simulator into an experiment platform:
 * :class:`SweepSpec` (:mod:`repro.experiments.spec`) — a declarative
   cartesian grid over preset, seed, fault rate, issue width, FU counts,
   checker slot policy, and wrong-path knobs, loadable from TOML or JSON.
+* :func:`run_experiment` (:mod:`repro.experiments.runner`) — one point:
+  an unchecked baseline core and the checked core on the same trace; the
+  CLI's ``run``, every sweep point and every shard build their cores the
+  same way.
 * :func:`run_sweep` (:mod:`repro.experiments.runner`) — fans the grid out
   across worker processes with deterministic per-point seeds and crash
-  isolation (a failing point becomes an error row, not a dead sweep).
+  isolation (a failing point becomes an error row, not a dead sweep),
+  through the one execution loop campaigns use too
+  (:func:`~repro.experiments.executor.drive`).
 * :class:`ResultsStore` (:mod:`repro.experiments.store`) — an append-only
   JSONL store keyed by a config hash; re-running a sweep skips points that
   already completed, so interrupted sweeps resume for free.
@@ -28,7 +34,6 @@ from repro.experiments.campaign import (
     render_campaign_text,
     run_campaign,
     wilson_interval,
-    write_campaign_json,
 )
 from repro.experiments.report import (
     aggregate,
@@ -37,7 +42,7 @@ from repro.experiments.report import (
     write_bench_json,
     write_csv_tables,
 )
-from repro.experiments.runner import SweepSummary, execute_point, run_sweep
+from repro.experiments.runner import SweepSummary, execute_point, run_experiment, run_sweep
 from repro.experiments.spec import RunPoint, SweepSpec, canonical_json, config_hash
 from repro.experiments.store import ResultsStore
 
@@ -58,9 +63,9 @@ __all__ = [
     "render_campaign_text",
     "render_text",
     "run_campaign",
+    "run_experiment",
     "run_sweep",
     "wilson_interval",
     "write_bench_json",
-    "write_campaign_json",
     "write_csv_tables",
 ]

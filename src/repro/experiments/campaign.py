@@ -28,33 +28,37 @@ binomial proportions at small n) and writes them to
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
-import tomllib
-from dataclasses import dataclass, fields
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING, Any
 
+from repro.core.core import SuperscalarCore
+from repro.core.params import CheckerParams, CoreParams
 from repro.experiments.executor import (
-    ELAPSED_KEY,
-    STARTED_KEY,
-    WORKER_KEY,
-    execute_batched,
+    ProgressFn,
+    drive,
     point_row,
     shared_input,
     shared_state,
 )
-from repro.experiments.spec import SCHEMA_VERSION, config_hash
+from repro.experiments.spec import SCHEMA_VERSION, SpecLoader, config_hash, run_params
 from repro.experiments.store import ResultsStore
+from repro.faults.outcomes import OUTCOME_KEYS, zero_outcomes
+from repro.workloads import PRESET_NAMES, WrongPathGenerator, generate, preset
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.capture import CoreState
-    from repro.core.core import SuperscalarCore
 
-#: Progress callback, same shape as the sweep runner's.
-ProgressFn = Callable[[int, int, dict], None]
+#: The ``CheckerParams`` fields, of which a campaign config carries the
+#: fault model, its off-default knobs and (in a trial) the forced site and
+#: the fault seed.
+_CHECKER_FIELDS = frozenset(f.name for f in fields(CheckerParams))
+
+#: The keys ``CheckerParams.to_dict`` emits at every setting; the others
+#: it emits only off their defaults.
+_ALWAYS_EMITTED = frozenset(CheckerParams().to_dict())
 
 #: z for the 95% Wilson score interval.
 WILSON_Z = 1.96
@@ -87,11 +91,11 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float,
 
 
 @dataclass(slots=True)
-class CampaignSpec:
+class CampaignSpec(SpecLoader):
     """One campaign: cells = presets x fault models, ``trials`` each.
 
     Loadable from TOML/JSON (top-level ``[campaign]`` table or flat
-    document), mirroring :class:`~repro.experiments.spec.SweepSpec`.
+    document), like :class:`~repro.experiments.spec.SweepSpec`.
     The model knobs (``fault_burst``, ``fault_fu``,
     ``fault_repair_cycles``) are scalars applied to every cell whose
     model reads them.
@@ -108,10 +112,9 @@ class CampaignSpec:
     fault_fu: str = "IALU"
     fault_repair_cycles: int = 200
 
-    def __post_init__(self) -> None:
-        from repro.faults.models import FAULT_MODELS
-        from repro.workloads import PRESET_NAMES
+    _kind = "campaign"
 
+    def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("campaign name must be non-empty")
         if self.trials < 1:
@@ -131,37 +134,36 @@ class CampaignSpec:
                 raise ValueError(
                     f"unknown preset {preset_name!r}; choose from {list(PRESET_NAMES)}"
                 )
+        # Each model's checker checks the model name and its knobs.
         for model in self.fault_models:
-            if model not in FAULT_MODELS:
-                raise ValueError(
-                    f"unknown fault model {model!r}; choose from {FAULT_MODELS}"
-                )
+            self._model_knobs(model)
 
     def cells(self) -> list[tuple[str, str]]:
         """(preset, model) pairs in spec order — the campaign's grid."""
         return [(p, m) for p in self.presets for m in self.fault_models]
 
-    def _model_knobs(self, config: dict[str, Any]) -> None:
-        """Off-default model knobs, mirroring ``CheckerParams.to_dict``."""
-        if self.fault_burst != 4:
-            config["fault_burst"] = self.fault_burst
-        if self.fault_fu != "IALU":
-            config["fault_fu"] = self.fault_fu
-        if self.fault_repair_cycles != 200:
-            config["fault_repair_cycles"] = self.fault_repair_cycles
+    def _model_knobs(self, model: str) -> dict[str, Any]:
+        """The model's knobs as ``CheckerParams.to_dict`` emits them only
+        off their defaults, so default knobs leave every config hash alone."""
+        checker = CheckerParams(
+            fault_model=model,
+            fault_burst=self.fault_burst,
+            fault_fu=self.fault_fu,
+            fault_repair_cycles=self.fault_repair_cycles,
+        )
+        return {k: v for k, v in checker.to_dict().items() if k not in _ALWAYS_EMITTED}
 
     def calibration_config(self, preset: str, model: str) -> dict[str, Any]:
         """The rate-0 run that counts the cell's eligible fault sites."""
-        config: dict[str, Any] = {
+        return {
             "schema": SCHEMA_VERSION,
             "kind": "calibration",
             "preset": preset,
             "seed": self.seed,
             "ops": self.ops,
             "fault_model": model,
+            **self._model_knobs(model),
         }
-        self._model_knobs(config)
-        return config
 
     def trial_config(
         self, preset: str, model: str, trial: int, eligible: int
@@ -180,32 +182,6 @@ class CampaignSpec:
         config["force_fault_index"] = rng.randrange(eligible)
         config["fault_seed"] = rng.randrange(2**31)
         return config
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        if "campaign" in data and isinstance(data["campaign"], Mapping):
-            data = data["campaign"]
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown campaign keys: {sorted(unknown)}")
-        return cls(**dict(data))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CampaignSpec":
-        path = Path(path)
-        if path.suffix.lower() == ".toml":
-            with path.open("rb") as fh:
-                document = tomllib.load(fh)
-        elif path.suffix.lower() == ".json":
-            document = json.loads(path.read_text(encoding="utf-8"))
-        else:
-            raise ValueError(
-                f"unsupported spec format {path.suffix!r} (use .toml or .json)"
-            )
-        if not isinstance(document, Mapping):
-            raise ValueError("campaign spec must be a table/object at top level")
-        return cls.from_dict(document)
 
 
 def execute_campaign_point(
@@ -268,13 +244,7 @@ def _simulate_campaign_point(config: dict[str, Any]) -> dict[str, Any]:
     trial starts from its batch's fault-free leader core just before its
     fault site: up to the site it would replay the leader's schedule
     exactly, because a forced fault draws no random numbers before it.
-    Imports are deferred so spawn-method pool workers pay them here.
     """
-    from repro.core.core import SuperscalarCore
-    from repro.core.params import CheckerParams, CoreParams
-    from repro.faults.outcomes import zero_outcomes
-    from repro.workloads import WrongPathGenerator, generate, preset
-
     profile = preset(config["preset"])
     seed = config["seed"]
     trace = shared_input(
@@ -282,30 +252,24 @@ def _simulate_campaign_point(config: dict[str, Any]) -> dict[str, Any]:
         (profile, config["ops"], seed),
         lambda: generate(profile, config["ops"], seed=seed),
     )
+    checker = CheckerParams.from_dict(
+        {key: value for key, value in config.items() if key in _CHECKER_FIELDS}
+    )
 
-    def checked_core(fault_seed: int, force_fault_index: int | None) -> SuperscalarCore:
-        checker = CheckerParams(
-            enabled=True,
-            fault_rate=0.0,
-            fault_seed=fault_seed,
-            fault_model=config["fault_model"],
-            fault_burst=config.get("fault_burst", 4),
-            fault_fu=config.get("fault_fu", "IALU"),
-            fault_repair_cycles=config.get("fault_repair_cycles", 200),
-            force_fault_index=force_fault_index,
-        )
+    def checked_core(fault_seed: int | None, force_fault_index: int | None) -> SuperscalarCore:
+        base = CoreParams(checker=replace(checker, force_fault_index=force_fault_index))
         return SuperscalarCore(
-            CoreParams(wrong_path_seed=seed, checker=checker),
+            run_params(base, seed, checked=True, fault_seed=fault_seed),
             wrong_path_source=WrongPathGenerator(profile, seed=seed).iter_stream,
         )
 
     def new_leader() -> SuperscalarCore:
-        leader = checked_core(seed + 1, None)
+        leader = checked_core(None, None)  # the cell's calibration run
         leader.begin(trace)
         return leader
 
-    site = config.get("force_fault_index")
-    core = checked_core(config.get("fault_seed", seed + 1), site)
+    site = checker.force_fault_index
+    core = checked_core(config.get("fault_seed"), site)
     if site is None:
         stats = core.run(trace)
     else:
@@ -343,56 +307,6 @@ class CampaignSummary:
     errors: int  #: executed points that produced error rows
     wall_seconds: float = 0.0
 
-    def to_dict(self) -> dict[str, int | float]:
-        return {
-            "cells": self.cells,
-            "calibrations": self.calibrations,
-            "trials_total": self.trials_total,
-            "trials_executed": self.trials_executed,
-            "cached": self.cached,
-            "errors": self.errors,
-            "wall_seconds": self.wall_seconds,
-        }
-
-
-def _run_pending(
-    configs: list[dict[str, Any]],
-    store: ResultsStore,
-    workers: int,
-    timeout_s: float | None,
-    progress: ProgressFn | None,
-    counters: dict[str, int],
-) -> None:
-    """Execute the configs whose hashes the store does not yet cover.
-
-    Points that simulate the same trace run in a few batches, each of
-    which generates the trace once.  ``progress`` counts this phase's
-    points: 1 to the phase's pending total.
-    """
-    done = store.completed_hashes()
-    seen: set[str] = set()
-    pending: list[dict[str, Any]] = []
-    for config in configs:
-        digest = config_hash(config)
-        if digest in done or digest in seen:
-            counters["cached"] += 1
-            continue
-        seen.add(digest)
-        pending.append(config)
-    rows = execute_batched(
-        execute_campaign_point, pending, _trace_key, workers, timeout_s, _run_order
-    )
-    for count, row in enumerate(rows, 1):
-        row.pop(ELAPSED_KEY, None)
-        row.pop(STARTED_KEY, None)
-        row.pop(WORKER_KEY, None)
-        store.append(row)
-        counters["executed"] += 1
-        if row.get("status") != "ok":
-            counters["errors"] += 1
-        if progress is not None:
-            progress(count, len(pending), row)
-
 
 def _ok_rows_by_hash(store: ResultsStore) -> dict[str, dict[str, Any]]:
     return {
@@ -426,10 +340,17 @@ def run_campaign(
     if timeout_s is None:
         timeout_s = spec.timeout_s
     started = time.perf_counter()
-    counters = {"cached": 0, "executed": 0, "errors": 0}
+
+    def run_phase(configs: list[dict[str, Any]]):
+        # Points that simulate the same trace share a few batches, each of
+        # which generates it once and runs its trials by model and site.
+        return drive(
+            execute_campaign_point, configs, store, _trace_key, workers, timeout_s,
+            order=_run_order, progress=progress,
+        )
+
     calib_configs = [spec.calibration_config(p, m) for p, m in spec.cells()]
-    _run_pending(calib_configs, store, workers, timeout_s, progress, counters)
-    calibrations_executed = counters["executed"]
+    calibrations = run_phase(calib_configs)
     by_hash = _ok_rows_by_hash(store)
     trial_configs: list[dict[str, Any]] = []
     for (preset_name, model), config in zip(spec.cells(), calib_configs):
@@ -447,14 +368,14 @@ def run_campaign(
             spec.trial_config(preset_name, model, trial, eligible)
             for trial in range(spec.trials)
         )
-    _run_pending(trial_configs, store, workers, timeout_s, progress, counters)
+    trials = run_phase(trial_configs)
     return CampaignSummary(
         cells=len(spec.cells()),
-        calibrations=calibrations_executed,
+        calibrations=calibrations.executed,
         trials_total=len(spec.cells()) * spec.trials,
-        trials_executed=counters["executed"] - calibrations_executed,
-        cached=counters["cached"],
-        errors=counters["errors"],
+        trials_executed=trials.executed,
+        cached=calibrations.cached + trials.cached,
+        errors=calibrations.errors + trials.errors,
         wall_seconds=round(time.perf_counter() - started, 3),
     )
 
@@ -476,8 +397,6 @@ def aggregate_campaign(spec: CampaignSpec, store: ResultsStore) -> dict[str, Any
     shared across campaigns (or holding stale rows) aggregates cleanly.
     Trials that errored are counted, not silently dropped.
     """
-    from repro.faults.outcomes import OUTCOME_KEYS, zero_outcomes
-
     by_hash = _ok_rows_by_hash(store)
     cells: list[dict[str, Any]] = []
     for preset_name, model in spec.cells():
@@ -529,15 +448,6 @@ def aggregate_campaign(spec: CampaignSpec, store: ResultsStore) -> dict[str, Any
         "wilson_z": WILSON_Z,
         "cells": cells,
     }
-
-
-def write_campaign_json(report: dict[str, Any], path: str | Path) -> Path:
-    path = Path(path)
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
 
 
 def render_campaign_text(report: dict[str, Any]) -> str:

@@ -23,6 +23,10 @@ Three properties the tests pin down:
 * **Streaming** -- a row is yielded as soon as every earlier row is in, so
   an interrupted run keeps its completed prefix (in config order: points
   that ran out of config order wait for the earlier ones).
+
+:func:`drive` wraps the fan-out with what both studies do around it: skip
+the configs the store already holds, retry error rows, append each row
+and report it.
 """
 
 from __future__ import annotations
@@ -36,9 +40,14 @@ import time
 import traceback
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Callable, Hashable, Iterable, Iterator, TypeVar
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Iterator, TypeVar
 
 from repro.experiments.spec import SCHEMA_VERSION, config_hash
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.store import ResultsStore
+    from repro.obs.spans import SpanCollector
 
 #: Transient row key carrying the point's wall time from the worker to the
 #: parent.  Popped before the row reaches the store: store rows must stay a
@@ -60,6 +69,9 @@ BATCHES_PER_WORKER = 4
 
 #: ``execute(config, timeout_s) -> row``: a point executor.
 Execute = Callable[[dict[str, Any], float | None], dict[str, Any]]
+
+#: Progress callback: (completed count, pending total, the row just stored).
+ProgressFn = Callable[[int, int, dict], None]
 
 T = TypeVar("T")
 
@@ -262,3 +274,129 @@ def execute_batched(
         yield from _in_config_order(
             pair for rows in pool.imap_unordered(task, batches) for pair in rows
         )
+
+
+@dataclass(slots=True)
+class SweepSummary:
+    """What one :func:`drive` call did: a sweep, or one campaign phase."""
+
+    total: int  #: configs passed in
+    cached: int  #: skipped — already completed in the store (or repeated)
+    executed: int  #: actually simulated this invocation
+    errors: int  #: executed points that produced error rows
+    retried: int = 0  #: in-invocation re-executions of error rows (``retries=N``)
+    wall_seconds: float = 0.0  #: wall time of this invocation's execution loop
+    slowest_point_s: float = 0.0  #: worst single-point wall time observed
+    #: Sum of per-point wall times over (effective workers x loop wall):
+    #: 1.0 means no worker ever idled, low values mean stragglers
+    #: serialized the tail of the pool.
+    worker_utilization: float = 0.0
+
+    def to_dict(self) -> dict[str, int | float]:
+        return {
+            "total": self.total,
+            "cached": self.cached,
+            "executed": self.executed,
+            "errors": self.errors,
+            "retried": self.retried,
+            "wall_seconds": self.wall_seconds,
+            "slowest_point_s": self.slowest_point_s,
+            "worker_utilization": self.worker_utilization,
+        }
+
+
+def drive(
+    execute: Execute,
+    configs: list[dict[str, Any]],
+    store: "ResultsStore",
+    share_key: Callable[[dict[str, Any]], Hashable],
+    workers: int,
+    timeout_s: float | None,
+    order: Callable[[dict[str, Any]], Any] | None = None,
+    progress: ProgressFn | None = None,
+    retries: int = 0,
+    retry_backoff_s: float = 0.5,
+    spans: "SpanCollector | None" = None,
+) -> SweepSummary:
+    """Execute every config ``store`` does not yet hold and append its row.
+
+    A config whose hash the store has completed, or that repeats an
+    earlier config of the call, counts as cached.  The rest run through
+    :func:`execute_batched` (``share_key`` and ``order`` as there), and
+    their rows are appended in config order.
+
+    ``retries`` re-executes a point that came back as an error row up to
+    that many times in this process, with exponential backoff starting at
+    ``retry_backoff_s``, before the error row is stored.  A retry that
+    succeeds stores the ordinary row, a pure function of the config.
+
+    The transport keys are popped before a row is stored.  ``spans`` gets
+    one span per executed point, and ``progress`` sees each stored row
+    with its ``_elapsed_s`` put back; both are observers only.
+    """
+    if retries < 0:
+        raise ValueError(f"retries must be non-negative, got {retries}")
+    if retry_backoff_s < 0:
+        raise ValueError(f"retry_backoff_s must be non-negative, got {retry_backoff_s}")
+    done = store.completed_hashes()
+    seen: set[str] = set()
+    pending: list[dict[str, Any]] = []
+    for config in configs:
+        digest = config_hash(config)
+        if digest not in done and digest not in seen:
+            pending.append(config)
+        seen.add(digest)
+    executed = errors = retried = 0
+    slowest = busy = 0.0
+    started = time.perf_counter()
+    for row in execute_batched(execute, pending, share_key, workers, timeout_s, order):
+        # Transport keys are still on a retried row, so the replacement
+        # flows through the same popping below.
+        attempt = 0
+        while row.get("status") == "error" and attempt < retries:
+            time.sleep(retry_backoff_s * (2 ** attempt))
+            attempt += 1
+            row = execute(row["config"], timeout_s)
+        retried += attempt
+        elapsed = row.pop(ELAPSED_KEY, 0.0)
+        started_at = row.pop(STARTED_KEY, None)
+        worker = row.pop(WORKER_KEY, 0)
+        slowest = max(slowest, elapsed)
+        busy += elapsed
+        store.append(row)
+        executed += 1
+        if row.get("status") != "ok":
+            errors += 1
+        if spans is not None and started_at is not None:
+            config = row.get("config", {})
+            spans.record(
+                f"{config.get('preset', '?')} seed={config.get('seed')}",
+                started_at,
+                elapsed,
+                worker,
+                status=row.get("status"),
+                fault_rate=config.get("fault_rate"),
+                config_hash=str(row.get("config_hash", ""))[:12],
+            )
+        if progress is not None:
+            row[ELAPSED_KEY] = elapsed
+            progress(executed, len(pending), row)
+            del row[ELAPSED_KEY]
+    wall = round(time.perf_counter() - started, 3)
+    effective_workers = max(1, min(workers, len(pending)))
+    return SweepSummary(
+        total=len(configs),
+        cached=len(configs) - len(pending),
+        executed=executed,
+        errors=errors,
+        retried=retried,
+        wall_seconds=wall,
+        slowest_point_s=slowest,
+        # min(): per-point times are rounded before summing, so the ratio
+        # can nudge past 1.0 on sub-millisecond points.
+        worker_utilization=(
+            min(1.0, round(busy / (effective_workers * wall), 4))
+            if executed and wall > 0
+            else 0.0
+        ),
+    )

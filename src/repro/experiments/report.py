@@ -346,7 +346,8 @@ def write_csv_tables(aggregated: Mapping[str, Any], directory: str | Path) -> li
 
 
 def write_bench_json(aggregated: Mapping[str, Any], path: str | Path) -> Path:
-    """The full aggregate payload, stable-sorted, as ``BENCH_sweep.json``."""
+    """A report payload, stable-sorted, as JSON (``BENCH_sweep.json`` for
+    sweeps, ``BENCH_campaign.json`` for campaigns)."""
     path = Path(path)
     if path.parent != Path("."):
         path.parent.mkdir(parents=True, exist_ok=True)

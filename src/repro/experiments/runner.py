@@ -1,11 +1,18 @@
-"""Multiprocess sweep execution.
+"""One experiment point, and multiprocess sweeps of them.
 
-``run_sweep`` expands a :class:`~repro.experiments.spec.SweepSpec`, drops
-every point whose config hash is already in the store (resume/caching),
-and runs the rest through the batched executor
-(:mod:`repro.experiments.executor`).  Points that differ only in what the
-checked core alone reads share one trace and one unchecked baseline run.
-Three properties the tests pin down:
+:func:`run_experiment` runs one (preset, seed, machine) point through an
+unchecked baseline core and, optionally, the checked core on the same
+trace.  Its pieces are the one definition of a point's run: the sharded
+runner (:mod:`repro.parallel.shards`) builds its cores and its result
+from the same :func:`~repro.experiments.spec.run_params`,
+:func:`core_hierarchy` and :func:`result_dict`.
+
+``run_sweep`` expands a :class:`~repro.experiments.spec.SweepSpec` and
+hands its points to :func:`~repro.experiments.executor.drive`, which skips
+every point whose config hash is already in the store (resume/caching)
+and runs the rest through the batched executor.  Points that differ only
+in what the checked core alone reads share one trace and one unchecked
+baseline run.  Three properties the tests pin down:
 
 * **Determinism** — each point's config carries its own seeds (workload
   seed, fault seed = seed + 1, wrong-path seed), and a shared baseline is
@@ -22,26 +29,34 @@ Three properties the tests pin down:
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any
 
+from repro.core.core import SuperscalarCore
+from repro.core.params import CheckerParams, CoreParams
+from repro.core.stats import CoreStats
 from repro.experiments.executor import (
     ELAPSED_KEY,
-    STARTED_KEY,
-    WORKER_KEY,
-    execute_batched,
+    ProgressFn,
+    SweepSummary,
+    drive,
     point_row,
+    shared_input,
 )
-from repro.experiments.spec import RunPoint, canonical_json
+from repro.experiments.spec import (
+    DEFAULT_WRONG_PATH_DEPTH,
+    RunPoint,
+    canonical_json,
+    run_params,
+)
 from repro.experiments.store import ResultsStore
+from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
+from repro.workloads import WorkloadProfile, WrongPathGenerator, generate, preset
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs import ObsSession
     from repro.obs.registry import MetricsRegistry
     from repro.obs.spans import SpanCollector
-
-#: Progress callback: (completed count, pending total, the row just stored).
-ProgressFn = Callable[[int, int, dict], None]
 
 #: Config keys only the checked core reads.  Points whose configs differ in
 #: nothing else run the same unchecked baseline on the same trace, so they
@@ -49,33 +64,146 @@ ProgressFn = Callable[[int, int, dict], None]
 _CHECKER_KEYS = frozenset({"fault_rate", "slot_policy", "reserved_slots", "fault_model"})
 
 
-@dataclass(slots=True)
-class SweepSummary:
-    """What one ``run_sweep`` invocation did."""
+def core_hierarchy(dcache_banks: int) -> MemoryHierarchy | None:
+    """The memory hierarchy of one core of a run.
 
-    total: int  #: points in the expanded grid
-    cached: int  #: skipped — already completed in the store (or in-grid dupes)
-    executed: int  #: actually simulated this invocation
-    errors: int  #: executed points that produced error rows
-    retried: int = 0  #: in-invocation re-executions of error rows (``retries=N``)
-    wall_seconds: float = 0.0  #: wall time of this invocation's execution loop
-    slowest_point_s: float = 0.0  #: worst single-point wall time observed
-    #: Sum of per-point wall times over (effective workers x loop wall):
-    #: 1.0 means no worker ever idled, low values mean stragglers
-    #: serialized the tail of the pool.
-    worker_utilization: float = 0.0
+    None keeps the core's own default hierarchy; a banked run needs a
+    *separate* instance per core (hierarchies hold per-run state).
+    """
+    if dcache_banks == 1:
+        return None
+    return MemoryHierarchy(HierarchyParams(dcache_banks=dcache_banks))
 
-    def to_dict(self) -> dict[str, int | float]:
-        return {
-            "total": self.total,
-            "cached": self.cached,
-            "executed": self.executed,
-            "errors": self.errors,
-            "retried": self.retried,
-            "wall_seconds": self.wall_seconds,
-            "slowest_point_s": self.slowest_point_s,
-            "worker_utilization": self.worker_utilization,
-        }
+
+def result_dict(
+    preset_name: str,
+    num_ops: int,
+    seed: int,
+    wrong_path: bool,
+    params: CoreParams,
+    unchecked: CoreStats,
+    checked: CoreStats | None,
+) -> dict:
+    """The JSON-serializable result of one run.
+
+    ``params`` is the effective configuration of the run's last core
+    (``CoreParams.to_dict`` names the FU classes); the stats are flattened
+    via ``CoreStats.to_dict``.  A checked run adds the checked stats, the
+    slowdown and the fault coverage.
+    """
+    result: dict = {
+        "preset": preset_name,
+        "ops": num_ops,
+        "seed": seed,
+        "wrong_path": wrong_path,
+        "params": params.to_dict(),
+        "unchecked": unchecked.to_dict(),
+    }
+    if checked is not None:
+        result["checked"] = checked.to_dict()
+        # None (JSON null) rather than inf: json.dumps would emit the
+        # non-RFC-8259 literal `Infinity` for float("inf").
+        result["slowdown"] = unchecked.ipc / checked.ipc if checked.ipc else None
+        live = checked.faults_injected - checked.faults_squashed
+        result["fault_coverage"] = 1.0 if live <= 0 else checked.faults_detected / live
+    return result
+
+
+def run_experiment(
+    profile: WorkloadProfile,
+    num_ops: int = 20_000,
+    seed: int = 0,
+    check: bool = True,
+    fault_rate: float = 1e-4,
+    real_predictor: bool = False,
+    wrong_path: bool = True,
+    wrong_path_depth: int = DEFAULT_WRONG_PATH_DEPTH,
+    params: CoreParams | None = None,
+    dcache_banks: int = 1,
+    store_alias_fraction: float | None = None,
+    obs: "ObsSession | None" = None,
+) -> dict:
+    """Run one preset through baseline and (optionally) checked cores.
+
+    Both cores consume the *same* trace, so every difference in the stats
+    is attributable to the checker's resource sharing and recoveries.
+    Wrong-path streams come from a profile-aware generator so the wasted
+    work the checker competes with matches the workload's own op mix.
+
+    Args:
+        params: Optional base :class:`CoreParams` (issue width, FU counts,
+            checker slot policy, memory-dependence knobs, …).  The explicit
+            keyword arguments — predictor mode, wrong-path knobs, and the
+            per-run checker enable/fault-rate/seed — are applied on top of
+            it (:func:`~repro.experiments.spec.run_params`); sweeps use
+            this to vary machine shape per grid point.
+        dcache_banks: D-cache banks per core (1 = the legacy unbanked
+            model; more makes checker loads/stores compete for bank slots).
+        store_alias_fraction: When set, overrides the profile's
+            ``store_alias_fraction`` (see
+            :class:`~repro.workloads.profiles.WorkloadProfile`).
+        obs: Optional :class:`~repro.obs.ObsSession`.  When provided, each
+            core gets a pipeline tracer (labelled ``unchecked``/``checked``)
+            if tracing was requested, runs with the session's telemetry
+            interval, and registers its final stats into the session's
+            metrics registry.  ``None`` (the default — every sweep and
+            golden path) leaves the cores entirely uninstrumented.
+
+    The returned dict is :func:`result_dict`'s.
+    """
+    if store_alias_fraction is not None:
+        profile = replace(profile, store_alias_fraction=store_alias_fraction)
+    # Inside a sweep batch, points with equal inputs share the trace and
+    # the unchecked baseline (see repro.experiments.executor); anywhere
+    # else shared_input just computes.
+    trace = shared_input(
+        "trace", (profile, num_ops, seed), lambda: generate(profile, num_ops, seed=seed)
+    )
+    # iter_stream: the core consumes wrong-path streams lazily, so only the
+    # prefix fetched before each branch resolves is ever synthesized.
+    wp_source = WrongPathGenerator(profile, seed=seed).iter_stream if wrong_path else None
+    if obs is not None and obs.telemetry_interval:
+        params = replace(params or CoreParams(), telemetry_interval=obs.telemetry_interval)
+    knobs = dict(
+        real_predictor=real_predictor, wrong_path=wrong_path, wrong_path_depth=wrong_path_depth
+    )
+    unchecked_params = run_params(params, seed, checked=False, **knobs)
+    checked_params = run_params(params, seed, checked=True, fault_rate=fault_rate, **knobs)
+
+    def run(mode: str, core_params: CoreParams) -> CoreStats:
+        core = SuperscalarCore(
+            core_params,
+            hierarchy=core_hierarchy(dcache_banks),
+            wrong_path_source=wp_source,
+            tracer=obs.tracer_for(mode) if obs is not None else None,
+        )
+        stats = core.run(trace)
+        if obs is not None:
+            obs.record_telemetry(mode, core.telemetry)
+            stats.register_metrics(obs.registry, f"{mode}.")
+        return stats
+
+    if obs is None:
+        # A disabled checker's fields are never read (pinned by
+        # tests/test_experiments_executor.py), so they are normalized out
+        # of the baseline's identity.
+        identity = replace(unchecked_params, checker=CheckerParams())
+        baseline = shared_input(
+            "unchecked",
+            (profile, num_ops, seed, dcache_banks, identity),
+            lambda: run("unchecked", unchecked_params),
+        )
+    else:
+        baseline = run("unchecked", unchecked_params)
+    return result_dict(
+        profile.name,
+        num_ops,
+        seed,
+        wrong_path,
+        checked_params if check else unchecked_params,
+        baseline,
+        run("checked", checked_params) if check else None,
+    )
 
 
 def execute_point(
@@ -84,20 +212,15 @@ def execute_point(
     """Run one grid point; always returns a row, never raises.
 
     Top-level (picklable) so it works under any multiprocessing start
-    method.  The import is deferred so pool workers spawned under
-    ``spawn`` pay it once here rather than at module import in the parent.
-    A point that exceeds ``timeout_s`` wall seconds becomes an error row —
-    retried by the next invocation like any other error — instead of a
-    stuck worker.  Inside a sweep batch, the point reuses the trace and
-    unchecked baseline an earlier point of its group computed; its
-    ``_elapsed_s`` (transport-only, see
+    method.  A point that exceeds ``timeout_s`` wall seconds becomes an
+    error row — retried by the next invocation like any other error —
+    instead of a stuck worker.  Inside a sweep batch, the point reuses the
+    trace and unchecked baseline an earlier point of its group computed;
+    its ``_elapsed_s`` (transport-only, see
     :data:`~repro.experiments.executor.ELAPSED_KEY`) and its budget cover
     only what it computed itself.
     """
     with point_row(config, timeout_s) as row:
-        from repro.cli import run_experiment
-        from repro.workloads import preset
-
         point = RunPoint.from_config(config)
         row["group_hash"] = point.group_hash()
         row["result"] = run_experiment(
@@ -124,24 +247,6 @@ def _baseline_key(config: dict[str, Any]) -> str:
     return canonical_json({k: v for k, v in config.items() if k not in _CHECKER_KEYS})
 
 
-def _pending_points(
-    points: Iterable[RunPoint], store: ResultsStore
-) -> tuple[list[RunPoint], int]:
-    """Points still to run, and how many the store (or in-grid dupes) covers."""
-    done = store.completed_hashes()
-    seen: set[str] = set()
-    pending: list[RunPoint] = []
-    cached = 0
-    for point in points:
-        digest = point.config_hash()
-        if digest in done or digest in seen:
-            cached += 1
-            continue
-        seen.add(digest)
-        pending.append(point)
-    return pending, cached
-
-
 def _schedule_pending(
     pending: list[RunPoint], timings: dict[str, float]
 ) -> list[RunPoint]:
@@ -154,7 +259,9 @@ def _schedule_pending(
     the next straggler, and spec order keeps a fresh sweep's store layout
     exactly what it was before scheduling existed.  Ties keep spec order
     (the sort is stable), so the order — and therefore the store layout —
-    is a pure function of (spec, sidecar).
+    is a pure function of (spec, sidecar).  Ordering the whole grid before
+    the store's points are dropped gives the same order as ordering only
+    the pending ones.
     """
     if not timings:
         return pending
@@ -179,95 +286,35 @@ def run_sweep(
 
     ``timeout_s`` bounds each point's wall time (None defers to the spec's
     ``timeout_s`` field; both None disables the bound).  Per-point wall
-    times are surfaced through the progress callback (the popped
-    ``_elapsed_s``) and aggregated into the summary, never stored.
-
-    ``retries`` re-executes a point that came back as an error row up to
-    that many times *within this invocation* (in the parent process, with
-    exponential backoff starting at ``retry_backoff_s``) before the error
-    row is stored.  A retry that succeeds stores the ordinary success row
-    — a pure function of the config, so the store stays byte-identical to
-    a run that never needed the retry.
-
-    ``spans`` collects one wall-clock span per executed point (worker,
-    start, duration — the runner half of ``--trace-out``); ``registry``
-    receives the summary counters under ``sweep.``.  Both are observers:
-    the stored rows are byte-identical with or without them.
+    times are surfaced through the progress callback (``_elapsed_s``),
+    recorded in the store's timings sidecar for the next invocation's
+    longest-first order, and aggregated into the summary, never stored.
+    ``retries``, ``retry_backoff_s`` and ``spans`` are
+    :func:`~repro.experiments.executor.drive`'s; ``registry`` receives the
+    summary counters under ``sweep.``.  All observers: the stored rows are
+    byte-identical with or without them.
     """
     if timeout_s is None:
         timeout_s = getattr(spec, "timeout_s", None)
-    if retries < 0:
-        raise ValueError(f"retries must be non-negative, got {retries}")
-    if retry_backoff_s < 0:
-        raise ValueError(f"retry_backoff_s must be non-negative, got {retry_backoff_s}")
-    points = spec.points()
-    pending, cached = _pending_points(points, store)
     timings = store.load_timings()
-    pending = _schedule_pending(pending, timings)
-    configs = [point.config() for point in pending]
-    executed = 0
-    errors = 0
-    retried = 0
-    slowest = 0.0
-    busy = 0.0
     new_timings: dict[str, float] = {}
-    started = time.perf_counter()
-    for row in execute_batched(execute_point, configs, _baseline_key, workers, timeout_s):
-        # In-invocation retry: re-run error rows in the parent (crash
-        # isolation still holds — execute_point never raises) with
-        # exponential backoff, keeping whichever row the last attempt
-        # produced.  Transport keys are still on the row here, so the
-        # replacement row flows through the same popping below.
-        attempt = 0
-        while row.get("status") == "error" and attempt < retries:
-            time.sleep(retry_backoff_s * (2 ** attempt))
-            attempt += 1
-            retried += 1
-            row = execute_point(row["config"], timeout_s)
-        elapsed = row.pop(ELAPSED_KEY, 0.0)
-        started_at = row.pop(STARTED_KEY, None)
-        worker = row.pop(WORKER_KEY, 0)
-        slowest = max(slowest, elapsed)
-        busy += elapsed
-        digest = row.get("config_hash")
-        if digest:
-            new_timings[str(digest)] = elapsed
-        store.append(row)
-        executed += 1
-        if row.get("status") != "ok":
-            errors += 1
-        if spans is not None and started_at is not None:
-            config = row.get("config", {})
-            spans.record(
-                f"{config.get('preset', '?')} seed={config.get('seed')}",
-                started_at,
-                elapsed,
-                worker,
-                status=row.get("status"),
-                fault_rate=config.get("fault_rate"),
-                config_hash=str(row.get("config_hash", ""))[:12],
-            )
+
+    def timed(done: int, total: int, row: dict) -> None:
+        new_timings[str(row["config_hash"])] = row[ELAPSED_KEY]
         if progress is not None:
-            row["_elapsed_s"] = elapsed  # callback-visible, already un-stored
-            progress(executed, len(configs), row)
-            del row["_elapsed_s"]
-    wall = round(time.perf_counter() - started, 3)
-    effective_workers = max(1, min(workers, len(configs)))
-    summary = SweepSummary(
-        total=len(points),
-        cached=cached,
-        executed=executed,
-        errors=errors,
-        retried=retried,
-        wall_seconds=wall,
-        slowest_point_s=slowest,
-        # min(): per-point times are rounded before summing, so the ratio
-        # can nudge past 1.0 on sub-millisecond points.
-        worker_utilization=(
-            min(1.0, round(busy / (effective_workers * wall), 4))
-            if executed and wall > 0
-            else 0.0
-        ),
+            progress(done, total, row)
+
+    summary = drive(
+        execute_point,
+        [point.config() for point in _schedule_pending(spec.points(), timings)],
+        store,
+        _baseline_key,
+        workers,
+        timeout_s,
+        progress=timed,
+        retries=retries,
+        retry_backoff_s=retry_backoff_s,
+        spans=spans,
     )
     if new_timings:
         timings.update(new_timings)
@@ -279,4 +326,3 @@ def run_sweep(
         registry.set_gauge("sweep.slowest_point_s", summary.slowest_point_s)
         registry.set_gauge("sweep.worker_utilization", summary.worker_utilization)
     return summary
-

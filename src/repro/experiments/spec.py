@@ -18,13 +18,14 @@ import hashlib
 import itertools
 import json
 import tomllib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Self
 
-from repro.core.params import CoreParams, SLOT_POLICIES
+from repro.core.params import CoreParams
 from repro.isa.opcodes import FUClass
-from repro.workloads import PRESET_NAMES
+from repro.memory.hierarchy import HierarchyParams
+from repro.workloads import PRESET_NAMES, PRESETS
 
 #: Version stamp written into every config and results row; bump on any
 #: incompatible change to the config or row layout.
@@ -33,10 +34,11 @@ SCHEMA_VERSION = 1
 #: Valid FU-count keys in a spec's ``fu_variants`` tables.
 _FU_NAMES = tuple(cls.name for cls in FUClass)
 
-#: Canonical wrong_path_depth written into configs of wrong_path=False
-#: points, where the knob is inert — kept a valid (positive) depth so the
-#: config still round-trips through RunPoint/CoreParams validation.
-_INERT_WRONG_PATH_DEPTH = CoreParams().wrong_path_depth
+#: The ``CoreParams`` default depth: what a run uses unless told
+#: otherwise, and the canonical depth written into configs of
+#: wrong_path=False points, where the knob is inert (a valid, positive
+#: depth, so the config still round-trips through validation).
+DEFAULT_WRONG_PATH_DEPTH = CoreParams().wrong_path_depth
 
 
 def canonical_json(value: Any) -> str:
@@ -47,6 +49,81 @@ def canonical_json(value: Any) -> str:
 def config_hash(config: Mapping[str, Any]) -> str:
     """Stable 64-bit-ish identity of one canonical config dict."""
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()[:16]
+
+
+def run_params(
+    base: CoreParams | None,
+    seed: int,
+    checked: bool,
+    fault_rate: float = 0.0,
+    fault_seed: int | None = None,
+    real_predictor: bool = False,
+    wrong_path: bool = True,
+    wrong_path_depth: int = DEFAULT_WRONG_PATH_DEPTH,
+) -> CoreParams:
+    """The params of one core of a run at ``seed``: ``base`` (Table 1 when
+    None) with the run-level knobs layered on.
+
+    The run-level knobs are the predictor mode, the wrong-path knobs and
+    seed, and the checker's enable, fault rate and fault seed (``seed + 1``
+    unless given).  An unchecked core keeps the base checker disabled at
+    rate 0.  Every caller that builds a core for an experiment point goes
+    through here: single runs, sweep points, shards and campaign trials.
+    """
+    base = base if base is not None else CoreParams()
+    if checked:
+        checker = replace(
+            base.checker,
+            enabled=True,
+            fault_rate=fault_rate,
+            fault_seed=seed + 1 if fault_seed is None else fault_seed,
+        )
+    else:
+        checker = replace(base.checker, enabled=False, fault_rate=0.0)
+    return replace(
+        base,
+        use_real_predictor=real_predictor,
+        model_wrong_path=wrong_path,
+        wrong_path_depth=wrong_path_depth,
+        wrong_path_seed=seed,
+        checker=checker,
+    )
+
+
+class SpecLoader:
+    """``from_dict`` and ``load`` for a spec dataclass.
+
+    A document is a ``.toml`` or ``.json`` file holding either a top-level
+    table named after the spec kind (``_kind``) or a flat document; unknown
+    keys are rejected by name.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> Self:
+        """Build a spec from a parsed document; rejects unknown keys."""
+        if cls._kind in data and isinstance(data[cls._kind], Mapping):
+            data = data[cls._kind]
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown {cls._kind} keys: {sorted(unknown)}")
+        return cls(**dict(data))
+
+    @classmethod
+    def load(cls, path: str | Path) -> Self:
+        """Load a ``.toml`` or ``.json`` spec file."""
+        path = Path(path)
+        if path.suffix.lower() == ".toml":
+            with path.open("rb") as fh:
+                document = tomllib.load(fh)
+        elif path.suffix.lower() == ".json":
+            document = json.loads(path.read_text(encoding="utf-8"))
+        else:
+            raise ValueError(f"unsupported spec format {path.suffix!r} (use .toml or .json)")
+        if not isinstance(document, Mapping):
+            raise ValueError(f"{cls._kind} spec must be a table/object at top level")
+        return cls.from_dict(document)
 
 
 @dataclass(slots=True, frozen=True)
@@ -103,7 +180,7 @@ class RunPoint:
             "reserved_slots": self.reserved_slots if self.slot_policy == "reserved" else 0,
             "wrong_path": self.wrong_path,
             "wrong_path_depth": (
-                self.wrong_path_depth if self.wrong_path else _INERT_WRONG_PATH_DEPTH
+                self.wrong_path_depth if self.wrong_path else DEFAULT_WRONG_PATH_DEPTH
             ),
             "real_predictor": self.real_predictor,
             "fu_counts": dict(self.fu_counts) if self.fu_counts is not None else None,
@@ -133,17 +210,11 @@ class RunPoint:
     def group_hash(self) -> str:
         return config_hash(self.group_config())
 
-    def fu_label(self) -> str:
-        """Compact FU-complement label for table rows (``table1`` default)."""
-        if self.fu_counts is None:
-            return "table1"
-        return "-".join(f"{name.lower()}{count}" for name, count in self.fu_counts)
-
     def core_params(self) -> CoreParams:
         """Build the machine shape this point simulates.
 
         Run-level knobs (predictor mode, wrong-path modelling, checker
-        enable/fault seed) are layered on by ``run_experiment``; this
+        enable/fault seed) are layered on by :func:`run_params`; this
         carries only what the grid varies.
         """
         data: dict[str, Any] = {
@@ -219,47 +290,31 @@ def _normalize_fu_variant(variant: Mapping[str, Any]) -> tuple[tuple[str, int], 
 
 
 def _validate_point(point: RunPoint) -> None:
+    """Build what the point simulates, so each part checks its own fields.
+
+    The checked core's params check the machine shape, the slot policy,
+    the fault rate and model and the checkpoint knobs; the hierarchy
+    params check ``dcache_banks``; the profile checks
+    ``store_alias_fraction``.  Only the preset name and ``ops`` have no
+    object of their own.
+    """
     if point.preset not in PRESET_NAMES:
         raise ValueError(
             f"unknown preset {point.preset!r}; choose from {list(PRESET_NAMES)}"
         )
     if point.ops < 0:
         raise ValueError(f"ops must be non-negative, got {point.ops}")
-    if not 0.0 <= point.fault_rate <= 1.0:
-        raise ValueError(f"fault_rate must be in [0, 1], got {point.fault_rate}")
-    if point.slot_policy not in SLOT_POLICIES:
-        raise ValueError(
-            f"slot_policy must be one of {SLOT_POLICIES}, got {point.slot_policy!r}"
-        )
-    if point.issue_width <= 0 or point.wrong_path_depth <= 0:
-        raise ValueError("issue_width and wrong_path_depth must be positive")
-    if point.slot_policy == "reserved" and not 0 < point.reserved_slots < point.issue_width:
-        raise ValueError(
-            f"reserved_slots must be in (0, issue_width), got {point.reserved_slots} "
-            f"with issue_width {point.issue_width}"
-        )
-    if point.dcache_banks <= 0:
-        raise ValueError(f"dcache_banks must be positive, got {point.dcache_banks}")
-    if point.checkpoint_interval < 0:
-        raise ValueError(
-            f"checkpoint_interval must be non-negative, got {point.checkpoint_interval}"
-        )
-    if point.checkpoint_interval and point.checkpoint_overhead < 0:
-        raise ValueError(
-            f"checkpoint_overhead must be non-negative, got {point.checkpoint_overhead}"
-        )
-    if not 0.0 <= point.store_alias_fraction <= 1.0:
-        raise ValueError(
-            f"store_alias_fraction must be in [0, 1], got {point.store_alias_fraction}"
-        )
-    # Deferred import: repro.faults.models is pulled in lazily the same way
-    # CheckerParams validates, avoiding an import cycle at module load.
-    from repro.faults.models import FAULT_MODELS
-
-    if point.fault_model not in FAULT_MODELS:
-        raise ValueError(
-            f"fault_model must be one of {FAULT_MODELS}, got {point.fault_model!r}"
-        )
+    run_params(
+        point.core_params(),
+        point.seed,
+        checked=True,
+        fault_rate=point.fault_rate,
+        real_predictor=point.real_predictor,
+        wrong_path=point.wrong_path,
+        wrong_path_depth=point.wrong_path_depth,
+    )
+    HierarchyParams(dcache_banks=point.dcache_banks)
+    replace(PRESETS[point.preset], store_alias_fraction=point.store_alias_fraction)
 
 
 def _default_fault_rates() -> list[float]:
@@ -279,7 +334,7 @@ def _default_wrong_path() -> list[bool]:
 
 
 def _default_wrong_path_depths() -> list[int]:
-    return [CoreParams().wrong_path_depth]
+    return [DEFAULT_WRONG_PATH_DEPTH]
 
 
 def _default_fu_variants() -> list[dict[str, int] | None]:
@@ -303,7 +358,7 @@ def _default_fault_models() -> list[str]:
 
 
 @dataclass(slots=True)
-class SweepSpec:
+class SweepSpec(SpecLoader):
     """A cartesian grid of experiments.
 
     List-valued fields are grid *axes*; scalar fields apply to every
@@ -348,6 +403,8 @@ class SweepSpec:
     #: knobs per model; campaigns, not sweeps, vary the model internals).
     fault_models: list[str] = field(default_factory=_default_fault_models)
 
+    _kind = "sweep"
+
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("sweep name must be non-empty")
@@ -377,21 +434,9 @@ class SweepSpec:
                 raise ValueError(f"axis {axis!r} must list at least one value")
             if len(set(map(repr, values))) != len(values):
                 raise ValueError(f"axis {axis!r} contains duplicate values")
-        # Point-level constraints are validated per point in points(), but
-        # axis-level mistakes should fail at load time with a clear name.
-        for preset_name in self.presets:
-            if preset_name not in PRESET_NAMES:
-                raise ValueError(
-                    f"unknown preset {preset_name!r}; choose from {list(PRESET_NAMES)}"
-                )
-        for policy in self.slot_policies:
-            if policy not in SLOT_POLICIES:
-                raise ValueError(
-                    f"slot_policy must be one of {SLOT_POLICIES}, got {policy!r}"
-                )
-        # Expand the grid once now so every point-level constraint (bad FU
-        # variant, reserved_slots vs issue_width, …) surfaces at load time
-        # as a clean ValueError, not mid-sweep.
+        # Expand the grid once now so every point-level constraint (unknown
+        # preset, bad FU variant, reserved_slots vs issue_width, …)
+        # surfaces at load time as a clean ValueError, not mid-sweep.
         self.points()
 
     def points(self) -> list[RunPoint]:
@@ -448,32 +493,3 @@ class SweepSpec:
             _validate_point(point)
             out.append(point)
         return out
-
-    def num_points(self) -> int:
-        return len(self.points())
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
-        """Build a spec from a parsed document; rejects unknown keys."""
-        if "sweep" in data and isinstance(data["sweep"], Mapping):
-            data = data["sweep"]
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown sweep keys: {sorted(unknown)}")
-        return cls(**dict(data))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SweepSpec":
-        """Load a ``.toml`` or ``.json`` spec file."""
-        path = Path(path)
-        if path.suffix.lower() == ".toml":
-            with path.open("rb") as fh:
-                document = tomllib.load(fh)
-        elif path.suffix.lower() == ".json":
-            document = json.loads(path.read_text(encoding="utf-8"))
-        else:
-            raise ValueError(f"unsupported spec format {path.suffix!r} (use .toml or .json)")
-        if not isinstance(document, Mapping):
-            raise ValueError("sweep spec must be a table/object at top level")
-        return cls.from_dict(document)

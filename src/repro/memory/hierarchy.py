@@ -81,6 +81,14 @@ class HierarchyParams:
     mshr_targets: int = 8
     bus_cycles_per_transfer: int = 4
 
+    def __post_init__(self) -> None:
+        for name in ("l1_ways", "l2_ways", "dcache_ports", "dcache_banks"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("l1_latency", "l2_latency", "mem_latency"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+
 
 @dataclass(slots=True)
 class AccessResult:
@@ -143,8 +151,6 @@ class MemoryHierarchy:
     def __init__(self, params: HierarchyParams | None = None):
         self.params = params or HierarchyParams()
         p = self.params
-        if p.dcache_banks <= 0:
-            raise ValueError(f"dcache_banks must be positive, got {p.dcache_banks}")
         self._nbanks = p.dcache_banks
         #: Per-bank per-cycle access capacity under line interleaving.
         self._bank_ports = max(1, p.dcache_ports // p.dcache_banks)

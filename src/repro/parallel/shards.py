@@ -3,7 +3,9 @@
 ``run_sharded_experiment`` splits one run's op budget into N contiguous
 windows, simulates each window in its own worker process, and merges the
 per-shard :class:`~repro.core.stats.CoreStats` into one result dict with
-the same shape :func:`repro.cli.run_experiment` produces.
+the same shape :func:`~repro.experiments.runner.run_experiment` produces:
+each shard builds its cores, and the parent its result, from the same
+pieces (:mod:`repro.experiments.runner`).
 
 Each worker reconstructs its slice of the monolithic run exactly:
 
@@ -31,14 +33,15 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any
 
 from repro.core.core import SuperscalarCore
-from repro.core.params import CheckerParams, CoreParams
+from repro.core.params import CoreParams
 from repro.core.stats import CoreStats
 from repro.experiments.executor import PointTimeout, wall_clock_limit
-from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
+from repro.experiments.runner import core_hierarchy, result_dict
+from repro.experiments.spec import DEFAULT_WRONG_PATH_DEPTH, run_params
 from repro.obs import ObsSession, PipelineTracer
+from repro.parallel.merge import merge_core_stats
 from repro.workloads import WorkloadProfile, WrongPathGenerator
 from repro.workloads.synthetic import TraceGenerator
 
@@ -121,12 +124,9 @@ class _ShardTask:
     window: ShardWindow
     profile: WorkloadProfile
     seed: int
-    check: bool
-    fault_rate: float
-    real_predictor: bool
-    wrong_path: bool
-    wrong_path_depth: int
-    params: CoreParams | None
+    #: ``(mode, params)`` of each core the shard simulates: the unchecked
+    #: core, then (in a checked run) the checked one.
+    cores: list[tuple[str, CoreParams]]
     dcache_banks: int
     collect_trace: bool
     #: ``--trace-ops`` window in *monolithic* seq coordinates (or None);
@@ -151,25 +151,6 @@ class _ShardResult:
     wall_s: float = 0.0
 
 
-def _shard_core_params(
-    task: _ShardTask, checker: CheckerParams | None
-) -> CoreParams:
-    """Mirror of ``run_experiment``'s params assembly for one shard core."""
-    base = task.params if task.params is not None else CoreParams()
-    return replace(
-        base,
-        use_real_predictor=task.real_predictor,
-        model_wrong_path=task.wrong_path,
-        wrong_path_depth=task.wrong_path_depth,
-        wrong_path_seed=task.seed,
-        checker=(
-            checker
-            if checker is not None
-            else replace(base.checker, enabled=False, fault_rate=0.0)
-        ),
-    )
-
-
 def _execute_shard(task: _ShardTask) -> _ShardResult:
     """Simulate one shard's window; top-level so pools can pickle it.
 
@@ -189,22 +170,8 @@ def _execute_shard(task: _ShardTask) -> _ShardResult:
             ]
             wp_source = (
                 OffsetWrongPathSource(task.profile, task.seed, window.fetch_start)
-                if task.wrong_path
+                if task.cores[0][1].model_wrong_path
                 else None
-            )
-            base = task.params if task.params is not None else CoreParams()
-            # Shard 0 keeps the monolithic fault seed: it replays the trace
-            # from op 0, so the injector's draw stream lines up exactly and
-            # the --shards 1 path stays bit-identical.  Later shards get a
-            # decorrelated per-shard stream — replaying the monolithic
-            # *prefix* stream in every shard would both correlate their
-            # fault placements and make late-stream faults unreachable,
-            # biasing the merged fault count low.
-            checker_params = replace(
-                base.checker,
-                enabled=True,
-                fault_rate=task.fault_rate,
-                fault_seed=task.seed + 1 + 0xF5EED * window.index,
             )
             # Shard-local seqs are monolithic seqs minus the fetch offset,
             # so the --trace-ops window translates by the same shift (a
@@ -217,23 +184,15 @@ def _execute_shard(task: _ShardTask) -> _ShardResult:
                 if task.trace_ops is not None
                 else None
             )
-            modes: list[tuple[str, CheckerParams | None]] = [("unchecked", None)]
-            if task.check:
-                modes.append(("checked", checker_params))
-            for mode, checker in modes:
-                hierarchy = (
-                    MemoryHierarchy(HierarchyParams(dcache_banks=task.dcache_banks))
-                    if task.dcache_banks != 1
-                    else None
-                )
+            for mode, params in task.cores:
                 tracer = (
                     PipelineTracer(mode, seq_range=local_trace_ops)
                     if task.collect_trace
                     else None
                 )
                 core = SuperscalarCore(
-                    _shard_core_params(task, checker),
-                    hierarchy=hierarchy,
+                    params,
+                    hierarchy=core_hierarchy(task.dcache_banks),
                     wrong_path_source=wp_source,
                     tracer=tracer,
                 )
@@ -293,24 +252,6 @@ def _degrade_failed_shards(
     return retries, fallbacks
 
 
-def _merged_stats_dicts(
-    shard_results: list[_ShardResult], check: bool
-) -> tuple[dict, dict | None, float | None]:
-    """(unchecked dict, checked dict or None, slowdown or None)."""
-    from repro.parallel.merge import merge_core_stats
-
-    unchecked = merge_core_stats([result.unchecked for result in shard_results])
-    checked = (
-        merge_core_stats([result.checked for result in shard_results])
-        if check
-        else None
-    )
-    slowdown = None
-    if checked is not None:
-        slowdown = unchecked.ipc / checked.ipc if checked.ipc else None
-    return unchecked, checked, slowdown
-
-
 def _host_shard_tracers(
     shard_results: list[_ShardResult], obs: ObsSession, check: bool
 ) -> None:
@@ -357,7 +298,7 @@ def run_sharded_experiment(
     fault_rate: float = 1e-4,
     real_predictor: bool = False,
     wrong_path: bool = True,
-    wrong_path_depth: int | None = None,
+    wrong_path_depth: int = DEFAULT_WRONG_PATH_DEPTH,
     params: CoreParams | None = None,
     dcache_banks: int = 1,
     store_alias_fraction: float | None = None,
@@ -367,30 +308,48 @@ def run_sharded_experiment(
 ) -> dict:
     """Run one experiment point time-sharded across processes.
 
-    The returned dict has exactly :func:`repro.cli.run_experiment`'s shape
-    (preset/ops/seed/wrong_path/params/unchecked[/checked/slowdown/
-    fault_coverage]); with ``shards > 1`` a ``"sharding"`` block is
-    appended describing the split and per-shard wall times.  With
-    ``shards == 1`` everything runs in-process with zero warmup and the
-    result is bit-identical to the monolithic path.
+    The returned dict has exactly
+    :func:`~repro.experiments.runner.run_experiment`'s shape
+    (:func:`~repro.experiments.runner.result_dict`); with ``shards > 1`` a
+    ``"sharding"`` block is appended describing the split and per-shard
+    wall times.  With ``shards == 1`` everything runs in-process with zero
+    warmup and the result is bit-identical to the monolithic path.
     """
-    if wrong_path_depth is None:
-        wrong_path_depth = CoreParams().wrong_path_depth
     if store_alias_fraction is not None:
         profile = replace(profile, store_alias_fraction=store_alias_fraction)
     windows = plan_shards(num_ops, shards, warmup if shards > 1 else 0)
     collect_trace = obs is not None and obs.wants_tracing
+    knobs = dict(
+        real_predictor=real_predictor, wrong_path=wrong_path, wrong_path_depth=wrong_path_depth
+    )
+
+    def cores(window: ShardWindow) -> list[tuple[str, CoreParams]]:
+        modes = [("unchecked", run_params(params, seed, checked=False, **knobs))]
+        if check:
+            # Shard 0 keeps the monolithic fault seed: it replays the trace
+            # from op 0, so the injector's draw stream lines up exactly and
+            # the --shards 1 path stays bit-identical.  Later shards get a
+            # decorrelated per-shard stream — replaying the monolithic
+            # *prefix* stream in every shard would both correlate their
+            # fault placements and make late-stream faults unreachable,
+            # biasing the merged fault count low.
+            checked = run_params(
+                params,
+                seed,
+                checked=True,
+                fault_rate=fault_rate,
+                fault_seed=seed + 1 + 0xF5EED * window.index,
+                **knobs,
+            )
+            modes.append(("checked", checked))
+        return modes
+
     tasks = [
         _ShardTask(
             window=window,
             profile=profile,
             seed=seed,
-            check=check,
-            fault_rate=fault_rate,
-            real_predictor=real_predictor,
-            wrong_path=wrong_path,
-            wrong_path_depth=wrong_path_depth,
-            params=params,
+            cores=cores(window),
             dcache_banks=dcache_banks,
             collect_trace=collect_trace,
             trace_ops=obs.trace_ops if obs is not None else None,
@@ -426,29 +385,12 @@ def run_sharded_experiment(
     if failed:
         details = "; ".join(f"shard {r.index}: {r.error}" for r in failed)
         raise RuntimeError(f"{len(failed)} shard(s) failed — {details}")
-    unchecked, checked, slowdown = _merged_stats_dicts(shard_results, check)
-    base = params if params is not None else CoreParams()
-    checker_params = replace(
-        base.checker, enabled=True, fault_rate=fault_rate, fault_seed=seed + 1
+    unchecked = merge_core_stats([r.unchecked for r in shard_results])
+    checked = merge_core_stats([r.checked for r in shard_results]) if check else None
+    # Shard 0's last core is the monolithic run's: same fault seed.
+    result = result_dict(
+        profile.name, num_ops, seed, wrong_path, tasks[0].cores[-1][1], unchecked, checked
     )
-    report_task = tasks[0]
-    result: dict[str, Any] = {
-        "preset": profile.name,
-        "ops": num_ops,
-        "seed": seed,
-        "wrong_path": wrong_path,
-        "params": _shard_core_params(
-            report_task, checker_params if check else None
-        ).to_dict(),
-        "unchecked": unchecked.to_dict(),
-    }
-    if check:
-        result["checked"] = checked.to_dict()
-        result["slowdown"] = slowdown
-        live = checked.faults_injected - checked.faults_squashed
-        result["fault_coverage"] = (
-            1.0 if live <= 0 else checked.faults_detected / live
-        )
     if shards > 1:
         result["sharding"] = {
             "shards": shards,

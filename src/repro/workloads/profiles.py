@@ -9,6 +9,7 @@ bundled presets span the paper's four qualitative regimes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -66,8 +67,11 @@ class WorkloadProfile:
     def __post_init__(self) -> None:
         if not self.mix:
             raise ValueError("mix must not be empty")
-        if any(weight < 0 for weight in self.mix.values()) or sum(self.mix.values()) <= 0:
-            raise ValueError("mix weights must be non-negative with a positive sum")
+        if (
+            any(not 0 <= weight < math.inf for weight in self.mix.values())
+            or sum(self.mix.values()) <= 0
+        ):
+            raise ValueError("mix weights must be finite and non-negative with a positive sum")
         for name in (
             "dep_fraction",
             "mispredict_rate",

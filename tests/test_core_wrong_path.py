@@ -142,8 +142,8 @@ def test_checker_issue_skips_wrong_path_ops_and_their_registers():
     squashed.squashed = True
     real = DynOp(uop=MicroOp(op=OpClass.IALU, dest=8), seq=101, fetched_at=0)
     real.complete_at = 3
-    checker.enqueue(squashed)
-    checker.enqueue(real)
+    checker._pending.append(squashed)  # the queue fetch fills in place
+    checker._pending.append(real)
     used = checker.issue(now=5, slots=4)
     assert used == 1
     assert squashed.check_issued_at is None  # dropped, not blocking the scan

@@ -73,6 +73,16 @@ def test_spec_validates_axes_and_knobs():
         CampaignSpec(**dict(good, ops=0))
 
 
+@pytest.mark.parametrize(
+    "knob, value",
+    [("fault_burst", 0), ("fault_fu", "VEC"), ("fault_repair_cycles", 0)],
+)
+def test_unusable_model_knobs_fail_at_construction(knob, value):
+    """Not as an error row with a traceback once the campaign runs."""
+    with pytest.raises(ValueError, match=knob):
+        CampaignSpec(name="x", presets=["int-heavy"], fault_models=["stuck-fu"], **{knob: value})
+
+
 def test_spec_loads_from_toml_and_rejects_unknown_keys(tmp_path):
     spec_file = tmp_path / "c.toml"
     spec_file.write_text(
@@ -104,7 +114,7 @@ def test_trial_configs_are_pure_functions_of_the_spec():
 
 
 def test_execute_campaign_point_rows_are_deterministic():
-    from repro.experiments.runner import ELAPSED_KEY, STARTED_KEY, WORKER_KEY
+    from repro.experiments.executor import ELAPSED_KEY, STARTED_KEY, WORKER_KEY
 
     config = SPEC.calibration_config("int-heavy", "address")
     first = execute_campaign_point(config)

@@ -143,10 +143,10 @@ def test_campaign_store_equals_the_point_at_a_time_store(
 
 
 def test_a_sweep_runs_one_trace_and_one_baseline_per_group(tmp_path, monkeypatch):
-    import repro.cli
+    from repro.experiments import runner
 
     traces, runs = [], []
-    generate, run = repro.cli.generate, SuperscalarCore.run
+    generate, run = runner.generate, SuperscalarCore.run
 
     def counted_generate(*args, **kwargs):
         traces.append(args)
@@ -156,7 +156,7 @@ def test_a_sweep_runs_one_trace_and_one_baseline_per_group(tmp_path, monkeypatch
         runs.append(core.params.checker.enabled)
         return run(core, trace, *args, **kwargs)
 
-    monkeypatch.setattr(repro.cli, "generate", counted_generate)
+    monkeypatch.setattr(runner, "generate", counted_generate)
     monkeypatch.setattr(SuperscalarCore, "run", counted_run)
     run_sweep(SWEEP, ResultsStore(tmp_path / "sweep.jsonl"), workers=1)
     assert len(traces) == GROUPS
@@ -165,16 +165,14 @@ def test_a_sweep_runs_one_trace_and_one_baseline_per_group(tmp_path, monkeypatch
 
 
 def test_a_campaign_batch_generates_its_trace_once(tmp_path, monkeypatch):
-    import repro.workloads
-
     traces = []
-    generate = repro.workloads.generate
+    generate = campaign.generate
 
     def counted_generate(*args, **kwargs):
         traces.append(args)
         return generate(*args, **kwargs)
 
-    monkeypatch.setattr(repro.workloads, "generate", counted_generate)
+    monkeypatch.setattr(campaign, "generate", counted_generate)
     run_campaign(CAMPAIGN, ResultsStore(tmp_path / "campaign.jsonl"), workers=1)
     assert len(traces) == 2  # one batch for the calibrations, one for the trials
 

@@ -78,7 +78,7 @@ def test_execute_point_rows_are_deterministic():
     byte-identical."""
     import os
 
-    from repro.experiments.runner import ELAPSED_KEY, STARTED_KEY, WORKER_KEY
+    from repro.experiments.executor import ELAPSED_KEY, STARTED_KEY, WORKER_KEY
 
     first = execute_point(SPEC.points()[0].config())
     second = execute_point(SPEC.points()[0].config())

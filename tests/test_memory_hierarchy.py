@@ -175,6 +175,23 @@ def test_snapshot_exposes_key_counters():
     assert 0.0 <= snap["l1d_miss_rate"] <= 1.0
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("l1_ways", 0),  # a ZeroDivisionError inside Cache
+        ("l2_ways", 0),
+        ("dcache_ports", 0),  # a DeadlockError that blamed the issue slots
+        ("dcache_banks", 0),
+        ("l1_latency", -1),  # simulated without complaint
+        ("l2_latency", -1),
+        ("mem_latency", -1),
+    ],
+)
+def test_unusable_hierarchy_params_fail_at_construction(field, value):
+    with pytest.raises(ValueError, match=field):
+        HierarchyParams(**{field: value})
+
+
 # ------------------------------------------------------------ pinned stream
 
 #: sha256 of everything the seeded stream below gets back from the four

@@ -112,6 +112,13 @@ def test_profile_validation():
         WorkloadProfile(name="bad", mix={OpClass.IALU: 1.0}, hot_lines=0)
 
 
+@pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+def test_non_finite_mix_weights_fail_at_construction(weight):
+    """Not late, inside ``random.choices`` ("Total of weights must be finite")."""
+    with pytest.raises(ValueError, match="mix weights"):
+        WorkloadProfile(name="bad", mix={OpClass.IALU: weight, OpClass.BRANCH: 1.0})
+
+
 def test_generate_rejects_negative_count():
     with pytest.raises(ValueError):
         generate(preset("int-heavy"), -1)
