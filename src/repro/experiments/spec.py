@@ -434,13 +434,17 @@ class SweepSpec(SpecLoader):
                 raise ValueError(f"axis {axis!r} must list at least one value")
             if len(set(map(repr, values))) != len(values):
                 raise ValueError(f"axis {axis!r} contains duplicate values")
-        # Expand the grid once now so every point-level constraint (unknown
-        # preset, bad FU variant, reserved_slots vs issue_width, …)
-        # surfaces at load time as a clean ValueError, not mid-sweep.
-        self.points()
+        # Check every point once, now, so each point-level constraint
+        # (unknown preset, bad FU variant, reserved_slots vs issue_width,
+        # …) surfaces at load time as a clean ValueError, not mid-sweep.
+        for point in self.points():
+            _validate_point(point)
 
     def points(self) -> list[RunPoint]:
-        """Expand the grid, seeds innermost so one config's seeds are adjacent."""
+        """Expand the grid, seeds innermost so one config's seeds are adjacent.
+
+        Only expands: the points were checked when the spec was built.
+        """
         out: list[RunPoint] = []
         for (
             preset_name,
@@ -490,6 +494,5 @@ class SweepSpec(SpecLoader):
                 checkpoint_overhead=self.checkpoint_overhead,
                 fault_model=fault_model,
             )
-            _validate_point(point)
             out.append(point)
         return out

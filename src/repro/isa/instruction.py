@@ -7,6 +7,12 @@ address (for memory ops) and resolved outcome (for branches).  The dynamic
 execution state (issue time, completion time, squash status, ...) lives in
 the core's per-in-flight-instruction records, not here, so a single trace
 can be replayed through many core models.
+
+Trace ops are read-only.  A trace may hold one object many times (the
+synthetic generator hands out one shared op per plain static slot and
+four per branch slot), and one trace is replayed through several cores,
+so assigning to a field would change other instances and other runs.
+Build a changed copy with :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from repro.isa.registers import reg_name
 
 @dataclass(slots=True)
 class MicroOp:
-    """One trace instruction.
+    """One trace instruction; read-only once it is in a trace (see the
+    module docstring).
 
     Attributes:
         op: Operation class.

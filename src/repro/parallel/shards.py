@@ -9,8 +9,9 @@ pieces (:mod:`repro.experiments.runner`).
 
 Each worker reconstructs its slice of the monolithic run exactly:
 
-* the main op stream via :meth:`TraceGenerator.fast_forward` — shard *k*
-  synthesizes ``trace[fetch_start:end]`` without building the prefix;
+* the main op stream via :func:`~repro.workloads.synthetic.generate_window`
+  — shard *k* synthesizes ``trace[fetch_start:end]`` without building the
+  prefix;
 * wrong-path streams via :class:`OffsetWrongPathSource`, which re-keys
   each branch's stream by its *monolithic* sequence number, so a shard
   fetches byte-identical wrong-path work to the monolithic run;
@@ -43,7 +44,7 @@ from repro.experiments.spec import DEFAULT_WRONG_PATH_DEPTH, run_params
 from repro.obs import ObsSession, PipelineTracer
 from repro.parallel.merge import merge_core_stats
 from repro.workloads import WorkloadProfile, WrongPathGenerator
-from repro.workloads.synthetic import TraceGenerator
+from repro.workloads.synthetic import generate_window
 
 #: Default warm-start prefix (ops) for shards with index >= 1.  Sized on
 #: the big-core bench trace (branchy, 100k ops, 200-cycle memory): the
@@ -163,11 +164,9 @@ def _execute_shard(task: _ShardTask) -> _ShardResult:
     started = time.perf_counter()
     try:
         with wall_clock_limit(task.timeout_s):
-            generator = TraceGenerator(task.profile, seed=task.seed)
-            generator.fast_forward(window.fetch_start)
-            trace = [
-                generator.next_op() for _ in range(window.warmup + window.length)
-            ]
+            trace = generate_window(
+                task.profile, window.fetch_start, window.warmup + window.length, task.seed
+            )
             wp_source = (
                 OffsetWrongPathSource(task.profile, task.seed, window.fetch_start)
                 if task.cores[0][1].model_wrong_path
@@ -314,7 +313,20 @@ def run_sharded_experiment(
     ``"sharding"`` block is appended describing the split and per-shard
     wall times.  With ``shards == 1`` everything runs in-process with zero
     warmup and the result is bit-identical to the monolithic path.
+
+    Raises:
+        ValueError: if ``obs`` or ``params`` asks for interval telemetry,
+            at any shard count: no shard records it, and a warm-start
+            window cannot sample it.
     """
+    interval = (obs.telemetry_interval if obs is not None else 0) or (
+        params.telemetry_interval if params is not None else 0
+    )
+    if interval:
+        raise ValueError(
+            f"telemetry_interval={interval} needs one continuous run; "
+            "a sharded run records no telemetry (use run_experiment)"
+        )
     if store_alias_fraction is not None:
         profile = replace(profile, store_alias_fraction=store_alias_fraction)
     windows = plan_shards(num_ops, shards, warmup if shards > 1 else 0)

@@ -69,9 +69,11 @@ class WorkloadProfile:
             raise ValueError("mix must not be empty")
         if (
             any(not 0 <= weight < math.inf for weight in self.mix.values())
-            or sum(self.mix.values()) <= 0
+            or not 0 < sum(self.mix.values()) < math.inf
         ):
-            raise ValueError("mix weights must be finite and non-negative with a positive sum")
+            raise ValueError(
+                "mix weights must be finite and non-negative with a positive, finite sum"
+            )
         for name in (
             "dep_fraction",
             "mispredict_rate",

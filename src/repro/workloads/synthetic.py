@@ -15,26 +15,28 @@ Traces are pure functions of ``(profile, num_ops, seed)``: one private
 :class:`random.Random` instance drives both phases, so identical inputs
 give identical traces — the determinism the experiment harness and the
 test suite both rely on.
+
+**Trace ops are shared, so they are read-only.**  Only loads and stores
+are new objects per instance.  Every instance of a plain slot (a NOP or
+any op that is neither a memory op nor a branch) is the same
+:class:`MicroOp`, and every instance of a branch slot is one of four, one
+per combination of taken and mispredicted.  An op assigned to in place
+would change every instance of its slot, in this trace and in any other
+trace taken from the same generator; build a changed copy with
+:func:`dataclasses.replace` instead.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect
+from bisect import bisect, bisect_left
 from collections import deque
 from dataclasses import dataclass
 
 from repro.isa.instruction import MicroOp
 from repro.isa.opcodes import OpClass, is_fp
-from repro.isa.registers import (
-    FP_REG_BASE,
-    NUM_FP_REGS,
-    NUM_INT_REGS,
-    REG_ZERO,
-    fp_reg,
-    int_reg,
-)
+from repro.isa.registers import FP_REG_BASE, NUM_FP_REGS, NUM_INT_REGS, REG_ZERO
 from repro.memory.cache import LINE_BYTES as _LINE_BYTES
 from repro.workloads.profiles import WorkloadProfile
 
@@ -62,6 +64,12 @@ _ALIAS_STRIDE_LINES = 64
 _MIN_PERIOD = 3
 _MAX_PERIOD = 8
 
+#: Kinds of static slot that draw or build, fixed when the program is
+#: built: a branch draws its outcome, an unpaired load or store draws its
+#: address, and a paired one computes it.  A plain slot (a NOP or any op
+#: that is neither a memory op nor a branch) does neither.
+_BRANCH, _MEM, _ALIAS = range(3)
+
 
 @dataclass(slots=True)
 class _StaticOp:
@@ -81,13 +89,60 @@ class _StaticOp:
 
 
 class TraceGenerator:
-    """Stateful generator for one trace (one RNG, one static program)."""
+    """Stateful generator for one trace (one RNG, one static program).
+
+    :meth:`take` emits the next ops of the looped program and
+    :meth:`fast_forward` skips them; both continue where the last call
+    stopped, so any split of a trace into takes and skips emits the ops a
+    single :func:`generate` would.
+
+    **Draw contract.**  One ``random.Random(seed)`` makes every draw.
+    Each slot of the static program, in order, makes the draws these
+    ``random.Random`` calls would make:
+
+    * its class: ``choices(classes, weights)``, one ``random()``;
+    * each source (one for a branch or a load, two otherwise), once a
+      destination of its register file has been drawn (a load's own
+      included): ``random() < dep_fraction`` and, when that holds,
+      ``choice`` over the last ``dep_window`` destinations of that file;
+    * a destination, after the sources but before a load's source:
+      ``randrange(1, 32)`` for an integer one, ``randrange(32)`` for a
+      floating-point one;
+    * a branch, after its source: ``randint(3, 8)`` for its period,
+      ``random() < taken_rate`` for loop-like, ``randint(2, 64)`` for
+      its target distance in words.
+
+    With a nonzero ``store_alias_fraction``, each store then draws
+    ``random() < store_alias_fraction`` and, when that holds,
+    ``randrange(len(free))`` for a still-unpaired later load (pairing
+    stops at the first store with none left).  Op *i* of the trace, an
+    instance of slot ``i % loop_ops``, then makes in order:
+
+    * a branch: ``random() < outcome_noise`` (a break from the slot's
+      periodic outcome), then ``random() < mispredict_rate``;
+    * a load or store outside an alias pair: ``random() <
+      cold_fraction``, then, unless that holds (the op takes the next line
+      of the cold stream), ``randrange(hot_lines)`` for a hot-set line;
+    * nothing else draws: plain ops and alias-paired loads and stores.
+
+    The body draws through ``getrandbits`` directly: ``choices`` is a
+    bisect over cumulative weights, ``choice`` and ``randrange(n)`` are
+    CPython's ``_randbelow(n)`` rejection loop (``k = n.bit_length()``
+    bits, redrawn while the value is ``>= n``), and ``randint(a, b)`` and
+    ``randrange(a, b)`` add ``a`` to it.  ``tests/test_workloads.py`` pins
+    a digest of traces recorded through those calls, and
+    ``tests/test_core_wrong_path.py`` checks on the running CPython that
+    the written-out draws still draw what the calls draw.
+    """
 
     def __init__(self, profile: WorkloadProfile, seed: int = 0):
         self.profile = profile
         self._rng = random.Random(seed)
         self._ops = tuple(profile.mix.keys())
-        self._weights = tuple(profile.mix.values())
+        # Cumulative weights reproduce random.choices() exactly (see
+        # WrongPathGenerator).
+        self._cum_weights = list(itertools.accumulate(profile.mix.values()))
+        self._total_weight = self._cum_weights[-1] + 0.0
         self._recent_int: deque[int] = deque(maxlen=profile.dep_window)
         self._recent_fp: deque[int] = deque(maxlen=profile.dep_window)
         self._cold_ptr = _COLD_BASE
@@ -98,26 +153,37 @@ class TraceGenerator:
         if profile.store_alias_fraction:
             self._assign_alias_pairs()
         self._index = 0
+        self._build_emission()
 
     # -------------------------------------------------------- static program
+
+    def _below(self, n: int) -> int:
+        """``randrange(n)``: CPython's ``_randbelow`` rejection loop."""
+        bits = self._rng.getrandbits
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
 
     def _pick_src(self, fp: bool) -> int:
         recent = self._recent_fp if fp else self._recent_int
         if recent and self._rng.random() < self.profile.dep_fraction:
-            return self._rng.choice(tuple(recent))
+            return recent[self._below(len(recent))]
         return REG_ZERO  # architecturally ready, creates no dependency
 
     def _pick_dest(self, fp: bool) -> int:
         if fp:
-            dest = fp_reg(self._rng.randrange(NUM_FP_REGS))
+            dest = FP_REG_BASE + self._below(NUM_FP_REGS)
             self._recent_fp.append(dest)
         else:
-            dest = int_reg(self._rng.randrange(1, NUM_INT_REGS))  # never r0
+            dest = 1 + self._below(NUM_INT_REGS - 1)  # never r0
             self._recent_int.append(dest)
         return dest
 
     def _build_static(self, slot: int) -> _StaticOp:
-        op = self._rng.choices(self._ops, weights=self._weights)[0]
+        draw = self._rng.random() * self._total_weight
+        op = self._ops[bisect(self._cum_weights, draw, 0, len(self._ops) - 1)]
         pc = _CODE_BASE + 4 * slot
         if op is OpClass.NOP:
             return _StaticOp(op=op, pc=pc)
@@ -126,9 +192,9 @@ class TraceGenerator:
                 op=op,
                 pc=pc,
                 srcs=(self._pick_src(fp=False),),
-                period=self._rng.randint(_MIN_PERIOD, _MAX_PERIOD),
+                period=_MIN_PERIOD + self._below(_MAX_PERIOD - _MIN_PERIOD + 1),
                 loop_like=self._rng.random() < self.profile.taken_rate,
-                target=pc + 4 * self._rng.randint(2, 64),
+                target=pc + 4 * (2 + self._below(63)),
             )
         if op is OpClass.LOAD:
             return _StaticOp(
@@ -172,98 +238,162 @@ class TraceGenerator:
                 free_loads.pop(0)
             if not free_loads:
                 break
-            load_index = free_loads.pop(rng.randrange(len(free_loads)))
+            load_index = free_loads.pop(self._below(len(free_loads)))
             static.alias_pair = next_pair
             program[load_index].alias_pair = next_pair
             next_pair += 1
 
     # ------------------------------------------------------ dynamic instances
 
-    def _pick_addr(self) -> int:
-        if self._rng.random() < self.profile.cold_fraction:
-            addr = self._cold_ptr
-            self._cold_ptr += _LINE_BYTES  # fresh line: compulsory miss
-            return addr
-        return _HOT_BASE + _LINE_BYTES * self._rng.randrange(self.profile.hot_lines)
+    def _build_emission(self) -> None:
+        """Fix each slot's kind and build its shared ops.
 
-    def next_op(self) -> MicroOp:
-        """Instantiate the next dynamic micro-op of the looped program."""
-        static = self._program[self._index % len(self._program)]
-        iteration = self._index // len(self._program)
-        self._index += 1
-        if static.op is OpClass.NOP:
-            return MicroOp(op=static.op, pc=static.pc)
-        if static.op is OpClass.BRANCH:
-            on_period = iteration % static.period == static.period - 1
-            taken = (not on_period) if static.loop_like else on_period
-            if self._rng.random() < self.profile.outcome_noise:
-                taken = not taken  # data-dependent break from the pattern
-            return MicroOp(
-                op=static.op,
-                srcs=static.srcs,
-                pc=static.pc,
-                taken=taken,
-                target=static.target if taken else None,
-                mispredicted=self._rng.random() < self.profile.mispredict_rate,
-            )
-        if static.op is OpClass.LOAD or static.op is OpClass.STORE:
-            pair = static.alias_pair
-            if pair is None:
-                addr = self._pick_addr()
-            else:
-                # Both halves of the pair compute the same address for the
-                # same iteration (no RNG draw — the pairing replaced it),
-                # stepping through a small resident window of lines.
-                addr = _ALIAS_BASE + _LINE_BYTES * (
-                    pair * _ALIAS_STRIDE_LINES + iteration % _ALIAS_WINDOW
+        ``_shared`` holds each plain slot's one op, and ``None`` at every
+        other slot; ``_dynamic`` holds ``(slot, kind, record)`` for every
+        other slot in program order, and ``_dynamic_slots`` their slots.
+        """
+        shared: list[MicroOp | None] = []
+        dynamic: list[tuple[int, int, tuple]] = []
+        micro_op = MicroOp  # fields: op, dest, srcs, pc, addr, taken, target, mispredicted
+        for slot, static in enumerate(self._program):
+            op, srcs, pc = static.op, static.srcs, static.pc
+            if op is OpClass.BRANCH:
+                target = static.target
+                taken = (
+                    micro_op(op, None, srcs, pc, None, True, target, False),
+                    micro_op(op, None, srcs, pc, None, True, target, True),
                 )
-            return MicroOp(
-                op=static.op,
-                dest=static.dest,
-                srcs=static.srcs,
-                pc=static.pc,
-                addr=addr,
-            )
-        return MicroOp(op=static.op, dest=static.dest, srcs=static.srcs, pc=static.pc)
+                not_taken = (
+                    micro_op(op, None, srcs, pc, None, False, None, False),
+                    micro_op(op, None, srcs, pc, None, False, None, True),
+                )
+                # Indexed by whether the iteration is on the slot's period:
+                # a loop-like branch falls through there, a skip-like one
+                # is taken there.
+                outcomes = (taken, not_taken) if static.loop_like else (not_taken, taken)
+                dynamic.append((slot, _BRANCH, (static.period, outcomes)))
+            elif op is OpClass.LOAD or op is OpClass.STORE:
+                record = (op, static.dest, srcs, pc)
+                if static.alias_pair is None:
+                    dynamic.append((slot, _MEM, record))
+                else:
+                    # The pair's region; the iteration picks a line in it.
+                    base = _ALIAS_BASE + _LINE_BYTES * _ALIAS_STRIDE_LINES * static.alias_pair
+                    dynamic.append((slot, _ALIAS, (*record, base)))
+            else:
+                shared.append(micro_op(op, static.dest, srcs, pc))
+                continue
+            shared.append(None)
+        self._shared = shared
+        self._dynamic = dynamic
+        self._dynamic_slots = [slot for slot, _, _ in dynamic]
+
+    def take(self, count: int) -> list[MicroOp]:
+        """Emit the next ``count`` ops of the looped program.
+
+        One pass per loop iteration (or part of one): the plain slots'
+        shared ops are copied in one slice, then each other slot in the
+        pass makes its draws in program order and fills its place.
+        """
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        profile = self.profile
+        noise = profile.outcome_noise
+        mispredict = profile.mispredict_rate
+        cold = profile.cold_fraction
+        hot_lines = profile.hot_lines
+        hot_bits = hot_lines.bit_length()  # what _randbelow(hot_lines) draws
+        draw = self._rng.random
+        bits = self._rng.getrandbits
+        shared = self._shared
+        dynamic = self._dynamic
+        dynamic_slots = self._dynamic_slots
+        n = len(shared)
+        micro_op = MicroOp  # positional fields: op, dest, srcs, pc, addr
+        cold_ptr = self._cold_ptr
+        out: list[MicroOp] = []
+        index = self._index
+        end = index + count
+        while index < end:
+            iteration, first = divmod(index, n)
+            stop = min(n, first + end - index)
+            offset = len(out) - first
+            out += shared[first:stop]  # None where a slot draws or builds
+            alias_line = _LINE_BYTES * (iteration % _ALIAS_WINDOW)
+            lo = bisect_left(dynamic_slots, first)
+            hi = bisect_left(dynamic_slots, stop)
+            for slot, kind, record in dynamic[lo:hi]:
+                if kind == _BRANCH:
+                    period, outcomes = record
+                    phase = iteration % period == period - 1
+                    if draw() < noise:
+                        phase = not phase  # data-dependent break from the pattern
+                    out[offset + slot] = outcomes[phase][draw() < mispredict]
+                elif kind == _MEM:
+                    if draw() < cold:
+                        addr = cold_ptr
+                        cold_ptr += _LINE_BYTES  # fresh line: compulsory miss
+                    else:
+                        r = bits(hot_bits)
+                        while r >= hot_lines:
+                            r = bits(hot_bits)
+                        addr = _HOT_BASE + _LINE_BYTES * r
+                    op, dest, srcs, pc = record
+                    out[offset + slot] = micro_op(op, dest, srcs, pc, addr)
+                else:
+                    # Both halves of the pair compute the same address for
+                    # the same iteration (no draw: the pairing replaced
+                    # it), stepping through a small resident window.
+                    op, dest, srcs, pc, base = record
+                    out[offset + slot] = micro_op(op, dest, srcs, pc, base + alias_line)
+            index += stop - first
+        self._index = index
+        self._cold_ptr = cold_ptr
+        return out
 
     def fast_forward(self, count: int) -> None:
         """Advance past ``count`` ops without materializing them.
 
-        Replays exactly the RNG draws and pointer updates :meth:`next_op`
-        performs per static slot — two ``random()`` draws for a branch, one
-        cold-check draw plus either a hot ``randrange`` or a cold-pointer
-        bump for an unpaired load/store, nothing for anything else — so a
-        subsequent :meth:`next_op` returns precisely the op a fresh
-        generator would produce at this offset.  This is what lets a shard
-        worker resynthesize its trace window in O(offset) RNG draws instead
-        of building (and discarding) every earlier micro-op.
+        Makes exactly the draws and cold-pointer steps :meth:`take` makes
+        for the same ops, in the same order, so a later :meth:`take`
+        returns precisely the ops a fresh generator would emit at this
+        offset.  This is what lets a shard worker resynthesize its trace
+        window in O(offset) draws instead of building (and discarding)
+        every earlier micro-op.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        program = self._program
-        n = len(program)
         profile = self.profile
-        rng_random = self._rng.random
-        rng_randrange = self._rng.randrange
-        cold_fraction = profile.cold_fraction
+        cold = profile.cold_fraction
         hot_lines = profile.hot_lines
-        branch_cls = OpClass.BRANCH
-        load_cls = OpClass.LOAD
-        store_cls = OpClass.STORE
+        hot_bits = hot_lines.bit_length()
+        draw = self._rng.random
+        bits = self._rng.getrandbits
+        dynamic = self._dynamic
+        dynamic_slots = self._dynamic_slots
+        n = len(self._program)
+        cold_ptr = self._cold_ptr
         index = self._index
-        for _ in range(count):
-            static = program[index % n]
-            index += 1
-            op = static.op
-            if op is branch_cls:
-                rng_random()  # outcome-noise draw
-                rng_random()  # mispredict draw
-            elif (op is load_cls or op is store_cls) and static.alias_pair is None:
-                if rng_random() < cold_fraction:
-                    self._cold_ptr += _LINE_BYTES
-                else:
-                    rng_randrange(hot_lines)
+        end = index + count
+        while index < end:
+            first = index % n
+            stop = min(n, first + end - index)
+            lo = bisect_left(dynamic_slots, first)
+            hi = bisect_left(dynamic_slots, stop)
+            for _, kind, _ in dynamic[lo:hi]:
+                if kind == _BRANCH:
+                    draw()  # outcome noise
+                    draw()  # mispredict
+                elif kind == _MEM:
+                    if draw() < cold:
+                        cold_ptr += _LINE_BYTES
+                    else:
+                        r = bits(hot_bits)
+                        while r >= hot_lines:
+                            r = bits(hot_bits)
+            index += stop - first
         self._index = index
+        self._cold_ptr = cold_ptr
 
 
 #: Wrong-path data accesses land here by default: a region disjoint from
@@ -470,8 +600,7 @@ def generate(profile: WorkloadProfile, num_ops: int, seed: int = 0) -> list[Micr
     """Generate a deterministic trace of ``num_ops`` micro-ops."""
     if num_ops < 0:
         raise ValueError(f"num_ops must be non-negative, got {num_ops}")
-    generator = TraceGenerator(profile, seed=seed)
-    return [generator.next_op() for _ in range(num_ops)]
+    return TraceGenerator(profile, seed=seed).take(num_ops)
 
 
 def generate_window(
@@ -490,4 +619,4 @@ def generate_window(
         raise ValueError(f"count must be non-negative, got {count}")
     generator = TraceGenerator(profile, seed=seed)
     generator.fast_forward(start)
-    return [generator.next_op() for _ in range(count)]
+    return generator.take(count)

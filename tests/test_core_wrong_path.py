@@ -1,8 +1,11 @@
 """Wrong-path execution: fetch past mispredicts, resource waste, squash."""
 
 import hashlib
+import itertools
 import random
 import re
+from bisect import bisect
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -310,10 +313,12 @@ def test_wrong_path_streams_are_pinned():
 
 
 def test_written_out_draws_match_random_random_calls():
-    """The generator writes `choice(seq)`, `randrange(n)` and
-    `randrange(1, 32)` out as `_randbelow`'s getrandbits rejection loop.
-    The pinned digest cannot see a CPython whose `_randbelow` differs (the
-    generator no longer calls it); this check, run on each CPython, can."""
+    """Both generators write their `random.Random` calls out: `choice(seq)`,
+    `randrange(n)`, `randrange(1, 32)` and `randint(a, b)` as `_randbelow`'s
+    getrandbits rejection loop, and `choices(ops, weights)` as a bisect
+    over cumulative weights.  The pinned digests cannot see a CPython whose
+    `_randbelow` or `choices` differs (the generators no longer call
+    them); this check, run on each CPython, can."""
 
     def below(rng: random.Random, n: int) -> int:
         k = n.bit_length()
@@ -325,10 +330,25 @@ def test_written_out_draws_match_random_random_calls():
     for n in (1, 2, 3, 5, 8, 31, 32, 300, 4096):
         calls, written_out = random.Random(n), random.Random(n)
         recent = list(range(100, 100 + n))
+        window = deque(recent, maxlen=n)
         for _ in range(100):
             assert calls.randrange(n) == below(written_out, n)
             assert calls.choice(recent) == recent[below(written_out, n)]
             assert calls.randrange(1, 32) == 1 + below(written_out, 31)
+            assert calls.randrange(32) == below(written_out, 32)
+            assert calls.randint(3, 8) == 3 + below(written_out, 6)
+            assert calls.randint(2, 64) == 2 + below(written_out, 63)
+            assert calls.choice(tuple(window)) == window[below(written_out, n)]
+    mixes = [preset(name).mix for name in PRESET_NAMES]
+    mixes.append({OpClass.FALU: 0.0, OpClass.NOP: 2.5, OpClass.LOAD: 1})
+    for seed, mix in enumerate(mixes):
+        ops, weights = tuple(mix), tuple(mix.values())
+        cum_weights = list(itertools.accumulate(weights))
+        total = cum_weights[-1] + 0.0
+        calls, written_out = random.Random(seed), random.Random(seed)
+        for _ in range(1_000):
+            drawn = ops[bisect(cum_weights, written_out.random() * total, 0, len(ops) - 1)]
+            assert calls.choices(ops, weights=weights)[0] is drawn
 
 
 def test_interleaved_iterators_draw_like_separate_streams():

@@ -41,9 +41,7 @@ def test_fast_forward_composes():
     chunked.fast_forward(250)
     direct = TraceGenerator(profile, seed=5)
     direct.fast_forward(350)
-    assert [chunked.next_op() for _ in range(50)] == [
-        direct.next_op() for _ in range(50)
-    ]
+    assert chunked.take(50) == direct.take(50)
 
 
 def test_fast_forward_zero_is_identity():
@@ -51,9 +49,30 @@ def test_fast_forward_zero_is_identity():
     skipped = TraceGenerator(profile, seed=0)
     skipped.fast_forward(0)
     fresh = TraceGenerator(profile, seed=0)
-    assert [skipped.next_op() for _ in range(20)] == [
-        fresh.next_op() for _ in range(20)
-    ]
+    assert skipped.take(20) == fresh.take(20)
+
+
+@pytest.mark.parametrize("name", ["branchy", "memory-bound"])
+def test_take_and_fast_forward_compose_across_loop_iterations(name):
+    # Chunks that start and stop mid-iteration, an empty one, and skips
+    # between them: the generator's slot, iteration and cold pointer must
+    # carry across every call.
+    profile = replace(preset(name), loop_ops=97, store_alias_fraction=0.5)
+    full = generate(profile, 2_000, seed=9)
+    generator = TraceGenerator(profile, seed=9)
+    pieces = []
+    for skip, count in ((0, 30), (0, 0), (5, 97), (200, 1), (0, 400), (66, 300)):
+        generator.fast_forward(skip)
+        start = generator._index
+        pieces.append((start, generator.take(count)))
+    for start, piece in pieces:
+        assert piece == full[start : start + len(piece)]
+
+
+def test_take_rejects_negative_count():
+    generator = TraceGenerator(preset("int-heavy"), seed=0)
+    with pytest.raises(ValueError):
+        generator.take(-1)
 
 
 def test_fast_forward_rejects_negative_count():

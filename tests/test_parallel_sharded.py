@@ -18,6 +18,7 @@ import pytest
 from repro.cli import main, run_experiment
 from repro.core.core import SuperscalarCore
 from repro.core.params import CheckerParams, CoreParams
+from repro.obs import ObsSession
 from repro.parallel import plan_shards, run_sharded_experiment
 from repro.workloads import PRESETS, WrongPathGenerator, generate
 
@@ -216,6 +217,21 @@ def test_sharded_result_has_run_experiment_shape():
     assert set(sharded["unchecked"]) == set(mono["unchecked"])
     assert set(sharded["checked"]) == set(mono["checked"])
     assert sharded["params"] == mono["params"]
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_sharded_run_rejects_a_telemetry_interval(shards):
+    """run_experiment records a session's telemetry.  A sharded run used
+    to drop it silently, and to fail a warm shard only after the others
+    ran when the params asked for it; it refuses both up front."""
+    with pytest.raises(ValueError, match="telemetry_interval"):
+        run_sharded_experiment(
+            BRANCHY, num_ops=2_000, shards=shards, obs=ObsSession(telemetry_interval=200)
+        )
+    with pytest.raises(ValueError, match="telemetry_interval"):
+        run_sharded_experiment(
+            BRANCHY, num_ops=2_000, shards=shards, params=CoreParams(telemetry_interval=200)
+        )
 
 
 def test_sharded_fault_detection_is_preserved():

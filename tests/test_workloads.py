@@ -1,9 +1,90 @@
 """Synthetic workload generator: determinism, mix control, well-formed uops."""
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
-from repro.isa import OpClass, is_fp_reg
-from repro.workloads import PRESETS, WorkloadProfile, generate, preset
+from repro.isa import MicroOp, OpClass, is_fp_reg
+from repro.workloads import PRESET_NAMES, PRESETS, WorkloadProfile, generate, preset
+
+# ------------------------------------------------------------- pinned traces
+
+#: sha256 of every op of the traces `_pinned_traces` generates: the four
+#: presets, store aliasing at 0.4 and 1.0, hot sets of 1 and 300 lines (a
+#: rejection loop that redraws), loops of 1 and 7 slots, an FP-only and a
+#: NOP-heavy mix, one-deep dependences on every source, branch noise and
+#: mispredict rates at 0 and at 1, and an all-cold stream, each at three
+#: seeds.  Recorded from the generator that built a fresh `MicroOp` per op
+#: and drew through `random.Random`'s `choices`, `randint`, `randrange`,
+#: `choice` and `random` calls; a change to any draw, to its order or to
+#: the ops built from it changes it.  Re-record it only with a change that
+#: declares a model change: `PYTHONPATH=src python tests/test_workloads.py`.
+TRACES_SHA256 = "19ac67e2722a140063b3c3a48fa7e859fdb96281cb6f33c29bcd13fc0c4420b0"
+
+
+def _op_key(uop: MicroOp) -> tuple:
+    # The same fields, in the same order, as tests/test_core_wrong_path.py.
+    return (
+        uop.op.name,
+        uop.dest,
+        uop.srcs,
+        uop.pc,
+        uop.addr,
+        uop.taken,
+        uop.target,
+        uop.mispredicted,
+    )
+
+
+def _pin_profiles() -> list[WorkloadProfile]:
+    memory_bound = preset("memory-bound")
+    branchy = preset("branchy")
+    return [
+        *(preset(name) for name in PRESET_NAMES),
+        replace(memory_bound, name="alias-0.4", store_alias_fraction=0.4),
+        replace(memory_bound, name="alias-1", store_alias_fraction=1.0),
+        replace(memory_bound, name="hot-1", hot_lines=1),
+        replace(memory_bound, name="hot-300", hot_lines=300),
+        replace(branchy, name="loop-1", loop_ops=1),
+        replace(branchy, name="loop-7", loop_ops=7),
+        replace(memory_bound, name="loop-7-alias", loop_ops=7, store_alias_fraction=1.0),
+        WorkloadProfile(
+            name="fp-only", mix={OpClass.FALU: 0.5, OpClass.FMUL: 0.3, OpClass.FDIV: 0.2}
+        ),
+        WorkloadProfile(
+            name="nop-heavy",
+            mix={
+                OpClass.NOP: 0.7,
+                OpClass.IALU: 0.1,
+                OpClass.LOAD: 0.1,
+                OpClass.STORE: 0.05,
+                OpClass.BRANCH: 0.05,
+            },
+        ),
+        replace(preset("int-heavy"), name="dep-1", dep_window=1, dep_fraction=1.0),
+        replace(branchy, name="exact", outcome_noise=0.0, mispredict_rate=0.0),
+        replace(branchy, name="inverted", outcome_noise=1.0, mispredict_rate=1.0),
+        replace(memory_bound, name="all-cold", cold_fraction=1.0),
+    ]
+
+
+def _pinned_traces():
+    for profile in _pin_profiles():
+        for seed in (0, 1, 47):
+            yield generate(profile, 3_000, seed=seed)
+
+
+def _traces_digest() -> str:
+    digest = hashlib.sha256()
+    for trace in _pinned_traces():
+        assert len(trace) == 3_000
+        digest.update(repr([_op_key(op) for op in trace]).encode())
+    return digest.hexdigest()
+
+
+def test_traces_are_pinned():
+    assert _traces_digest() == TRACES_SHA256
 
 
 def test_generation_is_deterministic_in_profile_and_seed():
@@ -119,6 +200,13 @@ def test_non_finite_mix_weights_fail_at_construction(weight):
         WorkloadProfile(name="bad", mix={OpClass.IALU: weight, OpClass.BRANCH: 1.0})
 
 
+def test_mix_weights_whose_sum_overflows_fail_at_construction():
+    """The class draw bisects the cumulative weights; with an infinite
+    total every draw would land on the last class instead of failing."""
+    with pytest.raises(ValueError, match="finite sum"):
+        WorkloadProfile(name="bad", mix={OpClass.IALU: 1e308, OpClass.BRANCH: 1e308})
+
+
 def test_generate_rejects_negative_count():
     with pytest.raises(ValueError):
         generate(preset("int-heavy"), -1)
@@ -205,3 +293,48 @@ def test_aliased_addresses_live_outside_hot_and_cold_regions():
     for addr in alias_addrs:
         assert _ALIAS_BASE <= addr < _COLD_BASE
         assert not (addr >= _COLD_BASE or _HOT_BASE <= addr < _ALIAS_BASE)
+
+
+# -------------------------------------------------------- shared trace ops
+
+
+def test_trace_ops_are_shared_and_no_run_changes_them():
+    """Every instance of a plain slot is one op and every instance of a
+    branch slot one of four, so trace ops must be read-only: runs of both
+    modes with faults, the wrong path and memdep on, and a run resumed
+    from a captured state, leave every op equal to a fresh copy."""
+    from repro.core import CheckerParams, CoreParams, SuperscalarCore
+    from repro.core.params import MemDepParams
+    from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
+    from repro.workloads import WrongPathGenerator
+
+    profile = replace(preset("memory-bound"), loop_ops=128, store_alias_fraction=0.4)
+    trace = generate(profile, 3_000, seed=5)
+    loop = profile.loop_ops
+    plain = next(s for s in range(loop) if not (trace[s].is_mem() or trace[s].is_branch()))
+    assert all(op is trace[plain] for op in trace[plain::loop])
+    branch = next(s for s in range(loop) if trace[s].is_branch())
+    assert len({id(op) for op in trace[branch::loop]}) <= 4
+    load = next(s for s in range(loop) if trace[s].op is OpClass.LOAD)
+    assert len({id(op) for op in trace[load::loop]}) == len(trace[load::loop])
+
+    def core(checked: bool, fault_rate: float = 0.0, site: int | None = None):
+        checker = CheckerParams(enabled=checked, fault_rate=fault_rate, force_fault_index=site)
+        return SuperscalarCore(
+            CoreParams(memdep=MemDepParams(enabled=True), checker=checker),
+            hierarchy=MemoryHierarchy(HierarchyParams(dcache_banks=4)),
+            wrong_path_source=WrongPathGenerator(profile, seed=5).iter_stream,
+        )
+
+    assert core(False).run(trace).wrong_path_fetched > 0
+    assert core(True, fault_rate=1e-2).run(trace).faults_injected > 0
+    leader = core(True)
+    leader.begin(trace)
+    leader.advance(lambda: leader.stats.committed >= 1_500)
+    resumed = core(True, site=leader.fault_injector.eligible + 100)
+    assert resumed.run(trace, start=leader.capture()).faults_injected == 1
+    assert trace == generate(profile, 3_000, seed=5)
+
+
+if __name__ == "__main__":
+    print(_traces_digest())
