@@ -87,10 +87,3 @@ class CombiningPredictor:
         if taken:
             self.btb.update(pc, target)
         return mispredicted
-
-    @property
-    def misprediction_rate(self) -> float:
-        """Fraction of lookups that were mispredicted so far."""
-        if not self.lookups:
-            return 0.0
-        return self.mispredictions / self.lookups

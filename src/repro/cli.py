@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -52,12 +53,18 @@ from repro.experiments import (
     write_csv_tables,
 )
 from repro.experiments.campaign import DEFAULT_CAMPAIGN_JSON, DEFAULT_CAMPAIGN_STORE
-from repro.experiments.spec import DEFAULT_WRONG_PATH_DEPTH
+from repro.experiments.spec import (
+    DEFAULT_FAULT_RATE,
+    DEFAULT_OPS,
+    DEFAULT_WRONG_PATH_DEPTH,
+    run_params,
+)
 from repro.faults.models import FAULT_MODELS as _FAULT_MODELS
 from repro.isa.opcodes import FUClass
+from repro.memory.hierarchy import HierarchyParams
 from repro.obs import MetricsRegistry, ObsSession
 from repro.obs.telemetry import render_table as render_telemetry_table
-from repro.parallel import DEFAULT_SHARD_WARMUP, run_sharded_experiment
+from repro.parallel import run_sharded_experiment
 from repro.workloads import PRESET_NAMES, PRESETS
 
 #: Subcommand names — anything else in argv[0] position is legacy ``run``.
@@ -159,6 +166,8 @@ def format_report(result: dict) -> str:
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    # Each knob flag defaults to its field of the Table 1 machine.
+    core, hierarchy = CoreParams(), HierarchyParams()
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
         "--preset", choices=PRESET_NAMES, default="int-heavy", help="workload scenario"
@@ -166,7 +175,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--all-presets", action="store_true", help="run every bundled scenario"
     )
-    parser.add_argument("--ops", type=int, default=20_000, help="trace length")
+    parser.add_argument("--ops", type=int, default=DEFAULT_OPS, help="trace length")
     parser.add_argument("--seed", type=int, default=0, help="workload RNG seed")
     parser.add_argument(
         "--check",
@@ -176,7 +185,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fault-rate",
         type=float,
-        default=1e-4,
+        default=DEFAULT_FAULT_RATE,
         help="per-op transient-fault probability in the checked run",
     )
     fault_group = parser.add_argument_group(
@@ -189,26 +198,26 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     fault_group.add_argument(
         "--fault-model",
         choices=_FAULT_MODELS,
-        default="transient",
+        default=core.checker.fault_model,
         help="fault model for the checked run",
     )
     fault_group.add_argument(
         "--fault-burst",
         type=int,
-        default=4,
+        default=core.checker.fault_burst,
         metavar="OPS",
         help="consecutive eligible ops corrupted per intermittent trigger",
     )
     fault_group.add_argument(
         "--fault-fu",
         choices=tuple(cls.name for cls in FUClass),
-        default="IALU",
+        default=core.checker.fault_fu,
         help="FU class the stuck-fu model breaks",
     )
     fault_group.add_argument(
         "--fault-repair-cycles",
         type=int,
-        default=200,
+        default=core.checker.fault_repair_cycles,
         metavar="CYCLES",
         help="cycles until a stuck FU is repaired",
     )
@@ -231,7 +240,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--frontend-depth",
         type=int,
-        default=0,
+        default=core.frontend_depth,
         help=(
             "extra fetch-to-issue pipeline stages (0 = legacy two-stage front "
             "end); deeper front ends widen the branch-resolution window and "
@@ -250,7 +259,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dcache-banks",
         type=int,
-        default=1,
+        default=hierarchy.dcache_banks,
         help=(
             "D-cache banks (1 = unbanked legacy model); with more, checker "
             "loads/stores compete with the primary stream for bank slots"
@@ -269,7 +278,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ssit-decay-cycles",
         type=int,
-        default=0,
+        default=core.memdep.ssit_decay_cycles,
         metavar="CYCLES",
         help=(
             "clear the store-set predictor's tables once per this many "
@@ -279,7 +288,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--checkpoint-interval",
         type=int,
-        default=0,
+        default=core.recovery.checkpoint_interval,
         metavar="COMMITS",
         help=(
             "take a verified-state checkpoint every COMMITS commits; fault "
@@ -368,7 +377,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     obs_group.add_argument(
         "--telemetry-interval",
         type=int,
-        default=0,
+        default=core.telemetry_interval,
         metavar="CYCLES",
         help=(
             "sample IPC/occupancy/slot-steal/checker-lag telemetry every "
@@ -577,41 +586,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_inputs(args: argparse.Namespace) -> tuple[CoreParams, list]:
+    """The base params and the profiles a run's knob flags ask for.
+
+    As for a sweep point, each object checks its own fields: ``run_params``
+    adds the fault rate and the wrong-path depth, the hierarchy params the
+    bank count, and the profiles the alias fraction.
+
+    Raises:
+        ValueError: naming the first field out of range.
+    """
+    overhead = {}
+    if args.checkpoint_overhead is not None:
+        overhead["checkpoint_overhead"] = args.checkpoint_overhead
+    params = CoreParams(
+        frontend_depth=args.frontend_depth,
+        checker=CheckerParams(
+            fault_model=args.fault_model,
+            fault_burst=args.fault_burst,
+            fault_fu=args.fault_fu,
+            fault_repair_cycles=args.fault_repair_cycles,
+        ),
+        memdep=MemDepParams(enabled=args.memdep, ssit_decay_cycles=args.ssit_decay_cycles),
+        recovery=RecoveryParams(checkpoint_interval=args.checkpoint_interval, **overhead),
+        telemetry_interval=args.telemetry_interval,
+    )
+    run_params(
+        params,
+        args.seed,
+        checked=True,
+        fault_rate=args.fault_rate,
+        wrong_path_depth=args.wrong_path_depth,
+    )
+    HierarchyParams(dcache_banks=args.dcache_banks)
+    names = PRESET_NAMES if args.all_presets else [args.preset]
+    profiles = [
+        PRESETS[name]
+        if args.store_alias_fraction is None
+        else replace(PRESETS[name], store_alias_fraction=args.store_alias_fraction)
+        for name in names
+    ]
+    return params, profiles
+
+
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if not 0.0 <= args.fault_rate <= 1.0:
-        parser.error(f"--fault-rate must be in [0, 1], got {args.fault_rate}")
     if args.ops < 0:
         parser.error(f"--ops must be non-negative, got {args.ops}")
-    if args.wrong_path_depth <= 0:
-        parser.error(f"--wrong-path-depth must be positive, got {args.wrong_path_depth}")
-    if args.frontend_depth < 0:
-        parser.error(f"--frontend-depth must be non-negative, got {args.frontend_depth}")
-    if args.dcache_banks <= 0:
-        parser.error(f"--dcache-banks must be positive, got {args.dcache_banks}")
-    if args.store_alias_fraction is not None and not 0.0 <= args.store_alias_fraction <= 1.0:
-        parser.error(
-            f"--store-alias-fraction must be in [0, 1], got {args.store_alias_fraction}"
-        )
-    if args.ssit_decay_cycles < 0:
-        parser.error(
-            f"--ssit-decay-cycles must be non-negative, got {args.ssit_decay_cycles}"
-        )
+    try:
+        params, profiles = _run_inputs(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.ssit_decay_cycles and not args.memdep:
         parser.error("--ssit-decay-cycles requires --memdep")
-    if args.checkpoint_interval < 0:
-        parser.error(
-            f"--checkpoint-interval must be non-negative, got {args.checkpoint_interval}"
-        )
     if args.checkpoint_overhead is not None and not args.checkpoint_interval:
         parser.error("--checkpoint-overhead requires --checkpoint-interval")
-    if args.checkpoint_overhead is not None and args.checkpoint_overhead < 0:
-        parser.error(
-            f"--checkpoint-overhead must be non-negative, got {args.checkpoint_overhead}"
-        )
-    if args.telemetry_interval < 0:
-        parser.error(
-            f"--telemetry-interval must be non-negative, got {args.telemetry_interval}"
-        )
     if args.telemetry_out and not args.telemetry_interval:
         parser.error("--telemetry-out requires --telemetry-interval")
     if args.shards < 1:
@@ -645,39 +673,6 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "observability outputs trace one experiment; drop --all-presets "
             "or run presets individually"
         )
-    if args.fault_burst < 1:
-        parser.error(f"--fault-burst must be >= 1, got {args.fault_burst}")
-    if args.fault_repair_cycles < 1:
-        parser.error(
-            f"--fault-repair-cycles must be >= 1, got {args.fault_repair_cycles}"
-        )
-    base_kwargs: dict = {}
-    # Off-default model knobs ride the base checker params; run_params
-    # layers enabled/fault_rate/fault_seed on top with replace(), so the
-    # model selection survives into the checked core.
-    fault_kwargs: dict = {}
-    if args.fault_model != "transient":
-        fault_kwargs["fault_model"] = args.fault_model
-    if args.fault_burst != 4:
-        fault_kwargs["fault_burst"] = args.fault_burst
-    if args.fault_fu != "IALU":
-        fault_kwargs["fault_fu"] = args.fault_fu
-    if args.fault_repair_cycles != 200:
-        fault_kwargs["fault_repair_cycles"] = args.fault_repair_cycles
-    if fault_kwargs:
-        base_kwargs["checker"] = CheckerParams(**fault_kwargs)
-    if args.frontend_depth:
-        base_kwargs["frontend_depth"] = args.frontend_depth
-    if args.memdep:
-        base_kwargs["memdep"] = MemDepParams(
-            enabled=True, ssit_decay_cycles=args.ssit_decay_cycles
-        )
-    if args.checkpoint_interval:
-        recovery_kwargs = {"checkpoint_interval": args.checkpoint_interval}
-        if args.checkpoint_overhead is not None:
-            recovery_kwargs["checkpoint_overhead"] = args.checkpoint_overhead
-        base_kwargs["recovery"] = RecoveryParams(**recovery_kwargs)
-    base_params = CoreParams(**base_kwargs) if base_kwargs else None
     obs = (
         ObsSession(
             trace_out=args.trace_out,
@@ -690,50 +685,29 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         if obs_requested
         else None
     )
-    names = list(PRESET_NAMES) if args.all_presets else [args.preset]
+    run, sharding = run_experiment, {}
     if args.shards > 1:
-        results = [
-            run_sharded_experiment(
-                PRESETS[name],
-                num_ops=args.ops,
-                seed=args.seed,
-                shards=args.shards,
-                warmup=(
-                    args.shard_warmup
-                    if args.shard_warmup is not None
-                    else DEFAULT_SHARD_WARMUP
-                ),
-                check=args.check,
-                fault_rate=args.fault_rate,
-                real_predictor=args.real_predictor,
-                wrong_path=not args.no_wrong_path,
-                wrong_path_depth=args.wrong_path_depth,
-                params=base_params,
-                dcache_banks=args.dcache_banks,
-                store_alias_fraction=args.store_alias_fraction,
-                workers=args.shard_workers,
-                obs=obs,
-            )
-            for name in names
-        ]
-    else:
-        results = [
-            run_experiment(
-                PRESETS[name],
-                num_ops=args.ops,
-                seed=args.seed,
-                check=args.check,
-                fault_rate=args.fault_rate,
-                real_predictor=args.real_predictor,
-                wrong_path=not args.no_wrong_path,
-                wrong_path_depth=args.wrong_path_depth,
-                params=base_params,
-                dcache_banks=args.dcache_banks,
-                store_alias_fraction=args.store_alias_fraction,
-                obs=obs,
-            )
-            for name in names
-        ]
+        run = run_sharded_experiment
+        sharding = {"shards": args.shards, "workers": args.shard_workers}
+        if args.shard_warmup is not None:
+            sharding["warmup"] = args.shard_warmup
+    results = [
+        run(
+            profile,
+            num_ops=args.ops,
+            seed=args.seed,
+            check=args.check,
+            fault_rate=args.fault_rate,
+            real_predictor=args.real_predictor,
+            wrong_path=not args.no_wrong_path,
+            wrong_path_depth=args.wrong_path_depth,
+            params=params,
+            dcache_banks=args.dcache_banks,
+            obs=obs,
+            **sharding,
+        )
+        for profile in profiles
+    ]
     payload = results if args.all_presets else results[0]
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -753,7 +727,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if obs is not None:
         written = obs.finish(
             metadata={
-                "preset": names[0],
+                "preset": profiles[0].name,
                 "ops": args.ops,
                 "seed": args.seed,
                 "check": args.check,

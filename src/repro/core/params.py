@@ -4,19 +4,31 @@
 system is configured separately through
 :class:`~repro.memory.hierarchy.HierarchyParams` and the checker through
 :class:`CheckerParams` so experiments can vary one axis at a time.
+
+Each field is declared once, with :func:`repro.util.knob`: its default,
+its valid range or choices, and whether ``to_dict`` emits it always or
+only off its default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from repro.core.recovery import RecoveryParams
 from repro.isa.opcodes import FUClass
+from repro.util import OFF_DEFAULT, Params, check_fields, knob
 
 
 def _table1_fus() -> dict[FUClass, int]:
     return {FUClass.IALU: 8, FUClass.IMUL: 2, FUClass.FALU: 2, FUClass.FMUL: 2}
+
+
+def _fault_models() -> tuple[str, ...]:
+    # Imported late: repro.faults imports this module.
+    from repro.faults.models import FAULT_MODELS
+
+    return FAULT_MODELS
 
 
 #: Checker issue-slot policies.  ``opportunistic`` is the paper's scheme —
@@ -28,7 +40,7 @@ SLOT_POLICIES: tuple[str, ...] = ("opportunistic", "reserved")
 
 
 @dataclass(slots=True)
-class CheckerParams:
+class CheckerParams(Params):
     """Configuration of the shared-resource checker.
 
     Attributes:
@@ -57,101 +69,29 @@ class CheckerParams:
     """
 
     enabled: bool = False
-    fault_rate: float = 0.0
+    fault_rate: float = knob(0.0, lo=0, hi=1)
     fault_seed: int = 7
-    force_fault_seqs: frozenset[int] = frozenset()
-    recovery_penalty: int = 8
-    slot_policy: str = "opportunistic"
+    force_fault_seqs: frozenset[int] = knob(frozenset(), encode=sorted, decode=frozenset)
+    recovery_penalty: int = knob(8, lo=0)
+    slot_policy: str = knob("opportunistic", choices=SLOT_POLICIES)
     reserved_slots: int = 2
-    fault_model: str = "transient"
-    fault_burst: int = 4
-    fault_fu: str = "IALU"
-    fault_repair_cycles: int = 200
-    force_fault_index: int | None = None
+    # The model knobs are emitted only off their defaults, keeping every
+    # stored config hash and golden params block from the single-model
+    # era byte-identical.
+    fault_model: str = knob("transient", choices=_fault_models, emit=OFF_DEFAULT)
+    fault_burst: int = knob(4, lo=1, emit=OFF_DEFAULT)
+    fault_fu: str = knob("IALU", choices=tuple(FUClass.__members__), emit=OFF_DEFAULT)
+    fault_repair_cycles: int = knob(200, lo=1, emit=OFF_DEFAULT)
+    force_fault_index: int | None = knob(None, lo=0, emit=OFF_DEFAULT)
 
     def __post_init__(self) -> None:
-        if self.slot_policy not in SLOT_POLICIES:
-            raise ValueError(
-                f"slot_policy must be one of {SLOT_POLICIES}, got {self.slot_policy!r}"
-            )
-        if not 0.0 <= self.fault_rate <= 1.0:
-            raise ValueError(f"fault_rate must be in [0, 1], got {self.fault_rate}")
-        if self.recovery_penalty < 0:
-            raise ValueError(
-                f"recovery_penalty must be non-negative, got {self.recovery_penalty}"
-            )
+        check_fields(self)
         if self.reserved_slots <= 0 and self.slot_policy == "reserved":
             raise ValueError("reserved_slots must be positive under the reserved policy")
-        from repro.faults.models import FAULT_MODELS
-
-        if self.fault_model not in FAULT_MODELS:
-            raise ValueError(
-                f"fault_model must be one of {FAULT_MODELS}, got {self.fault_model!r}"
-            )
-        if self.fault_burst < 1:
-            raise ValueError(f"fault_burst must be >= 1, got {self.fault_burst}")
-        if self.fault_repair_cycles < 1:
-            raise ValueError(
-                f"fault_repair_cycles must be >= 1, got {self.fault_repair_cycles}"
-            )
-        if self.fault_fu not in FUClass.__members__:
-            raise ValueError(
-                f"fault_fu must be an FUClass name, got {self.fault_fu!r}"
-            )
-        if self.force_fault_index is not None and self.force_fault_index < 0:
-            raise ValueError(
-                f"force_fault_index must be >= 0, got {self.force_fault_index}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable snapshot (``force_fault_seqs`` as a sorted list).
-
-        The fault-model knobs are emitted only off their defaults, keeping
-        every stored config hash and golden params block from the
-        single-model era byte-identical.
-        """
-        data = {
-            "enabled": self.enabled,
-            "fault_rate": self.fault_rate,
-            "fault_seed": self.fault_seed,
-            "force_fault_seqs": sorted(self.force_fault_seqs),
-            "recovery_penalty": self.recovery_penalty,
-            "slot_policy": self.slot_policy,
-            "reserved_slots": self.reserved_slots,
-        }
-        if self.fault_model != "transient":
-            data["fault_model"] = self.fault_model
-        if self.fault_burst != 4:
-            data["fault_burst"] = self.fault_burst
-        if self.fault_fu != "IALU":
-            data["fault_fu"] = self.fault_fu
-        if self.fault_repair_cycles != 200:
-            data["fault_repair_cycles"] = self.fault_repair_cycles
-        if self.force_fault_index is not None:
-            data["force_fault_index"] = self.force_fault_index
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CheckerParams":
-        """Inverse of :meth:`to_dict`; rejects unknown keys.
-
-        Raises:
-            ValueError: on keys that are not ``CheckerParams`` fields, so a
-                stale sweep spec fails loudly instead of silently dropping a
-                knob.
-        """
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown CheckerParams keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "force_fault_seqs" in kwargs:
-            kwargs["force_fault_seqs"] = frozenset(kwargs["force_fault_seqs"])
-        return cls(**kwargs)
 
 
 @dataclass(slots=True)
-class MemDepParams:
+class MemDepParams(Params):
     """Memory-dependence subsystem configuration (off by default).
 
     Attributes:
@@ -176,52 +116,26 @@ class MemDepParams:
     """
 
     enabled: bool = False
-    ssit_size: int = 1024
-    lfst_size: int = 128
-    lsq_size: int = 64
-    violation_penalty: int = 8
-    forward_latency: int = 1
-    ssit_decay_cycles: int = 0
+    ssit_size: int = knob(1024, lo=1)
+    lfst_size: int = knob(128, lo=1)
+    lsq_size: int = knob(64, lo=1)
+    violation_penalty: int = knob(8, lo=0)
+    forward_latency: int = knob(1, lo=1)
+    # Emitted only when non-zero, so stored rows from memdep sweeps that
+    # predate the knob keep their exact layout.
+    ssit_decay_cycles: int = knob(0, lo=0, emit=OFF_DEFAULT)
 
-    def __post_init__(self) -> None:
-        for name in ("ssit_size", "lfst_size", "lsq_size", "forward_latency"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.violation_penalty < 0:
-            raise ValueError("violation_penalty must be non-negative")
-        if self.ssit_decay_cycles < 0:
-            raise ValueError("ssit_decay_cycles must be non-negative")
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable snapshot.
+def _fu_names(counts: Mapping[FUClass, int]) -> dict[str, int]:
+    return {cls.name: count for cls, count in counts.items()}
 
-        ``ssit_decay_cycles`` is emitted only when non-zero so stored rows
-        from memdep sweeps that predate the knob keep their exact layout.
-        """
-        data = {
-            "enabled": self.enabled,
-            "ssit_size": self.ssit_size,
-            "lfst_size": self.lfst_size,
-            "lsq_size": self.lsq_size,
-            "violation_penalty": self.violation_penalty,
-            "forward_latency": self.forward_latency,
-        }
-        if self.ssit_decay_cycles:
-            data["ssit_decay_cycles"] = self.ssit_decay_cycles
-        return data
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MemDepParams":
-        """Inverse of :meth:`to_dict`; rejects unknown keys."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown MemDepParams keys: {sorted(unknown)}")
-        return cls(**dict(data))
+def _fu_classes(counts: Mapping[str, int]) -> dict[FUClass, int]:
+    return {FUClass[name]: int(count) for name, count in counts.items()}
 
 
 @dataclass(slots=True)
-class CoreParams:
+class CoreParams(Params):
     """Pipeline-shape parameters (defaults follow Table 1).
 
     Attributes:
@@ -232,14 +146,6 @@ class CoreParams:
             2 FMUL — divides share the multiply units).
         mispredict_penalty: Fetch-redirect cycles after a mispredicted
             branch resolves.
-        frontend_depth: Extra fetch-to-issue pipeline stages.  An op
-            fetched at cycle *t* becomes issue-eligible at
-            ``t + 1 + frontend_depth`` (depth 0 reproduces the legacy
-            two-stage front end).  A deeper front end widens the
-            branch-resolution window: a mispredicted branch issues — and
-            therefore resolves — later, so each mispredict drags more
-            wrong-path work through the shared resources, as a deep pipe
-            would.
         model_wrong_path: Keep fetching (and renaming/issuing/executing)
             down the wrong path while a mispredicted branch is unresolved,
             instead of stalling fetch at the branch.  Wrong-path ops consume
@@ -255,6 +161,15 @@ class CoreParams:
             instead of honouring trace-supplied ``mispredicted`` flags.
         record_retired: Keep every committed DynOp on ``core.retired`` so
             tests can assert per-op timing (off by default — long runs).
+        checker: The shared-resource checker (see :class:`CheckerParams`).
+        frontend_depth: Extra fetch-to-issue pipeline stages.  An op
+            fetched at cycle *t* becomes issue-eligible at
+            ``t + 1 + frontend_depth`` (depth 0 reproduces the legacy
+            two-stage front end).  A deeper front end widens the
+            branch-resolution window: a mispredicted branch issues — and
+            therefore resolves — later, so each mispredict drags more
+            wrong-path work through the shared resources, as a deep pipe
+            would.
         memdep: Memory-dependence subsystem (LSQ, store-set predictor,
             forwarding, order-violation replay) — see :class:`MemDepParams`.
             Disabled by default: loads then issue as soon as their register
@@ -283,39 +198,35 @@ class CoreParams:
             interval (pinned by the trace-identity tests).
     """
 
-    fetch_width: int = 8
-    issue_width: int = 8
-    commit_width: int = 8
-    window_size: int = 128
-    fu_counts: Mapping[FUClass, int] = field(default_factory=_table1_fus)
-    mispredict_penalty: int = 3
-    frontend_depth: int = 0
+    fetch_width: int = knob(8, lo=1)
+    issue_width: int = knob(8, lo=1)
+    commit_width: int = knob(8, lo=1)
+    window_size: int = knob(128, lo=1)
+    fu_counts: Mapping[FUClass, int] = knob(
+        factory=_table1_fus, lo=1, encode=_fu_names, decode=_fu_classes
+    )
+    mispredict_penalty: int = knob(3, lo=0)
     model_wrong_path: bool = True
-    wrong_path_depth: int = 64
+    wrong_path_depth: int = knob(64, lo=1)
     wrong_path_seed: int = 0
     model_icache: bool = True
     use_real_predictor: bool = False
     record_retired: bool = False
-    checker: CheckerParams = field(default_factory=CheckerParams)
-    memdep: MemDepParams = field(default_factory=MemDepParams)
-    recovery: RecoveryParams = field(default_factory=RecoveryParams)
-    cycle_skip: bool = True
-    telemetry_interval: int = 0
+    checker: CheckerParams = knob(factory=CheckerParams)
+    # Experiment-result rows embed to_dict(), and older stores must stay
+    # byte-identical when re-generated with the default (legacy)
+    # configuration: every field below is emitted only off its default,
+    # memdep only when enabled and recovery only when checkpointing is on.
+    frontend_depth: int = knob(0, lo=0, emit=OFF_DEFAULT)
+    memdep: MemDepParams = knob(factory=MemDepParams, emit=lambda memdep: memdep.enabled)
+    recovery: RecoveryParams = knob(
+        factory=RecoveryParams, emit=lambda recovery: recovery.checkpoint_interval > 0
+    )
+    cycle_skip: bool = knob(True, emit=OFF_DEFAULT)
+    telemetry_interval: int = knob(0, lo=0, emit=OFF_DEFAULT)
 
     def __post_init__(self) -> None:
-        for name in ("fetch_width", "issue_width", "commit_width", "window_size"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.telemetry_interval < 0:
-            raise ValueError("telemetry_interval must be non-negative")
-        if self.wrong_path_depth <= 0:
-            raise ValueError("wrong_path_depth must be positive")
-        if self.frontend_depth < 0:
-            raise ValueError("frontend_depth must be non-negative")
-        if self.mispredict_penalty < 0:
-            raise ValueError("mispredict_penalty must be non-negative")
-        if any(count <= 0 for count in self.fu_counts.values()):
-            raise ValueError("every functional-unit count must be positive")
+        check_fields(self)
         if (
             self.checker.slot_policy == "reserved"
             and self.checker.reserved_slots >= self.issue_width
@@ -324,64 +235,3 @@ class CoreParams:
                 f"reserved_slots ({self.checker.reserved_slots}) must leave the "
                 f"primary stream at least one of the {self.issue_width} issue slots"
             )
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable snapshot (FU classes by name, checker nested).
-
-        ``frontend_depth`` is emitted only when non-zero, ``memdep`` only
-        when enabled, ``recovery`` only when checkpointing is on,
-        ``cycle_skip`` only when disabled, and ``telemetry_interval`` only
-        when sampling is on: experiment-result rows embed this dict, and
-        older stores must stay byte-identical when re-generated with the
-        default (legacy) configuration.
-        """
-        data = {
-            "fetch_width": self.fetch_width,
-            "issue_width": self.issue_width,
-            "commit_width": self.commit_width,
-            "window_size": self.window_size,
-            "fu_counts": {cls.name: count for cls, count in self.fu_counts.items()},
-            "mispredict_penalty": self.mispredict_penalty,
-            "model_wrong_path": self.model_wrong_path,
-            "wrong_path_depth": self.wrong_path_depth,
-            "wrong_path_seed": self.wrong_path_seed,
-            "model_icache": self.model_icache,
-            "use_real_predictor": self.use_real_predictor,
-            "record_retired": self.record_retired,
-            "checker": self.checker.to_dict(),
-        }
-        if self.frontend_depth:
-            data["frontend_depth"] = self.frontend_depth
-        if self.memdep.enabled:
-            data["memdep"] = self.memdep.to_dict()
-        if self.recovery.checkpoint_interval:
-            data["recovery"] = self.recovery.to_dict()
-        if not self.cycle_skip:
-            data["cycle_skip"] = False
-        if self.telemetry_interval:
-            data["telemetry_interval"] = self.telemetry_interval
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CoreParams":
-        """Inverse of :meth:`to_dict`; rejects unknown keys.
-
-        Accepts partial dicts — missing fields keep their defaults — so
-        sweep specs only name the axes they vary.
-        """
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown CoreParams keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "fu_counts" in kwargs:
-            kwargs["fu_counts"] = {
-                FUClass[name]: int(count) for name, count in kwargs["fu_counts"].items()
-            }
-        if "checker" in kwargs and not isinstance(kwargs["checker"], CheckerParams):
-            kwargs["checker"] = CheckerParams.from_dict(kwargs["checker"])
-        if "memdep" in kwargs and not isinstance(kwargs["memdep"], MemDepParams):
-            kwargs["memdep"] = MemDepParams.from_dict(kwargs["memdep"])
-        if "recovery" in kwargs and not isinstance(kwargs["recovery"], RecoveryParams):
-            kwargs["recovery"] = RecoveryParams.from_dict(kwargs["recovery"])
-        return cls(**kwargs)

@@ -52,13 +52,14 @@ pre-refactor core, which the golden-equivalence suite pins.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING
 
 from repro.core.sched import EV_BRANCH_RESOLVE
 from repro.isa.opcodes import OpClass, UNPIPELINED_OPS, fu_class_for
 from repro.isa.registers import REG_ZERO
+from repro.util import Params, knob
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.core import SuperscalarCore
@@ -78,7 +79,7 @@ class RecoveryCause(Enum):
 
 
 @dataclass(slots=True)
-class RecoveryParams:
+class RecoveryParams(Params):
     """Recovery-policy configuration (flat penalty by default).
 
     Attributes:
@@ -93,38 +94,10 @@ class RecoveryParams:
             the replay-to-restart-point cost is added.
     """
 
-    checkpoint_interval: int = 0
-    checkpoint_overhead: int = 1
-    max_live_checkpoints: int = 8
-    restore_penalty: int = 2
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be non-negative")
-        if self.checkpoint_overhead < 0:
-            raise ValueError("checkpoint_overhead must be non-negative")
-        if self.max_live_checkpoints <= 0:
-            raise ValueError("max_live_checkpoints must be positive")
-        if self.restore_penalty < 0:
-            raise ValueError("restore_penalty must be non-negative")
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable snapshot."""
-        return {
-            "checkpoint_interval": self.checkpoint_interval,
-            "checkpoint_overhead": self.checkpoint_overhead,
-            "max_live_checkpoints": self.max_live_checkpoints,
-            "restore_penalty": self.restore_penalty,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RecoveryParams":
-        """Inverse of :meth:`to_dict`; rejects unknown keys."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown RecoveryParams keys: {sorted(unknown)}")
-        return cls(**dict(data))
+    checkpoint_interval: int = knob(0, lo=0)
+    checkpoint_overhead: int = knob(1, lo=0)
+    max_live_checkpoints: int = knob(8, lo=1)
+    restore_penalty: int = knob(2, lo=0)
 
 
 @dataclass(slots=True, frozen=True)
@@ -185,11 +158,6 @@ class RecoveryManager:
     def checkpointing(self) -> bool:
         """Whether the checkpoint-rollback policy is active this run."""
         return self._ckpt_on
-
-    @property
-    def live_checkpoints(self) -> int:
-        """Currently live checkpoints (bounded by ``max_live_checkpoints``)."""
-        return len(self._checkpoints)
 
     # ------------------------------------------------------------ checkpoints
 

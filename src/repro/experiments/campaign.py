@@ -43,7 +43,13 @@ from repro.experiments.executor import (
     shared_input,
     shared_state,
 )
-from repro.experiments.spec import SCHEMA_VERSION, SpecLoader, config_hash, run_params
+from repro.experiments.spec import (
+    DEFAULT_OPS,
+    SCHEMA_VERSION,
+    SpecLoader,
+    config_hash,
+    run_params,
+)
 from repro.experiments.store import ResultsStore
 from repro.faults.outcomes import OUTCOME_KEYS, zero_outcomes
 from repro.workloads import PRESET_NAMES, WrongPathGenerator, generate, preset
@@ -56,9 +62,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: the fault seed.
 _CHECKER_FIELDS = frozenset(f.name for f in fields(CheckerParams))
 
+#: The default checker, whose model knobs a campaign spec defaults to.
+_CHECKER = CheckerParams()
+
 #: The keys ``CheckerParams.to_dict`` emits at every setting; the others
 #: it emits only off their defaults.
-_ALWAYS_EMITTED = frozenset(CheckerParams().to_dict())
+_ALWAYS_EMITTED = frozenset(_CHECKER.to_dict())
 
 #: z for the 95% Wilson score interval.
 WILSON_Z = 1.96
@@ -106,11 +115,11 @@ class CampaignSpec(SpecLoader):
     fault_models: list[str]
     trials: int = 50
     seed: int = 0
-    ops: int = 20_000
+    ops: int = DEFAULT_OPS
     timeout_s: float | None = None
-    fault_burst: int = 4
-    fault_fu: str = "IALU"
-    fault_repair_cycles: int = 200
+    fault_burst: int = _CHECKER.fault_burst
+    fault_fu: str = _CHECKER.fault_fu
+    fault_repair_cycles: int = _CHECKER.fault_repair_cycles
 
     _kind = "campaign"
 

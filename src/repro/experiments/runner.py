@@ -44,6 +44,8 @@ from repro.experiments.executor import (
     shared_input,
 )
 from repro.experiments.spec import (
+    DEFAULT_FAULT_RATE,
+    DEFAULT_OPS,
     DEFAULT_WRONG_PATH_DEPTH,
     RunPoint,
     canonical_json,
@@ -111,10 +113,10 @@ def result_dict(
 
 def run_experiment(
     profile: WorkloadProfile,
-    num_ops: int = 20_000,
+    num_ops: int = DEFAULT_OPS,
     seed: int = 0,
     check: bool = True,
-    fault_rate: float = 1e-4,
+    fault_rate: float = DEFAULT_FAULT_RATE,
     real_predictor: bool = False,
     wrong_path: bool = True,
     wrong_path_depth: int = DEFAULT_WRONG_PATH_DEPTH,
@@ -150,7 +152,16 @@ def run_experiment(
             golden path) leaves the cores entirely uninstrumented.
 
     The returned dict is :func:`result_dict`'s.
+
+    Raises:
+        ValueError: if ``params`` asks for interval telemetry and no
+            ``obs`` session is there to record it.
     """
+    if obs is None and params is not None and params.telemetry_interval:
+        raise ValueError(
+            f"telemetry_interval={params.telemetry_interval} needs an ObsSession "
+            "to record it (pass obs=ObsSession(telemetry_interval=...))"
+        )
     if store_alias_fraction is not None:
         profile = replace(profile, store_alias_fraction=store_alias_fraction)
     # Inside a sweep batch, points with equal inputs share the trace and

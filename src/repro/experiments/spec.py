@@ -18,11 +18,11 @@ import hashlib
 import itertools
 import json
 import tomllib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Mapping, Self
 
-from repro.core.params import CoreParams
+from repro.core.params import CheckerParams, CoreParams
 from repro.isa.opcodes import FUClass
 from repro.memory.hierarchy import HierarchyParams
 from repro.workloads import PRESET_NAMES, PRESETS
@@ -34,11 +34,23 @@ SCHEMA_VERSION = 1
 #: Valid FU-count keys in a spec's ``fu_variants`` tables.
 _FU_NAMES = tuple(cls.name for cls in FUClass)
 
+#: The Table 1 machine and memory system, whose fields give every knob
+#: of a run, a point and a spec that a params class owns its default.
+_CORE = CoreParams()
+_HIERARCHY = HierarchyParams()
+
 #: The ``CoreParams`` default depth: what a run uses unless told
 #: otherwise, and the canonical depth written into configs of
 #: wrong_path=False points, where the knob is inert (a valid, positive
 #: depth, so the config still round-trips through validation).
-DEFAULT_WRONG_PATH_DEPTH = CoreParams().wrong_path_depth
+DEFAULT_WRONG_PATH_DEPTH = _CORE.wrong_path_depth
+
+#: Trace length of a run, a sweep point and a campaign cell unless told
+#: otherwise.
+DEFAULT_OPS = 20_000
+
+#: Per-op fault probability of a checked run unless told otherwise.
+DEFAULT_FAULT_RATE = 1e-4
 
 
 def canonical_json(value: Any) -> str:
@@ -147,16 +159,16 @@ class RunPoint:
     wrong_path_depth: int
     real_predictor: bool
     fu_counts: tuple[tuple[str, int], ...] | None
-    memdep: bool = False
-    dcache_banks: int = 1
+    memdep: bool = _CORE.memdep.enabled
+    dcache_banks: int = _HIERARCHY.dcache_banks
     store_alias_fraction: float = 0.0
     #: Verified-state checkpointing (0 = off, the legacy flat-penalty
     #: recovery); the overhead knob only matters while the interval is on.
-    checkpoint_interval: int = 0
-    checkpoint_overhead: int = 1
+    checkpoint_interval: int = _CORE.recovery.checkpoint_interval
+    checkpoint_overhead: int = _CORE.recovery.checkpoint_overhead
     #: Which fault model the checked core injects with (one of
     #: ``repro.faults.FAULT_MODELS``; ``transient`` is the legacy default).
-    fault_model: str = "transient"
+    fault_model: str = _CORE.checker.fault_model
 
     def config(self) -> dict[str, Any]:
         """The canonical, JSON-serializable identity of this point.
@@ -166,8 +178,10 @@ class RunPoint:
         exists under the ``reserved`` policy, and ``wrong_path_depth``
         only matters when wrong-path modelling is on.  Without this,
         editing an ignored spec field would invalidate every stored row.
-        The memory-dependence keys appear only at non-default values for
-        the same reason: every pre-existing stored row keeps its hash.
+        The keys added after the first stores appear only off their
+        defaults for the same reason: every pre-existing stored row keeps
+        its hash.  ``checkpoint_overhead`` comes with a positive interval,
+        at any value.
         """
         config = {
             "schema": SCHEMA_VERSION,
@@ -185,17 +199,12 @@ class RunPoint:
             "real_predictor": self.real_predictor,
             "fu_counts": dict(self.fu_counts) if self.fu_counts is not None else None,
         }
-        if self.memdep:
-            config["memdep"] = True
-        if self.dcache_banks != 1:
-            config["dcache_banks"] = self.dcache_banks
-        if self.store_alias_fraction:
-            config["store_alias_fraction"] = self.store_alias_fraction
+        for name, default in _LATER_KEYS.items():
+            value = getattr(self, name)
+            if value != default:
+                config[name] = value
         if self.checkpoint_interval:
-            config["checkpoint_interval"] = self.checkpoint_interval
             config["checkpoint_overhead"] = self.checkpoint_overhead
-        if self.fault_model != "transient":
-            config["fault_model"] = self.fault_model
         return config
 
     def config_hash(self) -> str:
@@ -219,13 +228,12 @@ class RunPoint:
         """
         data: dict[str, Any] = {
             "issue_width": self.issue_width,
-            "checker": {
-                "slot_policy": self.slot_policy,
-                "reserved_slots": self.reserved_slots,
-            },
+            "checker": CheckerParams(
+                slot_policy=self.slot_policy,
+                reserved_slots=self.reserved_slots,
+                fault_model=self.fault_model,
+            ),
         }
-        if self.fault_model != "transient":
-            data["checker"]["fault_model"] = self.fault_model
         if self.fu_counts is not None:
             data["fu_counts"] = dict(self.fu_counts)
         if self.memdep:
@@ -250,19 +258,12 @@ class RunPoint:
         schema = data.pop("schema", None)
         if schema != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema {schema!r}")
-        # Memory-dependence keys are emitted only at non-default values
-        # (see config()); stored rows that predate them load unchanged.
-        data.setdefault("memdep", False)
-        data.setdefault("dcache_banks", 1)
-        data.setdefault("store_alias_fraction", 0.0)
-        data.setdefault("checkpoint_interval", 0)
-        data.setdefault("checkpoint_overhead", 1)
-        data.setdefault("fault_model", "transient")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        # An absent key that config() emits only off its default takes
+        # the field's default, so stored rows that predate it load unchanged.
+        unknown = set(data) - _POINT_KEYS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        missing = known - set(data)
+        missing = _REQUIRED_KEYS - set(data)
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
         fu_counts = data["fu_counts"]
@@ -270,6 +271,20 @@ class RunPoint:
         point = cls(**data)
         _validate_point(point)
         return point
+
+
+#: Every config key of a point, and the keys every config carries.
+_POINT_KEYS = frozenset(f.name for f in fields(RunPoint))
+_REQUIRED_KEYS = frozenset(f.name for f in fields(RunPoint) if f.default is MISSING)
+
+#: The keys added after the first stores, with their defaults: a config
+#: carries each only off its default (``checkpoint_overhead`` apart, which
+#: comes with the interval).
+_LATER_KEYS = {
+    f.name: f.default
+    for f in fields(RunPoint)
+    if f.default is not MISSING and f.name != "checkpoint_overhead"
+}
 
 
 def _normalize_fu_variant(variant: Mapping[str, Any]) -> tuple[tuple[str, int], ...]:
@@ -317,44 +332,37 @@ def _validate_point(point: RunPoint) -> None:
     replace(PRESETS[point.preset], store_alias_fraction=point.store_alias_fraction)
 
 
-def _default_fault_rates() -> list[float]:
-    return [1e-4]
+#: Each grid axis of a :class:`SweepSpec` and the :class:`RunPoint` field
+#: it sets, in expansion order: presets outermost, seeds innermost so one
+#: config's seeds are adjacent.
+_AXES: tuple[tuple[str, str], ...] = (
+    ("presets", "preset"),
+    ("fault_rates", "fault_rate"),
+    ("issue_widths", "issue_width"),
+    ("slot_policies", "slot_policy"),
+    ("wrong_path", "wrong_path"),
+    ("wrong_path_depths", "wrong_path_depth"),
+    ("fu_variants", "fu_counts"),
+    ("memdep", "memdep"),
+    ("dcache_banks", "dcache_banks"),
+    ("checkpoint_intervals", "checkpoint_interval"),
+    ("fault_models", "fault_model"),
+    ("seeds", "seed"),
+)
+
+#: The spec's scalars, each setting the point field of the same name.
+_SCALARS = (
+    "ops",
+    "reserved_slots",
+    "real_predictor",
+    "store_alias_fraction",
+    "checkpoint_overhead",
+)
 
 
-def _default_issue_widths() -> list[int]:
-    return [8]
-
-
-def _default_slot_policies() -> list[str]:
-    return ["opportunistic"]
-
-
-def _default_wrong_path() -> list[bool]:
-    return [True]
-
-
-def _default_wrong_path_depths() -> list[int]:
-    return [DEFAULT_WRONG_PATH_DEPTH]
-
-
-def _default_fu_variants() -> list[dict[str, int] | None]:
-    return [None]
-
-
-def _default_memdep() -> list[bool]:
-    return [False]
-
-
-def _default_dcache_banks() -> list[int]:
-    return [1]
-
-
-def _default_checkpoint_intervals() -> list[int]:
-    return [0]
-
-
-def _default_fault_models() -> list[str]:
-    return ["transient"]
+def _axis(default: Any) -> Any:
+    """A grid axis that holds ``default`` alone unless a spec lists values."""
+    return field(default_factory=lambda: [default])
 
 
 @dataclass(slots=True)
@@ -371,37 +379,37 @@ class SweepSpec(SpecLoader):
     name: str
     presets: list[str]
     seeds: list[int]
-    ops: int = 20_000
+    ops: int = DEFAULT_OPS
     #: Per-point wall-clock budget in seconds (None = unbounded).  A point
     #: exceeding it becomes an error row — retried on the next invocation —
     #: instead of a stuck worker.  Scalar, not an axis: it shapes execution,
     #: not the experiment, so it never enters a point's config hash.
     timeout_s: float | None = None
-    fault_rates: list[float] = field(default_factory=_default_fault_rates)
-    issue_widths: list[int] = field(default_factory=_default_issue_widths)
-    slot_policies: list[str] = field(default_factory=_default_slot_policies)
-    reserved_slots: int = 2
-    wrong_path: list[bool] = field(default_factory=_default_wrong_path)
-    wrong_path_depths: list[int] = field(default_factory=_default_wrong_path_depths)
-    real_predictor: bool = False
-    fu_variants: list[dict[str, int] | None] = field(default_factory=_default_fu_variants)
+    fault_rates: list[float] = _axis(DEFAULT_FAULT_RATE)
+    issue_widths: list[int] = _axis(_CORE.issue_width)
+    slot_policies: list[str] = _axis(_CORE.checker.slot_policy)
+    reserved_slots: int = _CORE.checker.reserved_slots
+    wrong_path: list[bool] = _axis(_CORE.model_wrong_path)
+    wrong_path_depths: list[int] = _axis(DEFAULT_WRONG_PATH_DEPTH)
+    real_predictor: bool = _CORE.use_real_predictor
+    fu_variants: list[dict[str, int] | None] = _axis(None)
     #: Memory-dependence axes: whether the LSQ/store-set subsystem is on,
     #: and how many D-cache banks the hierarchy models.
-    memdep: list[bool] = field(default_factory=_default_memdep)
-    dcache_banks: list[int] = field(default_factory=_default_dcache_banks)
+    memdep: list[bool] = _axis(_CORE.memdep.enabled)
+    dcache_banks: list[int] = _axis(_HIERARCHY.dcache_banks)
     #: Scalar, like ``reserved_slots``: the fraction of static stores the
     #: workload pairs with later loads on shared address streams.
     store_alias_fraction: float = 0.0
     #: Recovery axis: commits between verified-state checkpoints (0 = the
     #: legacy flat-penalty recovery, the default so existing specs and
     #: their stored config hashes are untouched).
-    checkpoint_intervals: list[int] = field(default_factory=_default_checkpoint_intervals)
+    checkpoint_intervals: list[int] = _axis(_CORE.recovery.checkpoint_interval)
     #: Scalar checkpoint-creation cost in fetch-stall cycles (inert at
     #: interval 0, and normalized out of those points' config hashes).
-    checkpoint_overhead: int = 1
+    checkpoint_overhead: int = _CORE.recovery.checkpoint_overhead
     #: Fault-model axis: which injector the checked core runs (default
     #: knobs per model; campaigns, not sweeps, vary the model internals).
-    fault_models: list[str] = field(default_factory=_default_fault_models)
+    fault_models: list[str] = _axis(_CORE.checker.fault_model)
 
     _kind = "sweep"
 
@@ -410,20 +418,7 @@ class SweepSpec(SpecLoader):
             raise ValueError("sweep name must be non-empty")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        for axis in (
-            "presets",
-            "seeds",
-            "fault_rates",
-            "issue_widths",
-            "slot_policies",
-            "wrong_path",
-            "wrong_path_depths",
-            "fu_variants",
-            "memdep",
-            "dcache_banks",
-            "checkpoint_intervals",
-            "fault_models",
-        ):
+        for axis, _ in _AXES:
             values = getattr(self, axis)
             if not isinstance(values, (list, tuple)):
                 raise ValueError(
@@ -441,58 +436,18 @@ class SweepSpec(SpecLoader):
             _validate_point(point)
 
     def points(self) -> list[RunPoint]:
-        """Expand the grid, seeds innermost so one config's seeds are adjacent.
+        """Expand the grid in :data:`_AXES` order.
 
         Only expands: the points were checked when the spec was built.
         """
-        out: list[RunPoint] = []
-        for (
-            preset_name,
-            fault_rate,
-            issue_width,
-            slot_policy,
-            wrong_path,
-            wrong_path_depth,
-            fu_variant,
-            memdep,
-            banks,
-            ckpt_interval,
-            fault_model,
-            seed,
-        ) in itertools.product(
-            self.presets,
-            self.fault_rates,
-            self.issue_widths,
-            self.slot_policies,
-            self.wrong_path,
-            self.wrong_path_depths,
-            self.fu_variants,
-            self.memdep,
-            self.dcache_banks,
-            self.checkpoint_intervals,
-            self.fault_models,
-            self.seeds,
-        ):
-            point = RunPoint(
-                preset=preset_name,
-                seed=seed,
-                ops=self.ops,
-                fault_rate=fault_rate,
-                issue_width=issue_width,
-                slot_policy=slot_policy,
-                reserved_slots=self.reserved_slots,
-                wrong_path=wrong_path,
-                wrong_path_depth=wrong_path_depth,
-                real_predictor=self.real_predictor,
-                fu_counts=(
-                    _normalize_fu_variant(fu_variant) if fu_variant is not None else None
-                ),
-                memdep=memdep,
-                dcache_banks=banks,
-                store_alias_fraction=self.store_alias_fraction,
-                checkpoint_interval=ckpt_interval,
-                checkpoint_overhead=self.checkpoint_overhead,
-                fault_model=fault_model,
-            )
-            out.append(point)
-        return out
+        axes = {axis: getattr(self, axis) for axis, _ in _AXES}
+        axes["fu_variants"] = [
+            _normalize_fu_variant(variant) if variant is not None else None
+            for variant in self.fu_variants
+        ]
+        names = [name for _, name in _AXES]
+        scalars = {name: getattr(self, name) for name in _SCALARS}
+        return [
+            RunPoint(**dict(zip(names, values)), **scalars)
+            for values in itertools.product(*axes.values())
+        ]

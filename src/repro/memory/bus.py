@@ -32,13 +32,6 @@ class MemoryBus:
         self.transfers += 1
         return start
 
-    @property
-    def average_queue_delay(self) -> float:
-        """Mean cycles each transfer waited for the bus."""
-        if not self.transfers:
-            return 0.0
-        return self.total_queue_delay / self.transfers
-
     def reset(self) -> None:
         """Clear bus occupancy and counters (between independent regions)."""
         self._next_free = 0

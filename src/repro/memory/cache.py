@@ -33,13 +33,6 @@ class CacheStats:
         """Total number of lookups."""
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        """Miss fraction over all lookups (0.0 when never accessed)."""
-        if not self.accesses:
-            return 0.0
-        return self.misses / self.accesses
-
 
 @dataclass(slots=True)
 class EvictedLine:

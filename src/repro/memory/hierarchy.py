@@ -34,6 +34,7 @@ from typing import Any
 from repro.memory.bus import MemoryBus
 from repro.memory.cache import LINE_BYTES, Cache, CacheStats
 from repro.memory.mshr import MSHRFile
+from repro.util import check_fields, knob
 
 #: Mirror of :data:`repro.core.sched.EV_MEM_FILL` (importing it here would
 #: cycle: repro.core.core imports this module).  Pinned equal by a test.
@@ -68,26 +69,20 @@ class HierarchyParams:
 
     l1i_size: int = 64 * 1024
     l1d_size: int = 64 * 1024
-    l1_ways: int = 2
-    l1_latency: int = 3
+    l1_ways: int = knob(2, lo=1)
+    l1_latency: int = knob(3, lo=0)
     l2_size: int = 2 * 1024 * 1024
-    l2_ways: int = 4
-    l2_latency: int = 12
-    mem_latency: int = 200
+    l2_ways: int = knob(4, lo=1)
+    l2_latency: int = knob(12, lo=0)
+    mem_latency: int = knob(200, lo=0)
     line_bytes: int = LINE_BYTES
-    dcache_ports: int = 4
-    dcache_banks: int = 1
+    dcache_ports: int = knob(4, lo=1)
+    dcache_banks: int = knob(1, lo=1)
     mshr_entries: int = 32
     mshr_targets: int = 8
     bus_cycles_per_transfer: int = 4
 
-    def __post_init__(self) -> None:
-        for name in ("l1_ways", "l2_ways", "dcache_ports", "dcache_banks"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("l1_latency", "l2_latency", "mem_latency"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+    __post_init__ = check_fields
 
 
 @dataclass(slots=True)
@@ -218,12 +213,6 @@ class MemoryHierarchy:
         return stats
 
     # ---------------------------------------------------------- ports and banks
-
-    def ports_free(self, now: int) -> int:
-        """Data-cache ports still available at cycle ``now``."""
-        if now != self._port_cycle:
-            return self.params.dcache_ports
-        return self.params.dcache_ports - self._ports_used
 
     def checker_probe(self, addr: int, now: int) -> bool:
         """One checker re-access attempt at ``addr``; True if it may proceed.

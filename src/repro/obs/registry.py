@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
 #: Serialization version for ``--metrics-out`` payloads.
 METRICS_SCHEMA_VERSION = 1
@@ -220,11 +220,3 @@ class MetricsRegistry:
             encoding="utf-8",
         )
         return path
-
-    def register_mapping(
-        self, mapping: Mapping[str, int | float], prefix: str = ""
-    ) -> None:
-        """Register every numeric item of ``mapping`` as a counter."""
-        for key, value in mapping.items():
-            if isinstance(value, (int, float)):
-                self.set_counter(f"{prefix}{key}", value)

@@ -40,7 +40,12 @@ from repro.core.params import CoreParams
 from repro.core.stats import CoreStats
 from repro.experiments.executor import PointTimeout, wall_clock_limit
 from repro.experiments.runner import core_hierarchy, result_dict
-from repro.experiments.spec import DEFAULT_WRONG_PATH_DEPTH, run_params
+from repro.experiments.spec import (
+    DEFAULT_FAULT_RATE,
+    DEFAULT_OPS,
+    DEFAULT_WRONG_PATH_DEPTH,
+    run_params,
+)
 from repro.obs import ObsSession, PipelineTracer
 from repro.parallel.merge import merge_core_stats
 from repro.workloads import WorkloadProfile, WrongPathGenerator
@@ -289,12 +294,12 @@ def _offset_row(row: dict, offset: int) -> dict:
 
 def run_sharded_experiment(
     profile: WorkloadProfile,
-    num_ops: int = 20_000,
+    num_ops: int = DEFAULT_OPS,
     seed: int = 0,
     shards: int = 1,
     warmup: int = DEFAULT_SHARD_WARMUP,
     check: bool = True,
-    fault_rate: float = 1e-4,
+    fault_rate: float = DEFAULT_FAULT_RATE,
     real_predictor: bool = False,
     wrong_path: bool = True,
     wrong_path_depth: int = DEFAULT_WRONG_PATH_DEPTH,

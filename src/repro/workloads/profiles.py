@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.isa.opcodes import OpClass
+from repro.util import check_fields, knob
 
 
 @dataclass(slots=True, frozen=True)
@@ -54,15 +55,15 @@ class WorkloadProfile:
 
     name: str
     mix: Mapping[OpClass, float]
-    dep_fraction: float = 0.4
-    dep_window: int = 8
-    mispredict_rate: float = 0.05
-    taken_rate: float = 0.6
-    outcome_noise: float = 0.02
-    cold_fraction: float = 0.02
-    hot_lines: int = 512
-    loop_ops: int = 1024
-    store_alias_fraction: float = 0.0
+    dep_fraction: float = knob(0.4, lo=0, hi=1)
+    dep_window: int = knob(8, lo=1)
+    mispredict_rate: float = knob(0.05, lo=0, hi=1)
+    taken_rate: float = knob(0.6, lo=0, hi=1)
+    outcome_noise: float = knob(0.02, lo=0, hi=1)
+    cold_fraction: float = knob(0.02, lo=0, hi=1)
+    hot_lines: int = knob(512, lo=1)
+    loop_ops: int = knob(1024, lo=1)
+    store_alias_fraction: float = knob(0.0, lo=0, hi=1)
 
     def __post_init__(self) -> None:
         if not self.mix:
@@ -74,19 +75,7 @@ class WorkloadProfile:
             raise ValueError(
                 "mix weights must be finite and non-negative with a positive, finite sum"
             )
-        for name in (
-            "dep_fraction",
-            "mispredict_rate",
-            "taken_rate",
-            "outcome_noise",
-            "cold_fraction",
-            "store_alias_fraction",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.dep_window <= 0 or self.hot_lines <= 0 or self.loop_ops <= 0:
-            raise ValueError("dep_window, hot_lines, and loop_ops must be positive")
+        check_fields(self)
 
 
 PRESETS: dict[str, WorkloadProfile] = {

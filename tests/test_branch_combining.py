@@ -95,8 +95,7 @@ def test_predict_resolve_loop_converges_on_stable_branch():
 
 def test_misprediction_rate_tracks_lookups():
     predictor = make_predictor()
-    assert predictor.misprediction_rate == 0.0
+    assert (predictor.lookups, predictor.mispredictions) == (0, 0)
     prediction = predictor.predict(PC)  # untrained: predicts not-taken
     predictor.resolve(PC, prediction, taken=True, target=TARGET)
-    assert predictor.lookups == 1
-    assert predictor.misprediction_rate == 1.0
+    assert (predictor.lookups, predictor.mispredictions) == (1, 1)

@@ -271,6 +271,30 @@ def test_checkpoint_and_decay_flags_validate(capsys):
     assert "--checkpoint-overhead requires --checkpoint-interval" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--fault-rate", "1.5"], "fault_rate"),
+        (["--wrong-path-depth", "0"], "wrong_path_depth"),
+        (["--frontend-depth", "-1"], "frontend_depth"),
+        (["--dcache-banks", "0"], "dcache_banks"),
+        (["--store-alias-fraction", "1.5"], "store_alias_fraction"),
+        (["--memdep", "--ssit-decay-cycles", "-1"], "ssit_decay_cycles"),
+        (["--checkpoint-interval", "-1"], "checkpoint_interval"),
+        (["--checkpoint-interval", "8", "--checkpoint-overhead", "-1"], "checkpoint_overhead"),
+        (["--telemetry-interval", "-1"], "telemetry_interval"),
+        (["--fault-burst", "0"], "fault_burst"),
+        (["--fault-repair-cycles", "0"], "fault_repair_cycles"),
+    ],
+)
+def test_out_of_range_knob_flags_exit_2_naming_the_field(flags, field, capsys):
+    """The objects a run builds check its knob flags, as a sweep point's do."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--preset", "branchy", "--ops", "100", *flags])
+    assert exc.value.code == 2
+    assert f"{field} must be" in capsys.readouterr().err
+
+
 def test_default_run_emits_no_recovery_or_decay_keys(capsys):
     main(["run", "--preset", "int-heavy", "--ops", "400", "--check", "--json"])
     result = json.loads(capsys.readouterr().out)

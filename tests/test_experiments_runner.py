@@ -1,6 +1,11 @@
 """Sweep runner: resume/caching, crash isolation, parallel determinism."""
 
-from repro.experiments import ResultsStore, SweepSpec, execute_point, run_sweep
+import pytest
+
+from repro.core.params import CoreParams
+from repro.experiments import ResultsStore, SweepSpec, execute_point, run_experiment, run_sweep
+from repro.obs import ObsSession
+from repro.workloads import preset
 
 #: Small but real: 2 presets x 2 seeds, short traces.
 SPEC = SweepSpec(
@@ -260,3 +265,17 @@ def test_sweep_writes_a_timings_sidecar(tmp_path):
     again = run_sweep(SPEC, store, workers=1)
     assert again.worker_utilization == 0.0
     assert store.timings_path.read_bytes() == before
+
+
+def test_run_experiment_rejects_telemetry_without_a_session():
+    """Params that ask for interval telemetry used to run the sampler and
+    throw its series away, while the result's params claimed it was
+    taken; without a session to record it the run is refused."""
+    with pytest.raises(ValueError, match="telemetry_interval"):
+        run_experiment(preset("branchy"), num_ops=500, params=CoreParams(telemetry_interval=50))
+    obs = ObsSession(telemetry_interval=50)
+    result = run_experiment(
+        preset("branchy"), num_ops=500, params=CoreParams(telemetry_interval=50), obs=obs
+    )
+    assert result["params"]["telemetry_interval"] == 50
+    assert [label for label, _ in obs.telemetries] == ["unchecked", "checked"]

@@ -72,7 +72,7 @@ def test_mshr_file_exhaustion_refuses_without_losing_a_port():
     hierarchy.access(COLD_A, now=0)
     refused = hierarchy.access(COLD_B, now=0)
     assert not refused.ok and refused.reason == "mshr"
-    assert hierarchy.ports_free(0) == P.dcache_ports - 1  # only the NEW miss holds one
+    assert hierarchy._ports_used == 1  # only the NEW miss holds one
 
 
 def test_mshr_target_overflow_refuses():
@@ -369,8 +369,8 @@ def test_an_mshr_refusal_keeps_its_bank_slot_for_the_cycle(params, reason):
         now += 1
         refused = hierarchy.access(same_bank + 8, now=now)
     assert not refused.ok and refused.reason == reason
-    ports_free = hierarchy.ports_free(now)
+    held = (hierarchy._port_cycle, hierarchy._ports_used)
     behind = hierarchy.access(hot, now=now)
     assert not behind.ok and behind.reason == "bank"
-    assert hierarchy.ports_free(now) == ports_free  # neither holds a port
+    assert (hierarchy._port_cycle, hierarchy._ports_used) == held  # neither holds a port
     assert hierarchy.access(hot, now=now + 1).level == "l1"

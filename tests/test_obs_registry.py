@@ -101,11 +101,3 @@ def test_registry_container_protocol():
     assert {metric.name for metric in registry} == {"one", "two"}
     assert registry.get("missing") is None
     assert registry.get("one").value == 1
-
-
-def test_register_mapping_skips_non_numeric():
-    registry = MetricsRegistry()
-    registry.register_mapping({"a": 1, "b": 2.5, "name": "text"}, prefix="m.")
-    assert registry.get("m.a").value == 1
-    assert registry.get("m.b").value == 2.5
-    assert "m.name" not in registry

@@ -8,8 +8,6 @@ obs-smoke job runs via ``python -m repro.obs.validate``.
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.core.params import CheckerParams, CoreParams, RecoveryParams
 from repro.core.core import SuperscalarCore
 from repro.obs import ObsSession, validate_schema, write_trace_event_json

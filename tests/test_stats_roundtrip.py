@@ -8,8 +8,6 @@ serialize/parse cycle *unchanged* — no enum keys, no int-keyed dicts
 
 import json
 
-import pytest
-
 from repro.cli import main, run_experiment
 from repro.core.params import CheckerParams, CoreParams, MemDepParams, RecoveryParams
 from repro.core.core import SuperscalarCore
