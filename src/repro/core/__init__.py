@@ -13,11 +13,10 @@ from repro.core.core import SuperscalarCore
 from repro.core.dynop import DynOp
 from repro.core.params import CheckerParams, CoreParams
 from repro.core.recovery import RecoveryCause, RecoveryManager, RecoveryParams
-from repro.core.sched import CheckQueue, DeadlockError, EventWheel, FUPool, ReadyQueue
+from repro.core.sched import DeadlockError, EventWheel, FUPool, ReadyQueue
 from repro.core.stats import CoreStats
 
 __all__ = [
-    "CheckQueue",
     "Checker",
     "CheckerParams",
     "CoreParams",

@@ -171,7 +171,7 @@ class CoreState:
             None
             if checker is None
             else (
-                deque(map(op, checker._pending._queue)),
+                deque(map(op, checker._pending)),
                 dict(checker._reg_ready),
                 checker.probe_stalled_at,
             )
@@ -180,10 +180,12 @@ class CoreState:
         # Shallow copies suffice: the stats' containers hold numbers and
         # strings (the reservoir RNG copies its state).
         self.stats = {f.name: copy.copy(getattr(stats, f.name)) for f in fields(stats)}
-        checkpoints = core._recovery._checkpoints
+        recovery = core._recovery
+        checkpoints = recovery._checkpoints
         self.recovery = (
             deque(checkpoints, maxlen=checkpoints.maxlen),
-            core._recovery._next_ckpt_commit,
+            recovery._committed,
+            recovery._next_ckpt_commit,
         )
         sets = core._storesets
         self.storesets = (
@@ -280,14 +282,15 @@ def resume(core: "SuperscalarCore", state: CoreState) -> None:
     core._ready._tick = state.ready_tick
     if core.checker is not None:
         queue, reg_ready, probe_stalled_at = state.checker
-        core.checker._pending._queue = core._check_deque = queue
+        core.checker._pending = core._check_deque = queue
         core.checker._reg_ready = reg_ready
         core.checker.probe_stalled_at = probe_stalled_at
     for name, value in state.stats.items():
         setattr(core.stats, name, value)
     if core.fault_injector is not None:
         core.fault_injector.eligible = state.eligible
-    core._recovery._checkpoints, core._recovery._next_ckpt_commit = state.recovery
+    recovery = core._recovery
+    recovery._checkpoints, recovery._committed, recovery._next_ckpt_commit = state.recovery
     if core._storesets is not None:
         sets = core._storesets
         sets._ssit, sets._lfst, sets._next_ssid, sets._decay_boundary, sets.decays = (

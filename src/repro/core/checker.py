@@ -10,9 +10,9 @@ always before the instruction can commit, because commit is gated on the
 ``checked`` flag.
 
 The checker rides the scheduling kernel (:mod:`repro.core.sched`): the
-core enqueues every correct-path op at rename into an in-order
-:class:`~repro.core.sched.CheckQueue`, so candidate selection is a head
-test instead of a window scan, and each issued check posts an
+core enqueues every correct-path op at rename into an in-order deque
+(``Checker._pending``), so candidate selection is a head test instead of
+a window scan, and each issued check posts an
 ``EV_CHECK_DONE`` wheel event for its completion cycle, so retirement
 touches exactly the checks that finish this cycle.
 
@@ -33,10 +33,11 @@ single-pass:
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable
 
 from repro.core.dynop import DynOp
-from repro.core.sched import EV_CHECK_DONE, CheckQueue, EventWheel, FUPool
+from repro.core.sched import EV_CHECK_DONE, EventWheel, FUPool
 from repro.core.stats import CoreStats
 from repro.isa.opcodes import OpClass, UNPIPELINED_OPS, fu_class_for
 from repro.isa.registers import REG_ZERO
@@ -73,7 +74,11 @@ class Checker:
         #: before issuing anything: the core's cycle skipper repeats such
         #: a cycle only if the pipe provably stalls the same way again.
         self.probe_stalled_at = -1
-        self._pending = CheckQueue()
+        #: Correct-path ops awaiting their check, in program order: rename
+        #: appends (recovery re-fetches follow their older survivors), and
+        #: issue pops the head once its check starts, dropping squashed
+        #: heads lazily.
+        self._pending: deque[DynOp] = deque()
         # Cycle at which each register's *verified* value becomes available.
         # Absent key = value verified long ago (committed state), ready now.
         self._reg_ready: dict[int, int] = {}
@@ -147,10 +152,10 @@ class Checker:
             Number of issue slots consumed.
         """
         used = 0
-        # The check queue's deque, the FU pool's lists and the wheel's
-        # buckets, read and updated in place (see the layout notes in
+        # The check queue, the FU pool's lists and the wheel's buckets,
+        # read and updated in place (see the layout notes in
         # repro.core.sched).
-        queue = self._pending._queue
+        queue = self._pending
         fu = self._fu
         fu_counts = fu._counts
         fu_used = fu._used

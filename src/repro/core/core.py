@@ -201,7 +201,7 @@ class SuperscalarCore:
         self._primary_budget = self._issue_width - self._reserved
         self._ready_heap = self._ready._heap
         self._wheel_pop = self._wheel.pop_due
-        self._check_deque = self.checker._pending._queue if self.checker else None
+        self._check_deque = self.checker._pending if self.checker else None
         self._trace_len = len(self._trace)
         # Per-OpClass lookup tables (IntEnum-indexed lists beat dict/set
         # hashing in the issue loop).
@@ -334,8 +334,10 @@ class SuperscalarCore:
         commit stage reaches ``warmup_ops`` retired ops — commit is
         in-order, so the boundary is a well-defined point in the trace).
         Everything after the boundary is measured: ``stats.cycles`` spans
-        boundary-to-end, every counter covers only the window, and the
-        memory snapshot is a delta against the boundary's raw counters.
+        boundary-to-end, and every counter — the stats (each field by its
+        declared rule, see :mod:`repro.core.stats`), the memory
+        hierarchy's, the event wheel's and the store sets' — is zeroed in
+        place at the boundary, so it covers only the window.
         Time-sharded runs (see :mod:`repro.parallel`) use this so each
         shard's measurement starts from plausibly-warm microarchitectural
         state rather than a cold machine.
@@ -358,26 +360,20 @@ class SuperscalarCore:
         # target, so any cycles that cycle lets the loop skip are skipped
         # (and charged) inside the measured window.
         self.advance(lambda: stats.committed >= warmup_ops)
-        # Measurement boundary: snapshot what finalize subtracts, then zero
-        # the window counters in place (subsystems hold references to this
-        # stats object).  `committed` stays cumulative — the checkpointing
-        # policy keys off it — and is re-based at finalize.
-        base = (
-            self._now,
-            stats.committed,
+        # Measurement boundary: zero every counter (the stats object in
+        # place: subsystems hold references to it).
+        start_cycle = self._now
+        stats.reset_window()
+        self.hierarchy.reset_counters()
+        self._wheel.posted = 0
+        if self._storesets is not None:
+            self._storesets.decays = 0
+        if self.fault_injector is not None:
             # A fault still unresolved at the boundary resolves inside the
             # window, so the window counts it as injected too.
-            self.fault_injector.injected - self._unresolved_faults()
-            if self.fault_injector is not None
-            else 0,
-            self._storesets.decays if self._storesets is not None else 0,
-            self.hierarchy.raw_counters(),
-            self._wheel.posted,
-        )
-        stats.reset_window()
-        stats.committed = base[1]
+            self.fault_injector.injected = self._unresolved_faults()
         self.advance()
-        return self._finish(base)
+        return self._finish(start_cycle)
 
     def begin(
         self,
@@ -452,27 +448,21 @@ class SuperscalarCore:
 
         return CoreState(self)
 
-    def _finish(
-        self,
-        base: tuple[int, int, int, int, dict | None, int] = (0, 0, 0, 0, None, 0),
-    ) -> CoreStats:
-        """Finalize the run's stats; ``base`` holds a warm-start window's
-        boundary counters (cycle, committed, injected, store-set decays,
-        raw memory counters, posted events)."""
-        base_cycle, base_committed, base_injected, base_decays, base_memory, base_posted = base
+    def _finish(self, start_cycle: int = 0) -> CoreStats:
+        """Finalize the run's stats (a warm-start window's measurement
+        started at ``start_cycle``)."""
         stats = self.stats
-        stats.cycles = self._now - base_cycle
-        stats.committed -= base_committed
+        stats.cycles = self._now - start_cycle
         if self.fault_injector is not None:
-            stats.faults_injected = self.fault_injector.injected - base_injected
+            stats.faults_injected = self.fault_injector.injected
         if self._fault_tracker is not None:
             # Committed-and-still-live silent faults resolve as SDC; after
             # this every injected fault has exactly one outcome.
             self._fault_tracker.finalize(self._now)
         if self._storesets is not None:
-            stats.ssit_decays = self._storesets.decays - base_decays
-        stats.sched_events = self._wheel.posted - base_posted
-        stats.memory = self.hierarchy.snapshot(baseline=base_memory)
+            stats.ssit_decays = self._storesets.decays
+        stats.sched_events = self._wheel.posted
+        stats.memory = self.hierarchy.snapshot()
         return stats
 
     def _unresolved_faults(self) -> int:
@@ -863,7 +853,7 @@ class SuperscalarCore:
             done += 1
         self.stats.committed += done
         if done and self._ckpt_on:
-            self._recovery.note_commit(self.stats.committed, now)
+            self._recovery.note_commit(done, now)
 
     # ----------------------------------------------------------------- issue
 

@@ -130,6 +130,7 @@ class RecoveryManager:
         "_params",
         "_ckpt_on",
         "_checkpoints",
+        "_committed",
         "_next_ckpt_commit",
         "_commit_width",
         "_hook",
@@ -152,6 +153,9 @@ class RecoveryManager:
         # The implicit initial checkpoint: architectural state before the
         # first instruction is always restorable.
         self._checkpoints.append(Checkpoint(0, 0))
+        #: Ops committed so far (counted while checkpointing): the commit
+        #: frontier a checkpoint snapshots.
+        self._committed = 0
         self._next_ckpt_commit = interval
 
     @property
@@ -161,16 +165,19 @@ class RecoveryManager:
 
     # ------------------------------------------------------------ checkpoints
 
-    def note_commit(self, committed_total: int, now: int) -> None:
-        """Commit-stage hook: take a checkpoint every ``checkpoint_interval``.
+    def note_commit(self, done: int, now: int) -> None:
+        """Commit-stage hook: ``done`` more ops committed this cycle; take a
+        checkpoint every ``checkpoint_interval``.
 
-        ``committed_total`` is the running commit count, which equals the
-        sequence number of the next instruction to commit (correct-path
-        ops commit exactly once, in order), so it is the checkpoint's
-        ``seq`` directly.  A wide commit cycle that crosses several
-        interval boundaries still takes a single checkpoint — hardware
-        snapshots the frontier, not every multiple it passed.
+        The running commit count equals the sequence number of the next
+        instruction to commit (correct-path ops commit exactly once, in
+        order), so it is the checkpoint's ``seq`` directly.  A wide commit
+        cycle that crosses several interval boundaries still takes a
+        single checkpoint — hardware snapshots the frontier, not every
+        multiple it passed.
         """
+        committed_total = self._committed + done
+        self._committed = committed_total
         nxt = self._next_ckpt_commit
         if committed_total < nxt:
             return

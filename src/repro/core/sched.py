@@ -20,10 +20,11 @@ replace those scans, and the functional-unit pool both issue stages share:
   pops ready ops instead of testing every window op's sources each
   cycle.  Deletion is lazy: squashed or already-issued entries are
   dropped when popped.
-* :class:`CheckQueue` — the checker's in-order ready queue.  Correct-path
-  ops enter at rename in program order; the head is the only op the
-  in-order check pipeline can start next, so eligibility is a head test,
-  not a window scan.  Squashed entries are dropped lazily at the head.
+* the checker's in-order ready queue, a plain deque
+  (``Checker._pending``).  Correct-path ops enter at rename in program
+  order; the head is the only op the in-order check pipeline can start
+  next, so eligibility is a head test, not a window scan.  Squashed
+  entries are dropped lazily at the head.
 * :class:`FUPool` — per-class functional-unit availability.  Primary
   issue and checker issue draw from the *same* pool object within a
   cycle, which is exactly the resource sharing the paper exploits: the
@@ -39,7 +40,8 @@ place instead of calling their methods:
   ``CoreStats.sched_events`` reports.
 * ``ReadyQueue._heap`` holds ``(seq, tick, op)`` tuples, and ``_tick``
   grows by one per push.
-* ``CheckQueue._queue`` is a deque in program order.
+* ``Checker._pending`` is a deque in program order.  The core appends
+  to it at rename and the checker pops its head when a check issues.
 * ``FUPool._counts``, ``_used`` and ``_blocked`` are lists indexed by
   :class:`~repro.isa.opcodes.FUClass`.  A class has a free unit while
   ``_counts[cls] - _used[cls] - len(_blocked[cls]) > 0``.  A pipelined
@@ -63,7 +65,6 @@ fixtures.
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
@@ -127,7 +128,8 @@ class EventWheel:
 
     def __init__(self) -> None:
         self._due: dict[int, list[tuple[int, Any]]] = {}
-        #: Total events ever posted (kernel telemetry, surfaced by perfbench).
+        #: Events posted since the run (or a warm-start window) began
+        #: (kernel telemetry, surfaced by perfbench).
         self.posted = 0
 
     def post(self, cycle: int, kind: int, payload: Any) -> None:
@@ -197,44 +199,6 @@ class ReadyQueue:
     def __iter__(self) -> Iterator[DynOp]:
         """Live entries, unordered (diagnostics only)."""
         return (op for _, _, op in self._heap if not op.squashed and op.issued_at is None)
-
-
-class CheckQueue:
-    """In-order ready queue of correct-path ops awaiting their check.
-
-    Program order is append order: correct-path renames happen in fetch
-    order and survive squashes in order (recovery re-fetches are appended
-    with larger seqs after older survivors).  ``head`` drops squashed
-    entries lazily; the checker pops an op only when its check issues, so
-    the head is precisely where the paper's in-order check pipeline is
-    blocked.
-    """
-
-    __slots__ = ("_queue",)
-
-    def __init__(self) -> None:
-        self._queue: deque[DynOp] = deque()
-
-    def append(self, op: DynOp) -> None:
-        self._queue.append(op)
-
-    def head(self) -> DynOp | None:
-        """The next op the in-order checker may start, or None."""
-        queue = self._queue
-        while queue:
-            op = queue[0]
-            if op.squashed:
-                queue.popleft()
-                continue
-            return op
-        return None
-
-    def popleft(self) -> None:
-        """Consume the current head (its check just issued)."""
-        self._queue.popleft()
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
 
 class FUPool:

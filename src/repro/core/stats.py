@@ -1,10 +1,16 @@
-"""End-of-run statistics for one core simulation."""
+"""End-of-run statistics for one core simulation.
+
+Each :class:`CoreStats` field declares once how it crosses a warm-start
+boundary (:meth:`CoreStats.reset_window`) and a shard merge
+(:func:`repro.parallel.merge.merge_core_stats`): its window rule, listed
+in :data:`WINDOW_RULES`.
+"""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import MISSING, dataclass, field, fields
+from typing import TYPE_CHECKING, Any
 
 from repro.core.recovery import RecoveryCause
 
@@ -23,6 +29,30 @@ def _reservoir_rng() -> random.Random:
     return random.Random(0x5EED)
 
 
+# The window rules.  A field declared without one is a COUNT.
+#: Zeroed at a boundary; a merge sums the parts.
+COUNT = "count"
+#: Describes the machine: kept at a boundary; a merge takes the first part's.
+MACHINE = "machine"
+#: Zeroed at a boundary; a merge takes the largest part.
+MAX = "max"
+#: A dict of counts: zeroed in place at a boundary, its keys kept in their
+#: order; a merge adds key by key.
+KEYED = "keyed"
+#: A histogram: emptied at a boundary; a merge adds key by key.
+BUCKETS = "buckets"
+#: Reset to its default at a boundary; merged by its own function
+#: (``merge_reservoirs``, ``merge_memory``).
+OWN = "own"
+
+
+def _rule(rule: str, default: Any = MISSING, *, factory: Any = MISSING, **kwargs) -> Any:
+    """Declare a :class:`CoreStats` field that is not a count."""
+    return field(
+        default=default, default_factory=factory, metadata={"window": rule}, **kwargs
+    )
+
+
 def _zero_causes() -> dict[str, int]:
     # Pre-seeded with the legacy causes so serialized dicts keep the exact
     # key set golden runs and the committed bench references pinned before
@@ -38,13 +68,16 @@ def _zero_causes() -> dict[str, int]:
 
 @dataclass(slots=True)
 class CoreStats:
-    """Counters accumulated over one :meth:`SuperscalarCore.run` call.
+    """Counters accumulated over one :meth:`SuperscalarCore.run` call,
+    or over the measured part of a warm-start window.
 
     ``issue_width`` is recorded so slot rates can be derived without the
     params object; ``memory`` is the hierarchy snapshot taken at run end.
+    A field declared without a window rule is a count; the others
+    declare theirs with ``_rule``.
     """
 
-    issue_width: int = 8
+    issue_width: int = _rule(MACHINE, 8)
     cycles: int = 0
     fetched: int = 0
     committed: int = 0
@@ -72,25 +105,25 @@ class CoreStats:
     faults_squashed: int = 0
     recoveries: int = 0
     detection_latency_sum: int = 0
-    detection_latency_max: int = 0
+    detection_latency_max: int = _rule(MAX, 0)
     #: Per-detection latency samples — the raw values behind the sum/max
     #: aggregates, kept so reports can show distributions (percentiles,
     #: histograms) rather than just the mean.  Exact and in detection order
     #: up to :data:`DETECTION_LATENCY_RESERVOIR` detections; past the cap
     #: the list becomes a uniform sample (see :meth:`record_detection_latency`).
-    detection_latencies: list[int] = field(default_factory=list)
+    detection_latencies: list[int] = _rule(OWN, factory=list)
     # --- fault models (populated only when a non-transient fault model is
     # configured; same gating pattern as memdep below — the transient
     # default emits no block and stays byte-identical) ---
-    fault_model_enabled: bool = False
-    fault_model: str = "transient"
+    fault_model_enabled: bool = _rule(MACHINE, False)
+    fault_model: str = _rule(MACHINE, "transient")
     #: Terminal per-fault outcome counters keyed by
     #: :class:`~repro.faults.outcomes.FaultOutcome` value; the outcome
     #: tracker guarantees they sum to ``faults_injected`` at run end.
-    fault_outcomes: dict[str, int] = field(default_factory=dict)
+    fault_outcomes: dict[str, int] = _rule(KEYED, factory=dict)
     # --- memory dependence (populated only when CoreParams.memdep is on;
     # the gate keeps to_dict() byte-identical for legacy configurations) ---
-    memdep_enabled: bool = False
+    memdep_enabled: bool = _rule(MACHINE, False)
     #: Loads that issued before an older same-address store resolved and
     #: had to be squashed and replayed.
     mem_order_violations: int = 0
@@ -104,13 +137,13 @@ class CoreStats:
     lsq_full_stalls: int = 0
     #: Whether the store-set decay knob was active (gates ``ssit_decays``
     #: in to_dict so legacy memdep rows keep their exact layout).
-    ssit_decay_enabled: bool = False
+    ssit_decay_enabled: bool = _rule(MACHINE, False)
     #: Times the store-set predictor's tables were cleared by decay.
     ssit_decays: int = 0
     # --- recovery / checkpointing (counters always maintained; the dict
     # block is emitted only when checkpointing ran, keeping legacy rows
     # byte-identical — same gating pattern as memdep above) ---
-    checkpointing_enabled: bool = False
+    checkpointing_enabled: bool = _rule(MACHINE, False)
     #: Verified-state checkpoints taken (excludes the implicit initial one).
     checkpoints_taken: int = 0
     #: Front-end stall cycles charged for checkpoint creation.
@@ -120,21 +153,21 @@ class CoreStats:
     #: Sum/max over per-recovery rollback distances (instructions between
     #: the restored checkpoint and the restart point).
     rollback_distance_sum: int = 0
-    rollback_distance_max: int = 0
+    rollback_distance_max: int = _rule(MAX, 0)
     #: Power-of-two-bucketed rollback-distance histogram (key = bucket
     #: upper bound as a string, for JSON).
-    rollback_distance_hist: dict[str, int] = field(default_factory=dict)
+    rollback_distance_hist: dict[str, int] = _rule(BUCKETS, factory=dict)
     #: Recovery events by :class:`~repro.core.recovery.RecoveryCause`
     #: (branch redirects scheduled, fault recoveries, violation replays).
-    recoveries_by_cause: dict[str, int] = field(default_factory=_zero_causes)
+    recoveries_by_cause: dict[str, int] = _rule(KEYED, factory=_zero_causes)
     #: Squashed ops (wrong-path included) by the cause that squashed them.
-    squashed_by_cause: dict[str, int] = field(default_factory=_zero_causes)
-    memory: dict[str, float] = field(default_factory=dict)
+    squashed_by_cause: dict[str, int] = _rule(KEYED, factory=_zero_causes)
+    memory: dict[str, float] = _rule(OWN, factory=dict)
     #: RNG backing the detection-latency reservoir (host-side bookkeeping,
     #: never serialized).
-    _reservoir_rng: random.Random = field(default_factory=_reservoir_rng, repr=False)
+    _reservoir_rng: random.Random = _rule(OWN, factory=_reservoir_rng, repr=False)
     #: Total detections observed (may exceed ``len(detection_latencies)``).
-    _detections_seen: int = 0
+    _detections_seen: int = _rule(OWN, 0)
     # --- scheduling-kernel telemetry (host-side measurements, NOT simulated
     # state; deliberately excluded from to_dict() so result rows — and the
     # sweep stores built from them — stay deterministic and byte-identical
@@ -217,62 +250,23 @@ class CoreStats:
                 samples[slot] = latency
 
     def reset_window(self) -> None:
-        """Zero every measured counter in place (warm-start shard boundary).
+        """Apply each field's boundary rule (a warm-start window starts).
 
         Mutates this object rather than swapping it out: the checker, the
         recovery manager, and the tracer hooks all captured a reference at
-        construction and must keep writing into the same instance.  Two
-        deliberate exceptions: ``issue_width`` and the ``*_enabled`` flags
-        describe the machine, not the window, and survive; ``committed``
-        stays cumulative because the checkpointing policy keys its
-        checkpoint sequence off the running commit count —
-        :meth:`SuperscalarCore.run_window` subtracts the warmup base at
-        finalize instead.
+        construction and must keep writing into the same instance.  A
+        :data:`MACHINE` field survives, a :data:`KEYED` dict keeps its keys
+        at zero, and every other field takes its default (a histogram's is
+        empty).
         """
-        self.cycles = 0
-        self.fetched = 0
-        self.squashed = 0
-        self.mem_replays = 0
-        self.replay_slots_used = 0
-        self.branches = 0
-        self.branch_mispredicts = 0
-        self.primary_slots_used = 0
-        self.wrong_path_fetched = 0
-        self.wrong_path_issued = 0
-        self.wrong_path_squashed = 0
-        self.wrong_path_slots_used = 0
-        self.wrong_path_mem_replays = 0
-        self.checks_completed = 0
-        self.checker_slots_used = 0
-        self.faults_injected = 0
-        self.faults_detected = 0
-        self.faults_squashed = 0
-        self.recoveries = 0
-        self.detection_latency_sum = 0
-        self.detection_latency_max = 0
-        self.detection_latencies.clear()
-        for outcome in self.fault_outcomes:
-            self.fault_outcomes[outcome] = 0
-        self.mem_order_violations = 0
-        self.loads_forwarded = 0
-        self.loads_delayed = 0
-        self.lsq_full_stalls = 0
-        self.ssit_decays = 0
-        self.checkpoints_taken = 0
-        self.checkpoint_overhead_cycles = 0
-        self.recovery_stall_cycles = 0
-        self.rollback_distance_sum = 0
-        self.rollback_distance_max = 0
-        self.rollback_distance_hist.clear()
-        for cause in self.recoveries_by_cause:
-            self.recoveries_by_cause[cause] = 0
-        for cause in self.squashed_by_cause:
-            self.squashed_by_cause[cause] = 0
-        self.memory = {}
-        self._reservoir_rng = _reservoir_rng()
-        self._detections_seen = 0
-        self.sched_events = 0
-        self.cycles_skipped = 0
+        fresh = CoreStats()
+        for name, rule in WINDOW_RULES:
+            if rule == KEYED:
+                counts = getattr(self, name)
+                for key in counts:
+                    counts[key] = 0
+            elif rule != MACHINE:
+                setattr(self, name, getattr(fresh, name))
 
     @property
     def mean_recovery_stall(self) -> float:
@@ -456,3 +450,9 @@ class CoreStats:
                 registry.set_counter(f"{prefix}recoveries_by_cause.{cause}", count)
             for cause, count in self.squashed_by_cause.items():
                 registry.set_counter(f"{prefix}squashed_by_cause.{cause}", count)
+
+
+#: Each :class:`CoreStats` field's name and window rule, in field order.
+WINDOW_RULES: tuple[tuple[str, str], ...] = tuple(
+    (f.name, f.metadata.get("window", COUNT)) for f in fields(CoreStats)
+)

@@ -23,6 +23,13 @@ on every access, and the drain runs only once a response is actually due.
 Fills are still *applied* at the first data access on or after arrival —
 identical observable timing to the polled model, verified by the
 golden-equivalence suite.
+
+Counters — the caches', the MSHR file's, the bus's and
+:class:`HierarchyStats` — are running totals, all zeroed by
+:meth:`MemoryHierarchy.reset_counters`: :meth:`MemoryHierarchy.reset` calls
+it between independent runs, and a warm-start window calls it alone at its
+boundary, keeping the warm caches.  So :meth:`MemoryHierarchy.snapshot`
+always reports the traffic since the last zeroing.
 """
 
 from __future__ import annotations
@@ -121,9 +128,6 @@ class HierarchyStats:
 
     port_conflicts: int = 0
     ifetch_misses: int = 0
-    accesses: dict[str, int] = field(
-        default_factory=lambda: {"l1": 0, "l2": 0, "mem": 0, "mshr": 0}
-    )
     # --- banking (sized by MemoryHierarchy; all-zero when dcache_banks=1) ---
     #: Primary accesses refused because their bank was saturated this cycle.
     bank_conflicts: list[int] = field(default_factory=list)
@@ -351,7 +355,6 @@ class MemoryHierarchy:
                 cache_set[line] = True
             l1d.stats.hits += 1
             self._ports_used += 1
-            self.stats.accesses["l1"] += 1
             return AccessResult(True, now + self._l1_latency, "l1")
 
         mshrs = self.mshrs
@@ -372,7 +375,6 @@ class MemoryHierarchy:
                 fill = self._pending_fills.get(line)
                 if fill is not None:
                     fill[2] = True
-            self.stats.accesses["mshr"] += 1
             # Merging never beats an L1 hit: data arriving with the fill
             # still crosses the L1 access path.
             ready = miss.ready_at
@@ -390,7 +392,6 @@ class MemoryHierarchy:
         self._pending_fills[line] = [ready, addr, is_store]
         if self._wheel is not None:
             self._wheel.post(ready, _EV_MEM_FILL, line)
-        self.stats.accesses[level] += 1
         return AccessResult(True, ready, level)
 
     def _fetch_line(self, addr: int, now: int) -> tuple[int, str]:
@@ -468,10 +469,9 @@ class MemoryHierarchy:
         """Drop all cached state and counters (between independent runs)."""
         for cache in (self.l1i, self.l1d, self.l2):
             cache.invalidate_all()
-            cache.stats = CacheStats()
-        self.mshrs.reset()
+        self.mshrs.flush()
         self.bus.reset()
-        self.stats = self._fresh_stats()
+        self.reset_counters()
         self._port_cycle = -1
         self._ports_used = 0
         self._bank_cycle = -1
@@ -480,6 +480,17 @@ class MemoryHierarchy:
         self._fills_armed = False
         self._refusal_cycle = -1
         self._refusals = []
+
+    def reset_counters(self) -> None:
+        """Zero every counter and keep all other state: a warm-start
+        window's boundary, after which :meth:`snapshot` reports only the
+        window's traffic."""
+        for cache in (self.l1i, self.l1d, self.l2):
+            cache.stats = CacheStats()
+        mshrs = self.mshrs
+        mshrs.allocations = mshrs.merges = mshrs.full_stalls = mshrs.target_stalls = 0
+        self.bus.transfers = self.bus.total_queue_delay = 0
+        self.stats = self._fresh_stats()
 
     def save_state(self) -> dict[str, Any]:
         """An independent copy of everything a run changes, for
@@ -493,7 +504,6 @@ class MemoryHierarchy:
             "bus": copy.copy(self.bus),
             "stats": replace(
                 stats,
-                accesses=dict(stats.accesses),
                 bank_conflicts=list(stats.bank_conflicts),
                 checker_bank_conflicts=list(stats.checker_bank_conflicts),
             ),
@@ -514,93 +524,39 @@ class MemoryHierarchy:
         for name, value in saved.items():
             setattr(self, name, value)
 
-    def raw_counters(self) -> dict[str, float | list[int]]:
-        """The raw (pre-derivation) counters behind :meth:`snapshot`.
-
-        Taken at a warm-start measurement boundary so :meth:`snapshot` can
-        later report the *measured window's* traffic as deltas against it
-        — the derived rates in a snapshot cannot be subtracted, but the
-        counters they are computed from can.
-        """
-        raw: dict[str, float | list[int]] = {
-            "l1d_hits": self.l1d.stats.hits,
-            "l1d_misses": self.l1d.stats.misses,
-            "l2_hits": self.l2.stats.hits,
-            "l2_misses": self.l2.stats.misses,
-            "writebacks": self.l1d.stats.writebacks + self.l2.stats.writebacks,
-            "mshr_merges": self.mshrs.merges,
-            "mshr_full_stalls": self.mshrs.full_stalls,
-            "port_conflicts": self.stats.port_conflicts,
-            "bus_transfers": self.bus.transfers,
-            "bus_queue_delay": self.bus.total_queue_delay,
-            "ifetch_misses": self.stats.ifetch_misses,
-        }
-        if self._nbanks > 1:
-            raw["bank_conflicts"] = list(self.stats.bank_conflicts)
-            raw["checker_probes"] = self.stats.checker_probes
-            raw["checker_port_conflicts"] = self.stats.checker_port_conflicts
-            raw["checker_bank_conflicts"] = list(self.stats.checker_bank_conflicts)
-        return raw
-
-    def snapshot(
-        self, baseline: dict[str, float | list[int]] | None = None
-    ) -> dict[str, float]:
+    def snapshot(self) -> dict[str, float]:
         """Flat stats dict for reports.
 
         Banking keys appear only when ``dcache_banks > 1``: the snapshot is
         embedded (``mem_``-prefixed) in every result row, and legacy
         single-bank rows must stay byte-identical.
-
-        With ``baseline`` (a :meth:`raw_counters` capture), every counter
-        and rate describes only the traffic *since* that capture — how a
-        warm-start window report excludes its warmup prefix.  The default
-        (no baseline) derives the same keys from the same arithmetic as
-        always, byte-identically.
         """
-        base: dict = baseline if baseline is not None else {}
-        l1d_hits = self.l1d.stats.hits - base.get("l1d_hits", 0)
-        l1d_misses = self.l1d.stats.misses - base.get("l1d_misses", 0)
-        l1d_accesses = l1d_hits + l1d_misses
-        l2_hits = self.l2.stats.hits - base.get("l2_hits", 0)
-        l2_misses = self.l2.stats.misses - base.get("l2_misses", 0)
-        l2_accesses = l2_hits + l2_misses
-        transfers = self.bus.transfers - base.get("bus_transfers", 0)
-        queue_delay = self.bus.total_queue_delay - base.get("bus_queue_delay", 0)
+        l1d = self.l1d.stats
+        l2 = self.l2.stats
+        l1d_accesses = l1d.hits + l1d.misses
+        l2_accesses = l2.hits + l2.misses
+        bus = self.bus
+        stats = self.stats
         data: dict[str, float] = {
-            "l1d_miss_rate": l1d_misses / l1d_accesses if l1d_accesses else 0.0,
+            "l1d_miss_rate": l1d.misses / l1d_accesses if l1d_accesses else 0.0,
             "l1d_accesses": l1d_accesses,
-            "l2_miss_rate": l2_misses / l2_accesses if l2_accesses else 0.0,
-            "writebacks": (
-                self.l1d.stats.writebacks
-                + self.l2.stats.writebacks
-                - base.get("writebacks", 0)
+            "l2_miss_rate": l2.misses / l2_accesses if l2_accesses else 0.0,
+            "writebacks": l1d.writebacks + l2.writebacks,
+            "mshr_merges": self.mshrs.merges,
+            "mshr_full_stalls": self.mshrs.full_stalls,
+            "port_conflicts": stats.port_conflicts,
+            "bus_transfers": bus.transfers,
+            "bus_avg_queue_delay": (
+                bus.total_queue_delay / bus.transfers if bus.transfers else 0.0
             ),
-            "mshr_merges": self.mshrs.merges - base.get("mshr_merges", 0),
-            "mshr_full_stalls": self.mshrs.full_stalls - base.get("mshr_full_stalls", 0),
-            "port_conflicts": self.stats.port_conflicts - base.get("port_conflicts", 0),
-            "bus_transfers": transfers,
-            "bus_avg_queue_delay": queue_delay / transfers if transfers else 0.0,
-            "ifetch_misses": self.stats.ifetch_misses - base.get("ifetch_misses", 0),
+            "ifetch_misses": stats.ifetch_misses,
         }
         if self._nbanks > 1:
-            stats = self.stats
-            zero_banks = [0] * self._nbanks
-            bank_base = base.get("bank_conflicts", zero_banks)
-            checker_bank_base = base.get("checker_bank_conflicts", zero_banks)
-            bank_conflicts = [
-                count - prev for count, prev in zip(stats.bank_conflicts, bank_base)
-            ]
-            checker_bank_conflicts = [
-                count - prev
-                for count, prev in zip(stats.checker_bank_conflicts, checker_bank_base)
-            ]
             data["dcache_banks"] = self._nbanks
-            data["bank_conflicts"] = sum(bank_conflicts)
-            data["bank_conflicts_per_bank"] = bank_conflicts
-            data["checker_probes"] = stats.checker_probes - base.get("checker_probes", 0)
-            data["checker_port_conflicts"] = stats.checker_port_conflicts - base.get(
-                "checker_port_conflicts", 0
-            )
-            data["checker_bank_conflicts"] = sum(checker_bank_conflicts)
-            data["checker_bank_conflicts_per_bank"] = checker_bank_conflicts
+            data["bank_conflicts"] = sum(stats.bank_conflicts)
+            data["bank_conflicts_per_bank"] = list(stats.bank_conflicts)
+            data["checker_probes"] = stats.checker_probes
+            data["checker_port_conflicts"] = stats.checker_port_conflicts
+            data["checker_bank_conflicts"] = sum(stats.checker_bank_conflicts)
+            data["checker_bank_conflicts_per_bank"] = list(stats.checker_bank_conflicts)
         return data

@@ -86,14 +86,7 @@ class MSHRFile:
         return clone
 
     def flush(self) -> None:
-        """Drop all in-flight state (between independent regions)."""
+        """Drop all in-flight state (between independent runs; the
+        hierarchy zeroes the counters itself)."""
         self._misses.clear()
         self._ready_heap.clear()
-
-    def reset(self) -> None:
-        """Drop in-flight state *and* counters (between independent runs)."""
-        self.flush()
-        self.allocations = 0
-        self.merges = 0
-        self.full_stalls = 0
-        self.target_stalls = 0

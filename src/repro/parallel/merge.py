@@ -1,11 +1,13 @@
 """Merging per-shard :class:`~repro.core.stats.CoreStats` into one result.
 
 The contract is reconciliation, not estimation: every merged value is
-computable exactly from the shard parts —
+computable exactly from the shard parts.  Each field merges by the window
+rule it declares in :mod:`repro.core.stats`:
 
-* plain counters **sum** (each dynamic op is measured by exactly one
-  shard's window);
-* pow2 histograms and per-cause dicts **add per key**;
+* counts **sum** (each dynamic op is measured by exactly one shard's
+  window), maxima take the largest part, and machine fields (issue width,
+  fault model, the ``*_enabled`` flags) come from the first part;
+* pow2 histograms and per-cause/per-outcome dicts **add per key**;
 * rates and gauges are **re-derived from the summed raw quantities**
   (IPC = total committed / total cycles; the memory rates re-divide the
   summed numerators/denominators, weighting each shard by its own
@@ -26,43 +28,15 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from repro.core.stats import DETECTION_LATENCY_RESERVOIR, CoreStats
-
-#: CoreStats fields that sum across shards (each op/cycle/event belongs to
-#: exactly one shard's measured window).
-_SUMMED_FIELDS = (
-    "cycles",
-    "fetched",
-    "committed",
-    "squashed",
-    "mem_replays",
-    "replay_slots_used",
-    "branches",
-    "branch_mispredicts",
-    "primary_slots_used",
-    "wrong_path_fetched",
-    "wrong_path_issued",
-    "wrong_path_squashed",
-    "wrong_path_slots_used",
-    "wrong_path_mem_replays",
-    "checks_completed",
-    "checker_slots_used",
-    "faults_injected",
-    "faults_detected",
-    "faults_squashed",
-    "recoveries",
-    "detection_latency_sum",
-    "mem_order_violations",
-    "loads_forwarded",
-    "loads_delayed",
-    "lsq_full_stalls",
-    "ssit_decays",
-    "checkpoints_taken",
-    "checkpoint_overhead_cycles",
-    "recovery_stall_cycles",
-    "rollback_distance_sum",
-    "sched_events",
-    "cycles_skipped",
+from repro.core.stats import (
+    BUCKETS,
+    COUNT,
+    DETECTION_LATENCY_RESERVOIR,
+    KEYED,
+    MACHINE,
+    MAX,
+    WINDOW_RULES,
+    CoreStats,
 )
 
 #: Memory-snapshot keys re-derived by weighted division rather than summed.
@@ -171,45 +145,29 @@ def merge_memory(
 def merge_core_stats(parts: Sequence[CoreStats]) -> CoreStats:
     """Combine per-shard window stats into one :class:`CoreStats`.
 
-    ``parts`` must be in shard order.  Machine-shape fields
-    (``issue_width``, the ``*_enabled`` flags) come from the first part;
-    everything measured follows the rules in the module docstring.
+    ``parts`` must be in shard order.  Each field follows its declared
+    rule (see the module docstring); the reservoir and the memory snapshot
+    merge through :func:`merge_reservoirs` and :func:`merge_memory`.
     """
     if not parts:
         raise ValueError("merge_core_stats needs at least one part")
-    first = parts[0]
-    merged = CoreStats(issue_width=first.issue_width)
-    merged.memdep_enabled = first.memdep_enabled
-    merged.ssit_decay_enabled = first.ssit_decay_enabled
-    merged.checkpointing_enabled = first.checkpointing_enabled
-    merged.fault_model_enabled = first.fault_model_enabled
-    merged.fault_model = first.fault_model
-    for name in _SUMMED_FIELDS:
-        setattr(merged, name, sum(getattr(part, name) for part in parts))
-    merged.detection_latency_max = max(part.detection_latency_max for part in parts)
-    merged.rollback_distance_max = max(part.rollback_distance_max for part in parts)
-    for part in parts:
-        for bucket, count in part.rollback_distance_hist.items():
-            merged.rollback_distance_hist[bucket] = (
-                merged.rollback_distance_hist.get(bucket, 0) + count
-            )
-        for cause, count in part.recoveries_by_cause.items():
-            merged.recoveries_by_cause[cause] = (
-                merged.recoveries_by_cause.get(cause, 0) + count
-            )
-        for cause, count in part.squashed_by_cause.items():
-            merged.squashed_by_cause[cause] = (
-                merged.squashed_by_cause.get(cause, 0) + count
-            )
-        for outcome, count in part.fault_outcomes.items():
-            merged.fault_outcomes[outcome] = (
-                merged.fault_outcomes.get(outcome, 0) + count
-            )
-    samples, seen = merge_reservoirs(
+    merged = CoreStats()
+    for name, rule in WINDOW_RULES:
+        values = [getattr(part, name) for part in parts]
+        if rule == COUNT:
+            setattr(merged, name, sum(values))
+        elif rule == MACHINE:
+            setattr(merged, name, values[0])
+        elif rule == MAX:
+            setattr(merged, name, max(values))
+        elif rule == KEYED or rule == BUCKETS:
+            total = getattr(merged, name)
+            for counts in values:
+                for key, count in counts.items():
+                    total[key] = total.get(key, 0) + count
+    merged.detection_latencies, merged._detections_seen = merge_reservoirs(
         [(part.detection_latencies, part._detections_seen) for part in parts]
     )
-    merged.detection_latencies = samples
-    merged._detections_seen = seen
     merged.memory = merge_memory(
         [part.memory for part in parts], [part.cycles for part in parts]
     )

@@ -10,7 +10,6 @@ from repro.core.sched import (
     EV_DEP_WAKE,
     EV_MEM_FILL,
     EV_MEM_VIOLATION,
-    CheckQueue,
     DeadlockError,
     EventWheel,
     ReadyQueue,
@@ -101,21 +100,6 @@ def test_ready_queue_tiebreak_handles_stale_same_seq_entries():
     fresh = op_at(7)
     queue.push(fresh)
     assert queue.pop_live() is fresh
-
-
-# ------------------------------------------------------------------ CheckQueue
-
-
-def test_check_queue_head_skips_squashed_entries_without_losing_order():
-    queue = CheckQueue()
-    first, second, third = op_at(1), op_at(2), op_at(3)
-    for op in (first, second, third):
-        queue.append(op)
-    first.squashed = True
-    assert queue.head() is second
-    queue.popleft()
-    assert queue.head() is third
-    assert len(queue) == 1
 
 
 # ------------------------------------------------------ hierarchy fill events

@@ -124,11 +124,10 @@ def test_a_copy_reclaims_independently_of_its_original():
     assert clone.outstanding(150) == 1  # the original's reclaim left it alone
 
 
-@pytest.mark.parametrize("drop", ["flush", "reset"])
-def test_flush_and_reset_empty_the_ready_heap(drop: str):
+def test_flush_empties_the_ready_heap():
     mshrs = MSHRFile()
     mshrs._allocate(LINE, 50)
-    getattr(mshrs, drop)()
+    mshrs.flush()
     assert mshrs.next_ready == float("inf")
     # A new miss on the same line is not reclaimed at the dropped one's cycle.
     mshrs._allocate(LINE, 80)
