@@ -292,6 +292,7 @@ class SuperscalarCore:
         trace: Sequence[MicroOp],
         max_cycles: int | None = None,
         start: CoreState | None = None,
+        stop: Callable[[], bool] | None = None,
     ) -> CoreStats:
         """Simulate ``trace`` to completion and return the stats.
 
@@ -305,6 +306,13 @@ class SuperscalarCore:
         core's streams.  The run takes over the state's memory hierarchy
         contents and queues, so one state starts one run.
 
+        With ``stop``, the run also ends after the first stepped cycle at
+        which ``stop()`` holds (see :meth:`advance`), and the stats cover
+        only the cycles simulated up to there (``committed`` falls short of
+        the trace's length unless that was the last cycle).  ``stop`` is
+        called once per stepped cycle, so it must be cheap.  A campaign
+        trial stops this way once its fault has resolved silently.
+
         Raises:
             DeadlockError: if the simulation exceeds ``max_cycles``
                 (defaults to a generous bound scaled by trace length) — a
@@ -314,7 +322,7 @@ class SuperscalarCore:
                 :func:`repro.core.capture.resume`).
         """
         self.begin(trace, max_cycles, start)
-        self.advance()
+        self.advance(stop)
         if self.telemetry is not None:
             self.telemetry.finalize(self._now)
         return self._finish()

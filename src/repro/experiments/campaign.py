@@ -19,7 +19,11 @@ submission order, so the store is byte-identical for any ``--workers``
 value and across interrupted/resumed invocations, exactly like sweeps.
 
 Each trial resolves every injected fault to one
-:class:`~repro.faults.outcomes.FaultOutcome`; the campaign report
+:class:`~repro.faults.outcomes.FaultOutcome`.  A trial whose faults all
+resolved as masked or SDC, and whose model can inject no more, stops
+there: from that cycle on it replays its calibration run's schedule (a
+silent fault is a flag that changes no timing), so the rest of its row is
+the calibration's (:func:`_resolved_silently`).  The campaign report
 aggregates the per-cell outcome counts into coverage / SDC / masking
 rates with Wilson score confidence intervals (the standard interval for
 binomial proportions at small n) and writes them to
@@ -28,6 +32,7 @@ binomial proportions at small n) and writes them to
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -78,6 +83,9 @@ DEFAULT_CAMPAIGN_JSON = "BENCH_campaign.json"
 #: Default results-store path for campaigns (kept separate from sweep
 #: stores: the row shapes differ).
 DEFAULT_CAMPAIGN_STORE = "campaign_results.jsonl"
+
+#: The result keys a trial that stopped early takes from its calibration.
+_CALIBRATED = ("eligible", "cycles", "committed", "recoveries")
 
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -194,7 +202,9 @@ class CampaignSpec(SpecLoader):
 
 
 def execute_campaign_point(
-    config: dict[str, Any], timeout_s: float | None = None
+    config: dict[str, Any],
+    timeout_s: float | None = None,
+    calibration: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Run one calibration or trial; always returns a row, never raises.
 
@@ -204,10 +214,23 @@ def execute_campaign_point(
     of its batch generated, and a trial resumes from the batch's
     fault-free leader core; its ``_elapsed_s`` then includes advancing
     the leader to its site.
+
+    A trial given its cell's ``calibration`` result stops once its fault
+    resolves silently (:func:`_resolved_silently`), and its row is
+    exactly the row of the same trial run to the end without one.
     """
     with point_row(config, timeout_s) as row:
-        row["result"] = _simulate_campaign_point(config)
+        row["result"] = _simulate_campaign_point(config, calibration)
     return row
+
+
+def _execute_trial(
+    calibrations: dict[tuple, dict[str, Any]],
+    config: dict[str, Any],
+    timeout_s: float | None = None,
+) -> dict[str, Any]:
+    """A trial of :func:`run_campaign`, given its cell's calibration result."""
+    return execute_campaign_point(config, timeout_s, calibrations[_leader_key(config)])
 
 
 def _trace_key(config: dict[str, Any]) -> tuple[str, int, int]:
@@ -245,7 +268,25 @@ def _state_before(leader: "SuperscalarCore", site: int) -> "CoreState":
     return leader.capture()
 
 
-def _simulate_campaign_point(config: dict[str, Any]) -> dict[str, Any]:
+def _resolved_silently(core: SuperscalarCore) -> bool:
+    """A trial's stop test, checked after each stepped cycle: every fault
+    injected so far resolved as masked or SDC, and the model can inject no
+    more (its forced site is behind, its burst spent, its broken unit
+    repaired).
+
+    Masked and SDC faults change no timing, so from here on the trial
+    replays its calibration run's schedule to the same end.  The transient
+    model tracks no outcomes (its faults are all detected or squashed), so
+    its trials never stop early.
+    """
+    model = core.fault_injector
+    tracker = model.tracker
+    return tracker is not None and tracker.silent and model.spent(core._now)
+
+
+def _simulate_campaign_point(
+    config: dict[str, Any], calibration: dict[str, Any] | None = None
+) -> dict[str, Any]:
     """Simulate one checked core under the configured fault model.
 
     Campaigns run the checked core only: the unchecked baseline tells us
@@ -253,6 +294,8 @@ def _simulate_campaign_point(config: dict[str, Any]) -> dict[str, Any]:
     trial starts from its batch's fault-free leader core just before its
     fault site: up to the site it would replay the leader's schedule
     exactly, because a forced fault draws no random numbers before it.
+    With its cell's ``calibration`` result, a trial also stops once its
+    fault resolves silently and takes the rest of its row from it.
     """
     profile = preset(config["preset"])
     seed = config["seed"]
@@ -284,7 +327,8 @@ def _simulate_campaign_point(config: dict[str, Any]) -> dict[str, Any]:
     else:
         with shared_state("leader", _leader_key(config), new_leader) as leader:
             state = _state_before(leader, site)
-        stats = core.run(trace, start=state)
+        stop = None if calibration is None else functools.partial(_resolved_silently, core)
+        stats = core.run(trace, start=state, stop=stop)
     if stats.fault_model_enabled:
         outcomes = dict(stats.fault_outcomes)
     else:
@@ -294,7 +338,7 @@ def _simulate_campaign_point(config: dict[str, Any]) -> dict[str, Any]:
         outcomes = zero_outcomes()
         outcomes["detected"] = stats.faults_detected
         outcomes["squashed"] = stats.faults_squashed
-    return {
+    result = {
         "eligible": core.fault_injector.eligible,
         "injected": stats.faults_injected,
         "outcomes": outcomes,
@@ -302,6 +346,9 @@ def _simulate_campaign_point(config: dict[str, Any]) -> dict[str, Any]:
         "committed": stats.committed,
         "recoveries": stats.recoveries,
     }
+    if stats.committed < len(trace):  # the trial stopped early
+        result.update((key, calibration[key]) for key in _CALIBRATED)
+    return result
 
 
 @dataclass(slots=True)
@@ -336,7 +383,8 @@ def run_campaign(
 
     Two phases, each run through the batched executor with rows stored
     in config order: calibrations first (trial configs depend on their
-    eligible counts), then all trials.  Both phases skip points the store
+    eligible counts, and each trial gets its cell's calibration result to
+    stop early with), then all trials.  Both phases skip points the store
     already covers, so an interrupted campaign resumes where it stopped
     and a completed one is a no-op.  ``progress`` counts each phase from
     1 to that phase's pending total.
@@ -350,17 +398,18 @@ def run_campaign(
         timeout_s = spec.timeout_s
     started = time.perf_counter()
 
-    def run_phase(configs: list[dict[str, Any]]):
+    def run_phase(execute, configs: list[dict[str, Any]]):
         # Points that simulate the same trace share a few batches, each of
         # which generates it once and runs its trials by model and site.
         return drive(
-            execute_campaign_point, configs, store, _trace_key, workers, timeout_s,
+            execute, configs, store, _trace_key, workers, timeout_s,
             order=_run_order, progress=progress,
         )
 
     calib_configs = [spec.calibration_config(p, m) for p, m in spec.cells()]
-    calibrations = run_phase(calib_configs)
+    calibrations = run_phase(execute_campaign_point, calib_configs)
     by_hash = _ok_rows_by_hash(store)
+    calibrated: dict[tuple, dict[str, Any]] = {}
     trial_configs: list[dict[str, Any]] = []
     for (preset_name, model), config in zip(spec.cells(), calib_configs):
         row = by_hash.get(config_hash(config))
@@ -373,11 +422,12 @@ def run_campaign(
                 f"eligible fault sites in {spec.ops} ops — lengthen the trace "
                 f"or drop the model for this preset"
             )
+        calibrated[_leader_key(config)] = row["result"]
         trial_configs.extend(
             spec.trial_config(preset_name, model, trial, eligible)
             for trial in range(spec.trials)
         )
-    trials = run_phase(trial_configs)
+    trials = run_phase(functools.partial(_execute_trial, calibrated), trial_configs)
     return CampaignSummary(
         cells=len(spec.cells()),
         calibrations=calibrations.executed,

@@ -78,7 +78,7 @@ def core_hierarchy(dcache_banks: int) -> MemoryHierarchy | None:
 
 
 def result_dict(
-    preset_name: str,
+    profile: WorkloadProfile,
     num_ops: int,
     seed: int,
     wrong_path: bool,
@@ -88,19 +88,24 @@ def result_dict(
 ) -> dict:
     """The JSON-serializable result of one run.
 
-    ``params`` is the effective configuration of the run's last core
-    (``CoreParams.to_dict`` names the FU classes); the stats are flattened
-    via ``CoreStats.to_dict``.  A checked run adds the checked stats, the
+    ``profile`` is the workload the trace was generated from; a nonzero
+    ``store_alias_fraction`` of it is recorded (a zero one is left out, so
+    results without aliasing keep their bytes).  ``params`` is the
+    effective configuration of the run's last core (``CoreParams.to_dict``
+    names the FU classes); the stats are flattened via
+    ``CoreStats.to_dict``.  A checked run adds the checked stats, the
     slowdown and the fault coverage.
     """
     result: dict = {
-        "preset": preset_name,
+        "preset": profile.name,
         "ops": num_ops,
         "seed": seed,
         "wrong_path": wrong_path,
-        "params": params.to_dict(),
-        "unchecked": unchecked.to_dict(),
     }
+    if profile.store_alias_fraction:
+        result["store_alias_fraction"] = profile.store_alias_fraction
+    result["params"] = params.to_dict()
+    result["unchecked"] = unchecked.to_dict()
     if checked is not None:
         result["checked"] = checked.to_dict()
         # None (JSON null) rather than inf: json.dumps would emit the
@@ -207,7 +212,7 @@ def run_experiment(
     else:
         baseline = run("unchecked", unchecked_params)
     return result_dict(
-        profile.name,
+        profile,
         num_ops,
         seed,
         wrong_path,

@@ -97,6 +97,13 @@ class FaultModel:
             return index == self._force_index
         return self.rate > 0.0 and self._rng.random() < self.rate
 
+    def spent(self, now: int) -> bool:
+        """Whether the model can inject no more faults from cycle ``now`` on:
+        it draws at rate 0 and any forced site is behind.  Subclasses add
+        the faults a trigger leaves pending."""
+        force = self._force_index
+        return not self.rate and (force is None or self.eligible > force)
+
     def maybe_inject(self, op: DynOp) -> bool:
         """Primary-issue hook: corrupt ``op`` if this event triggers."""
         raise NotImplementedError
@@ -133,6 +140,9 @@ class TransientFault(FaultModel):
     ):
         super().__init__(rate, seed, force_index)
         self._force = set(force_seqs)
+
+    def spent(self, now: int) -> bool:
+        return not self._force and super().spent(now)
 
     def maybe_inject(self, op: DynOp) -> bool:
         """Corrupt ``op``'s primary result if the dice (or a force) say so.
@@ -182,6 +192,9 @@ class IntermittentFault(FaultModel):
             raise ValueError(f"burst length must be >= 1, got {burst}")
         self.burst = burst
         self._burst_left = 0
+
+    def spent(self, now: int) -> bool:
+        return not self._burst_left and super().spent(now)
 
     def maybe_inject(self, op: DynOp) -> bool:
         if op.uop.dest is None:
@@ -242,6 +255,10 @@ class StuckAtFUFault(FaultModel):
         self.repair_cycles = repair_cycles
         #: First cycle the unit is healthy again; None while nothing is broken.
         self._broken_until: int | None = None
+
+    def spent(self, now: int) -> bool:
+        broken_until = self._broken_until
+        return (broken_until is None or now >= broken_until) and super().spent(now)
 
     def _on_broken_unit(self) -> bool:
         return self.fu_count == 1 or self._rng.random() * self.fu_count < 1.0

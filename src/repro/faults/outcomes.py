@@ -75,9 +75,19 @@ class OutcomeTracker:
     ``id(op)``-keyed guards make resolution idempotent: a false-alarmed
     op that is then squashed for replay, or a committed-live fault also
     registered in the dest map, counts once.
+
+    Attributes:
+        silent: True once every injected fault has resolved and each
+            outcome so far is masked or SDC (at least one fault injected).
+            Detection, a false alarm and a squash are the outcomes that
+            change the run's schedule; a silent fault is a flag that
+            changes no timing.  Kept at each injection and resolution, so
+            reading it costs nothing per cycle.
     """
 
-    __slots__ = ("_stats", "_tracer", "_resolved", "_live", "_injected")
+    __slots__ = (
+        "_stats", "_tracer", "_resolved", "_live", "_injected", "_open", "_loud", "silent"
+    )
 
     def __init__(self, stats: "CoreStats", tracer: "PipelineTracer | None" = None):
         self._stats = stats
@@ -89,12 +99,19 @@ class OutcomeTracker:
         self._live: dict[int, DynOp] = {}
         #: every corrupted op, for the end-of-run sweep.
         self._injected: list[DynOp] = []
+        #: injected faults with no outcome yet (models note each op once).
+        self._open = 0
+        #: whether some outcome so far changed the schedule.
+        self._loud = False
+        self.silent = False
 
     # ------------------------------------------------------------------ hooks
 
     def note_injected(self, op: "DynOp") -> None:
         """A model corrupted ``op`` (primary result or its check)."""
         self._injected.append(op)
+        self._open += 1
+        self.silent = False
 
     def note_issue(self, op: "DynOp") -> None:
         """A correct-path op issued: mark any silent-faulty producers consumed."""
@@ -131,8 +148,7 @@ class OutcomeTracker:
 
     def unresolved(self) -> int:
         """Injected faults that have no outcome yet."""
-        resolved = self._resolved
-        return sum(1 for op in self._injected if id(op) not in resolved)
+        return self._open
 
     def finalize(self, now: int) -> None:
         """End of run: anything committed-and-still-live is SDC."""
@@ -153,6 +169,10 @@ class OutcomeTracker:
         if key in self._resolved:
             return
         self._resolved.add(key)
+        self._open -= 1
+        if outcome is not FaultOutcome.MASKED and outcome is not FaultOutcome.SDC:
+            self._loud = True
+        self.silent = not self._open and not self._loud
         counters = self._stats.fault_outcomes
         counters[outcome.value] = counters.get(outcome.value, 0) + 1
         if self._tracer is not None:

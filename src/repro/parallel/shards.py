@@ -406,7 +406,7 @@ def run_sharded_experiment(
     checked = merge_core_stats([r.checked for r in shard_results]) if check else None
     # Shard 0's last core is the monolithic run's: same fault seed.
     result = result_dict(
-        profile.name, num_ops, seed, wrong_path, tasks[0].cores[-1][1], unchecked, checked
+        profile, num_ops, seed, wrong_path, tasks[0].cores[-1][1], unchecked, checked
     )
     if shards > 1:
         result["sharding"] = {

@@ -348,6 +348,15 @@ def test_default_run_emits_no_fault_model_keys(capsys):
     assert "fault_model" not in result["params"]["checker"]
 
 
+@pytest.mark.parametrize("shards", [[], ["--shards", "2"]], ids=["monolithic", "sharded"])
+def test_store_alias_fraction_is_recorded_only_when_nonzero(capsys, shards):
+    run = ["run", "--preset", "memory-bound", "--ops", "600", "--check", "--json", *shards]
+    main(run + ["--store-alias-fraction", "0.3"])
+    assert json.loads(capsys.readouterr().out)["store_alias_fraction"] == 0.3
+    main(run)
+    assert "store_alias_fraction" not in json.loads(capsys.readouterr().out)
+
+
 def test_fault_model_flags_validate():
     with pytest.raises(SystemExit):
         main(["run", "--fault-model", "bit-rot"])

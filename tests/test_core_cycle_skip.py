@@ -238,14 +238,26 @@ def test_rerunning_the_same_core_is_stat_identical_on_random_configs(index: int)
     assert second.sched_events == first.sched_events
 
 
+def _assert_every_fault_resolved(stats) -> None:
+    """Each injected fault has one outcome: a tracked model's outcomes sum
+    to the injections, and a transient fault is detected or squashed."""
+    if stats.fault_model_enabled:
+        assert sum(stats.fault_outcomes.values()) == stats.faults_injected
+    else:
+        assert stats.faults_detected + stats.faults_squashed == stats.faults_injected
+
+
 def _knob_digest(index: int) -> str:
     """sha256 of draw ``index``'s unchecked and checked ``to_dict()``, of
     the skipped cycles and posted events that ``to_dict()`` leaves out, and
-    of every retired op's replay count in both runs."""
+    of every retired op's replay count in both runs.  The checked run must
+    also resolve every fault it injected."""
     shape = _draw(index)
     runs = []
     for checked in (False, True):
         core, stats = _run(shape, cycle_skip=True, checked=checked)
+        if checked:
+            _assert_every_fault_resolved(stats)
         runs.append(
             {
                 "stats": stats.to_dict(),
@@ -261,7 +273,8 @@ def _knob_digest(index: int) -> str:
 def test_random_configs_match_their_pinned_digests(index: int):
     """Each draw's outputs equal the ones recorded in ``KNOB_DIGESTS``, so
     the knobs no golden cell varies (the three widths, front-end depth,
-    the real predictor, the I-cache model, FU counts) are pinned too."""
+    the real predictor, the I-cache model, FU counts) are pinned too, and
+    each draw's checked run resolves every fault it injected."""
     pinned = json.loads(KNOB_DIGESTS.read_text(encoding="utf-8"))
     assert _knob_digest(index) == pinned[index]
 

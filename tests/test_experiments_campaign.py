@@ -1,9 +1,13 @@
-"""Injection campaigns: Wilson intervals, determinism, resume, aggregation."""
+"""Injection campaigns: Wilson intervals, determinism, resume, aggregation,
+and trials that stop once their fault resolves."""
 
+import functools
 import json
+from collections import Counter
 
 import pytest
 
+from repro.core import SuperscalarCore
 from repro.experiments import (
     CampaignSpec,
     ResultsStore,
@@ -13,7 +17,10 @@ from repro.experiments import (
     run_campaign,
     wilson_interval,
 )
+from repro.experiments.campaign import _execute_trial, _leader_key, _run_order, _trace_key
+from repro.experiments.executor import execute_batched
 from repro.experiments.spec import config_hash
+from repro.faults.models import FAULT_MODELS
 
 #: Small but real: 1 preset x 2 models, sites guaranteed in 400 ops.
 SPEC = CampaignSpec(
@@ -249,3 +256,57 @@ def test_report_is_json_serializable_and_carries_the_interval_fields(tmp_path):
     for cell in blob["cells"]:
         for rate in cell["rates"].values():
             assert set(rate) == {"value", "n", "wilson_lo", "wilson_hi"}
+
+
+# ------------------------------------------------------------- early stops
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_a_trial_that_stops_early_stores_the_row_it_would_run_to_the_end(
+    monkeypatch, seed
+):
+    """Every model on three presets: each trial's row with its cell's
+    calibration equals its row without one, and some trials do stop.
+
+    The stuck unit is the one IMUL unit, so every check of an IMUL op
+    during the break lands on it: some stuck-at trials go silent and stop
+    early, and only the repair rule keeps them running while the unit is
+    still broken (seed 7 has a trial that stops too soon without it)."""
+    spec = CampaignSpec(
+        name="early-stop",
+        presets=["int-heavy", "memory-bound", "branchy"],
+        fault_models=list(FAULT_MODELS),
+        trials=6,
+        ops=800,
+        seed=seed,
+        fault_fu="IMUL",
+    )
+    calibrations = {}
+    configs = []
+    for cell in spec.cells():
+        config = spec.calibration_config(*cell)
+        result = execute_campaign_point(config)["result"]
+        calibrations[_leader_key(config)] = result
+        configs += [
+            spec.trial_config(*cell, trial, result["eligible"]) for trial in range(spec.trials)
+        ]
+
+    def rows(execute):
+        return list(execute_batched(execute, configs, _trace_key, 1, None, order=_run_order))
+
+    reference = rows(execute_campaign_point)
+    stopped = Counter()
+    run = SuperscalarCore.run
+
+    def counting_run(core, trace, *args, stop=None, **kwargs):
+        stats = run(core, trace, *args, stop=stop, **kwargs)
+        stopped[core.params.checker.fault_model] += stats.committed < len(trace)
+        return stats
+
+    monkeypatch.setattr(SuperscalarCore, "run", counting_run)
+    early = rows(functools.partial(_execute_trial, calibrations))
+    assert [row["status"] for row in early] == ["ok"] * len(configs)
+    assert [row["result"] for row in early] == [row["result"] for row in reference]
+    # Address-model data-path faults go silent: those trials stop early.
+    assert stopped["address"] > 0
+    assert stopped["transient"] == 0

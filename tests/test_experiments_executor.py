@@ -188,9 +188,9 @@ def _probe(log_dir: Path, config: dict, timeout_s: float | None) -> dict:
     return {"i": config["i"]}
 
 
-def _campaign_probe(log_dir: Path, config: dict, timeout_s: float | None) -> dict:
+def _campaign_probe(log_dir: Path, config: dict, *args) -> dict:
     _log_call(log_dir, config)
-    return execute_campaign_point(config, timeout_s)
+    return execute_campaign_point(config, *args)
 
 
 def _calls(log_dir: Path) -> list[list[dict]]:

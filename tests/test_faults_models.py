@@ -186,6 +186,41 @@ def test_checker_model_false_alarms_on_clean_ops_and_masks_faulty_ones():
     assert masked.injected == 1
 
 
+# -------------------------------------------------------------------- spent
+
+
+def test_a_forced_model_is_spent_once_its_site_is_behind():
+    model = AddressPathFault(rate=0.0, seed=7, force_index=1)
+    load = dynop(MicroOp(op=OpClass.LOAD, dest=1, srcs=(2,), addr=0x40))
+    model.maybe_inject(load)
+    assert not model.spent(0)  # site 1 is still ahead
+    model.maybe_inject(load)
+    assert model.injected == 1 and model.spent(0)
+    # A rate can always draw another fault; a pending forced seq is one.
+    assert not AddressPathFault(rate=1e-3, seed=7).spent(0)
+    transient = TransientFault(force_seqs=frozenset({3}))
+    assert not transient.spent(0)
+    transient.maybe_inject(ialu(seq=3))
+    assert transient.spent(0)
+
+
+def test_an_intermittent_model_is_spent_when_its_burst_is():
+    model = IntermittentFault(burst=3, force_index=0)
+    model.maybe_inject(ialu(seq=0))
+    assert not model.spent(0)  # two more ops of the burst to corrupt
+    model.maybe_inject(ialu(seq=1))
+    assert not model.spent(0)
+    model.maybe_inject(ialu(seq=2))
+    assert model.injected == 3 and model.spent(0)
+
+
+def test_a_stuck_unit_model_is_spent_once_its_unit_is_repaired():
+    model = StuckAtFUFault(fu=FUClass.IALU, fu_count=1, repair_cycles=10, force_index=0)
+    model.maybe_inject(ialu(seq=0, issued_at=4))
+    assert not model.spent(5) and not model.spent(13)  # broken through cycle 13
+    assert model.spent(14)
+
+
 # ------------------------------------------------------------------ factory
 
 

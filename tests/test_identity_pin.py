@@ -33,7 +33,7 @@ from repro.isa.opcodes import FUClass
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
-IDENTITY_SHA256 = "3485dd8f493f3b321ae63a2b58f6457de88c8bcc61349c15b65327cf1f07739b"
+IDENTITY_SHA256 = "04dde2216e97fa18ca7aa9e8d1c9dea6730f2520b09929da3c0dacbba1443d93"
 
 _SMALL_FUS = {"IALU": 4, "IMUL": 1, "FALU": 1, "FMUL": 1}
 
