@@ -9,24 +9,24 @@ a cycle boundary into a :class:`CoreState`, and ``SuperscalarCore.run(
 trace, start=state)`` resumes from it (via :func:`resume`) with exactly
 the statistics of an uninterrupted run.
 
-A state shares what can no longer change and copies the rest:
+What a state holds is declared once, in ``SuperscalarCore.RUN_STATE`` and
+the ``RUN_STATE`` of each subsystem it names (:func:`repro.util.run_state`),
+each attribute by one of four rules:
 
-* the trace and its micro-ops are immutable and shared;
-* in-flight ``DynOp`` records are copied, and every reference to them —
-  window, queues, wheel events, LSQ, store-set table, producer maps, the
-  dependences and wake-up lists between them — points at the copies.
-  Committed records never change again and stay shared;
-* a live wrong-path episode is kept as its branch and the number of ops
-  already pulled from its stream (those in the window plus any peeked
-  op).  Streams are pure functions of (seed, branch pc, branch seq), so
-  the resuming core re-creates the stream from its own source and pulls
-  that many ops again;
-* the memory hierarchy copies only the cache sets a fill has created
-  (:meth:`~repro.memory.hierarchy.MemoryHierarchy.save_state`).
+* **derived** — skipped: the resuming core's reset built it;
+* **value** — copied with every nested container (a flat one by its C
+  constructor); an object with a ``copy()`` method copies itself, so a
+  cache copies only the sets a fill has created;
+* **ops** — ``DynOp`` references, however nested: each in-flight op is
+  copied once, and the live copies' own references point at copies.
+  Committed ops never change again and are shared;
+* **subsystem** — saved by its own declaration, and restored in place
+  into the resuming core's subsystem, which keeps its derived wiring.
 
-This module is the one place that knows the layout of a core's run
-state; like the recovery manager, it reads and writes the core's
-subsystems directly.
+A live wrong-path episode's stream is kept as the number of ops already
+pulled from it (those in the window plus any peeked op).  Streams are pure
+functions of (seed, branch pc, branch seq), so the resuming core
+re-creates the stream from its own source and pulls that many ops again.
 """
 
 from __future__ import annotations
@@ -35,72 +35,106 @@ import copy
 from collections import deque
 from dataclasses import fields, replace
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.dynop import DynOp
-from repro.core.sched import EV_CHECK_DONE, EV_DEP_WAKE, EV_MEM_VIOLATION
+from repro.util import OPS, SUBSYSTEM, VALUE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.core import SuperscalarCore
     from repro.core.params import CoreParams
 
-#: The core's per-run attributes that hold plain values.
-_SCALARS = (
-    "_fetch_index",
-    "_fetch_stall_until",
-    "_icache_stall_until",
-    "_wp_exhausted",
-    "_wp_resolve_at",
-    "_wp_icache_stall_until",
-    "_wp_next_seq",
-    "_now",
-    "_replay_at",
-    "_replay_heap_len",
-)
-
 _dynop_fields = attrgetter(*(f.name for f in fields(DynOp)))
 
+#: Values shared by every copy.
+_ATOMS = frozenset({int, float, bool, str, type(None)})
+#: Containers a value copy rebuilds.
+_CONTAINERS = frozenset({list, tuple, dict, deque})
 
-class _Copies:
-    """Copies each uncommitted ``DynOp`` once; committed ops are shared."""
 
-    __slots__ = ("_by_id",)
+def _copy(value: Any) -> Any:
+    """A value attribute's copy: shares nothing mutable with ``value``
+    except objects held inside containers."""
+    kind = type(value)
+    if kind is list or kind is deque or kind is tuple:
+        if _CONTAINERS.isdisjoint(map(type, value)):
+            return value if kind is tuple else kind(value)
+        return kind(map(_copy, value))
+    if kind is dict:
+        if _CONTAINERS.isdisjoint(map(type, value.values())):
+            return dict(value)
+        return {key: _copy(item) for key, item in value.items()}
+    if kind in _ATOMS:
+        return value
+    own = getattr(value, "copy", None)
+    return own() if own is not None else copy.deepcopy(value)
 
-    def __init__(self) -> None:
-        self._by_id: dict[int, DynOp] = {}
 
-    def __call__(self, op: DynOp | None) -> DynOp | None:
-        if op is None or op.committed_at is not None:
-            return op
-        clone = self._by_id.get(id(op))
-        if clone is None:
-            clone = self._by_id[id(op)] = DynOp(*_dynop_fields(op))
-        return clone
+def _op_copier() -> tuple[Callable[[Any], Any], list[DynOp]]:
+    """A function returning its argument with each uncommitted ``DynOp`` in
+    it, however nested, replaced by the op's one copy (containers rebuilt,
+    anything else shared), and the list of its copies of live ops."""
+    by_id: dict[int, DynOp] = {}
+    live: list[DynOp] = []
 
-    def window(self, window: deque[DynOp]) -> deque[DynOp]:
-        """Copy the window's (live) ops, pointing their references at copies.
+    def copies(value: Any) -> Any:
+        kind = type(value)
+        if kind is DynOp:
+            if value.committed_at is not None:
+                return value
+            clone = by_id.get(id(value))
+            if clone is None:
+                clone = by_id[id(value)] = DynOp(*_dynop_fields(value))
+                if not value.squashed:
+                    live.append(clone)
+            return clone
+        if kind is int or value is None:
+            return value
+        if kind is tuple or kind is list or kind is deque:
+            return kind(map(copies, value))
+        if kind is dict:
+            return {key: copies(item) for key, item in value.items()}
+        return value
 
-        Only live ops still follow their references, so squashed ops
-        elsewhere are copied without re-pointing theirs.
-        """
-        copies = deque(map(self, window))
-        for op in copies:
-            if op.deps:
-                op.deps = tuple(map(self, op.deps))
-            if op.waiters is not None:
-                op.waiters = list(map(self, op.waiters))
-            if op.fwd_from is not None:
-                op.fwd_from = self(op.fwd_from)
-        return copies
+    return copies, live
 
-    def event(self, event: tuple[int, Any]) -> tuple[int, Any]:
-        """A wheel event, its op payloads copied."""
-        kind, payload = event
-        if kind == EV_DEP_WAKE or kind == EV_CHECK_DONE:
-            return kind, self(payload)
-        if kind == EV_MEM_VIOLATION:
-            return kind, (self(payload[0]), self(payload[1]))
-        return event
+
+def _point_at_copies(live: list[DynOp], copies: Callable[[Any], Any]) -> None:
+    """Point each live copy's dependences, wake-up list and forwarding
+    store at copies.  Nothing follows a squashed op's references."""
+    for op in live:
+        if op.deps:
+            op.deps = tuple(map(copies, op.deps))
+        if op.waiters is not None:
+            op.waiters = list(map(copies, op.waiters))
+        if op.fwd_from is not None:
+            op.fwd_from = copies(op.fwd_from)
+
+
+def _save(obj: Any, copies: Callable[[Any], Any]) -> tuple[dict, dict]:
+    """``obj``'s run state by its declaration: its values and op
+    references, and each subsystem's save (derived attributes skipped)."""
+    own, parts = {}, {}
+    for name, (rule, _) in obj.RUN_STATE.items():
+        if rule is VALUE:
+            value = getattr(obj, name)
+            own[name] = value if type(value) in _ATOMS else _copy(value)
+        elif rule is OPS:
+            own[name] = copies(getattr(obj, name))
+        elif rule is SUBSYSTEM:
+            part = getattr(obj, name)
+            parts[name] = None if part is None else _save(part, copies)
+    return own, parts
+
+
+def _restore(obj: Any, saved: tuple[dict, dict]) -> None:
+    """Give ``obj`` the run state :func:`_save` took, subsystems in place."""
+    own, parts = saved
+    for name, value in own.items():
+        setattr(obj, name, value)
+    for name, part in parts.items():
+        if part is not None:
+            _restore(getattr(obj, name), part)
 
 
 class CoreState:
@@ -126,84 +160,17 @@ class CoreState:
                 "cannot capture a core that has injected a fault: only "
                 "fault-free run states can be shared"
             )
-        op = _Copies()
         self.params = core.params
+        self.memory_params = core.hierarchy.params
         self.trace = core._trace
         self.eligible = injector.eligible if injector is not None else 0
-        self.scalars = {name: getattr(core, name) for name in _SCALARS}
-        self.window = op.window(core._window)
-        self.retired = list(core.retired)
-        self.reg_producer = {reg: op(x) for reg, x in core._reg_producer.items()}
-        self.branch_outcome = dict(core._branch_outcome)
-        self.waiting_branch = op(core._waiting_branch)
-        self.wp_branch = op(core._wp_branch)
-        self.wp_saved_producers = {
-            reg: op(x) for reg, x in core._wp_saved_producers.items()
-        }
         # Every wrong-path op in the window belongs to the live episode:
         # resolution and every squash end an episode together with its ops.
         self.wp_peeked = core._wp_peek is not None
-        self.wp_pulled = sum(x.wrong_path for x in self.window) + self.wp_peeked
-        self.replay = None if core._replay is None else [op(x) for x in core._replay]
-        self.lsq = deque(map(op, core._lsq))
-        self.lsq_index = {
-            addr: [op(x) for x in ops] for addr, ops in core._lsq_index.items()
-        }
-        fu = core._fu
-        self.fu = (
-            list(fu._used),
-            [list(blocked) for blocked in fu._blocked],
-            fu._cycle,
-            list(fu._used_classes),
-            fu._any_blocked,
-        )
-        wheel = core._wheel
-        self.wheel_due = {
-            cycle: [op.event(event) for event in bucket]
-            for cycle, bucket in wheel._due.items()
-        }
-        self.wheel_posted = wheel.posted
-        ready = core._ready
-        self.ready_heap = [(seq, tick, op(x)) for seq, tick, x in ready._heap]
-        self.ready_tick = ready._tick
-        checker = core.checker
-        self.checker = (
-            None
-            if checker is None
-            else (
-                deque(map(op, checker._pending)),
-                dict(checker._reg_ready),
-                checker.probe_stalled_at,
-            )
-        )
-        stats = core.stats
-        # Shallow copies suffice: the stats' containers hold numbers and
-        # strings (the reservoir RNG copies its state).
-        self.stats = {f.name: copy.copy(getattr(stats, f.name)) for f in fields(stats)}
-        recovery = core._recovery
-        checkpoints = recovery._checkpoints
-        self.recovery = (
-            deque(checkpoints, maxlen=checkpoints.maxlen),
-            recovery._committed,
-            recovery._next_ckpt_commit,
-        )
-        sets = core._storesets
-        self.storesets = (
-            None
-            if sets is None
-            else (
-                list(sets._ssit),
-                list(map(op, sets._lfst)),
-                sets._next_ssid,
-                sets._decay_boundary,
-                sets.decays,
-            )
-        )
-        self.predictor = (
-            copy.deepcopy(core.predictor) if core.params.use_real_predictor else None
-        )
-        self.memory_params = core.hierarchy.params
-        self.memory = core.hierarchy.save_state()
+        self.wp_pulled = sum(op.wrong_path for op in core._window) + self.wp_peeked
+        copies, live = _op_copier()
+        self.saved = _save(core, copies)
+        _point_at_copies(live, copies)
         self.used = False
 
 
@@ -255,47 +222,14 @@ def resume(core: "SuperscalarCore", state: CoreState) -> None:
             f"state ({state.eligible} eligible events seen)"
         )
     state.used = True
-    for name, value in state.scalars.items():
-        setattr(core, name, value)
-    core._window = state.window
-    core.retired = state.retired
-    core._reg_producer = state.reg_producer
-    core._branch_outcome = state.branch_outcome
-    core._waiting_branch = state.waiting_branch
-    core._wp_branch = state.wp_branch
-    core._wp_saved_producers = state.wp_saved_producers
-    if state.wp_branch is not None:
-        branch = state.wp_branch
+    _restore(core, state.saved)
+    # The hot loops' aliases of restored containers are derived: rebind them.
+    core._ready_heap = core._ready._heap
+    core._check_deque = core.checker._pending if core.checker is not None else None
+    branch = core._wp_branch
+    if branch is not None:
         stream = iter(core._wp_source(branch.uop, branch.seq, params.wrong_path_depth))
         for _ in range(state.wp_pulled - state.wp_peeked):
             next(stream)
         core._wp_iter = stream
         core._wp_peek = next(stream) if state.wp_peeked else None
-    core._replay = state.replay
-    core._lsq = state.lsq
-    core._lsq_index = state.lsq_index
-    fu = core._fu
-    fu._used, fu._blocked, fu._cycle, fu._used_classes, fu._any_blocked = state.fu
-    core._wheel._due = state.wheel_due
-    core._wheel.posted = state.wheel_posted
-    core._ready._heap = core._ready_heap = state.ready_heap
-    core._ready._tick = state.ready_tick
-    if core.checker is not None:
-        queue, reg_ready, probe_stalled_at = state.checker
-        core.checker._pending = core._check_deque = queue
-        core.checker._reg_ready = reg_ready
-        core.checker.probe_stalled_at = probe_stalled_at
-    for name, value in state.stats.items():
-        setattr(core.stats, name, value)
-    if core.fault_injector is not None:
-        core.fault_injector.eligible = state.eligible
-    recovery = core._recovery
-    recovery._checkpoints, recovery._committed, recovery._next_ckpt_commit = state.recovery
-    if core._storesets is not None:
-        sets = core._storesets
-        sets._ssit, sets._lfst, sets._next_ssid, sets._decay_boundary, sets.decays = (
-            state.storesets
-        )
-    if state.predictor is not None:
-        core.predictor = state.predictor
-    core.hierarchy.restore_state(state.memory)

@@ -41,10 +41,18 @@ from repro.core.sched import EV_CHECK_DONE, EventWheel, FUPool
 from repro.core.stats import CoreStats
 from repro.isa.opcodes import OpClass, UNPIPELINED_OPS, fu_class_for
 from repro.isa.registers import REG_ZERO
+from repro.util import run_state
 
 
 class Checker:
     """In-order re-execution engine layered over the primary core."""
+
+    RUN_STATE = run_state(
+        derived="_fu _lat _check_lat_by_op _fu_by_op _unpip_by_op _stats _wheel "
+        "_dcache_probe fault_hook",
+        value="probe_stalled_at _reg_ready",
+        ops="_pending",
+    )
 
     def __init__(
         self,

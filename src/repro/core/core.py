@@ -98,6 +98,7 @@ from repro.isa.registers import REG_ZERO
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs.telemetry import IntervalTelemetry
 from repro.obs.tracer import PipelineTracer
+from repro.util import run_state, start_run
 from repro.workloads.synthetic import WrongPathGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -113,6 +114,62 @@ WrongPathSource = Callable[[MicroOp, int, int], Iterable[MicroOp]]
 class SuperscalarCore:
     """One simulated core; :meth:`run` executes a trace to completion."""
 
+    #: Every attribute of a core by its run-state rule (see
+    #: :func:`repro.util.run_state`); values and op references with their
+    #: starts.
+    RUN_STATE = run_state(
+        subsystem="hierarchy _fu _wheel _ready stats checker fault_injector "
+        "_storesets _recovery",
+        derived="params tracer _owns_predictor _wp_source_override _latencies _trace "
+        "_fault_tracker _issue_width _frontend_depth _reserved _primary_budget "
+        "_ready_heap _wheel_pop _check_deque _trace_len _lat_by_op _fu_by_op "
+        "_unpip_by_op _memdep_on _lsq_size _fwd_latency _violation_penalty "
+        "telemetry _ckpt_on _skip_enabled _wp_source _wp_iter _wp_peek _cycle_limit",
+        value={
+            "_now": 0,
+            # A caller-supplied predictor keeps its trained state.
+            "predictor": lambda core: (
+                CombiningPredictor() if core._owns_predictor else core.predictor
+            ),
+            "_branch_outcome": dict,
+            "_fetch_index": 0,
+            # Redirect stalls (branch/recovery) and I-cache-miss stalls are
+            # tracked separately: a recovery replaces the former but must
+            # not cancel an outstanding instruction-fetch miss.
+            "_fetch_stall_until": 0,
+            "_icache_stall_until": 0,
+            # Set once the wrong-path stream runs dry (it cannot be
+            # peeked): the episode then fetches nothing more.
+            "_wp_exhausted": False,
+            "_wp_resolve_at": None,
+            "_wp_icache_stall_until": 0,
+            # Wrong-path seqs start past the trace so they always read as
+            # "younger than any real op" to the squash machinery.
+            "_wp_next_seq": lambda core: len(core._trace),
+            # A replay-only cycle's cycle, and the ready-heap length after
+            # issue, handed from _issue_primary to _maybe_skip (with its
+            # refused ops, `_replay`).
+            "_replay_at": -1,
+            "_replay_heap_len": 0,
+        },
+        ops={
+            "retired": list,
+            "_window": deque,
+            "_reg_producer": dict,
+            "_waiting_branch": None,
+            # The live wrong-path episode (one at a time: the next
+            # mispredicted branch can only be fetched after the redirect).
+            "_wp_branch": None,
+            "_wp_saved_producers": dict,
+            "_replay": None,
+            "_lsq": deque,
+            # The LSQ's correct-path ops again, by address, each list in
+            # program order: the forwarding and violation searches walk one
+            # list.
+            "_lsq_index": dict,
+        },
+    )
+
     def __init__(
         self,
         params: CoreParams | None = None,
@@ -126,10 +183,10 @@ class SuperscalarCore:
         # Observability is opt-in objects, not no-op objects: with no
         # tracer the commit/recovery paths hold None and pay one is-None
         # test per finalized op; with telemetry_interval == 0 the run loop
-        # has no per-cycle observer.  May also be assigned directly before
-        # calling run() (the CLI does).
+        # has no per-cycle observer.  Only the tracer may also be assigned
+        # directly, before begin(): each run builds its telemetry from
+        # ``params.telemetry_interval``.
         self.tracer = tracer
-        self.telemetry: IntervalTelemetry | None = None
         self._owns_predictor = predictor is None and self.params.use_real_predictor
         self.predictor = predictor  # built by _reset_run_state() when owned
         # A caller-supplied source (e.g. a profile-aware WrongPathGenerator)
@@ -137,16 +194,12 @@ class SuperscalarCore:
         self._wp_source_override = wrong_path_source
         self._latencies = default_latencies()
         self._trace: Sequence[MicroOp] = ()
-        self.retired: list[DynOp] = []
-        self._window: deque[DynOp] = deque()
-        self._reg_producer: dict[int, DynOp] = {}
-        self._branch_outcome: dict[int, bool] = {}
-        # Everything else per-run lives in _reset_run_state(), the single
-        # source of truth for a fresh measurement.
+        # Everything else is run state (RUN_STATE): _reset_run_state() sets it.
         self._reset_run_state()
 
     def _reset_run_state(self) -> None:
-        """Rebuild everything a fresh measurement needs.
+        """Rebuild everything a fresh measurement needs: the subsystems and
+        derived attributes, then each declared start (:data:`RUN_STATE`).
 
         The hierarchy is always reset: its queues and in-flight misses hold
         absolute cycle numbers, which would poison a run that restarts at
@@ -212,10 +265,6 @@ class SuperscalarCore:
         # bookkeeping, no predictor, no extra RNG/stat traffic) ---
         md = params.memdep
         self._memdep_on = md.enabled
-        self._lsq: deque[DynOp] = deque()
-        # The LSQ's correct-path ops again, by address, each list in program
-        # order: the forwarding and violation searches walk one list.
-        self._lsq_index: dict[int, list[DynOp]] = {}
         self._lsq_size = md.lsq_size
         self._fwd_latency = md.forward_latency
         self._violation_penalty = md.violation_penalty
@@ -236,54 +285,24 @@ class SuperscalarCore:
         self._ckpt_on = self._recovery.checkpointing
         self.stats.checkpointing_enabled = self._ckpt_on
         self._skip_enabled = params.cycle_skip
-        # A replay-only cycle's refused ops, its cycle, and the ready-heap
-        # length after issue, handed from _issue_primary to _maybe_skip.
-        self._replay: list[DynOp] | None = None
-        self._replay_at = -1
-        self._replay_heap_len = 0
         self.hierarchy.reset()
         self.hierarchy.attach_wheel(self._wheel)
-        if self._owns_predictor:
-            self.predictor = CombiningPredictor()
-        self.retired.clear()
-        self._window.clear()
-        self._reg_producer.clear()
-        self._branch_outcome.clear()
-        self._fetch_index = 0
-        # Redirect stalls (branch/recovery) and I-cache-miss stalls are
-        # tracked separately: a recovery replaces the former but must not
-        # cancel an outstanding instruction-fetch miss.
-        self._fetch_stall_until = 0
-        self._icache_stall_until = 0
-        self._waiting_branch = None
-        # --- wrong-path episode state (one episode at a time; the next
-        # mispredicted branch can only be fetched after the redirect) ---
+        # --- wrong-path streams: the live episode's stream is held as a
+        # lazy iterator plus a one-op lookahead slot (an op probed for an
+        # I-cache miss stays peeked until the stall clears), so unconsumed
+        # wrong-path ops cost nothing to synthesize ---
         if self.params.model_wrong_path:
             self._wp_source = self._wp_source_override or WrongPathGenerator(
                 seed=self.params.wrong_path_seed
             ).iter_stream
         else:
             self._wp_source = None
-        self._wp_branch: DynOp | None = None
-        # The episode's stream is held as a lazy iterator plus a one-op
-        # lookahead slot (an op probed for an I-cache miss stays peeked
-        # until the stall clears), so unconsumed wrong-path ops cost
-        # nothing to synthesize.
         self._wp_iter = None
         self._wp_peek: MicroOp | None = None
-        # Set once the iterator runs dry (it cannot be peeked): the stream
-        # then fetches nothing more until the episode ends.
-        self._wp_exhausted = False
-        self._wp_resolve_at: int | None = None
-        self._wp_icache_stall_until = 0
-        self._wp_saved_producers: dict[int, DynOp] = {}
-        # Wrong-path seqs start past the trace so they always read as
-        # "younger than any real op" to the squash machinery.
-        self._wp_next_seq = len(self._trace)
         # begin() overwrites this with the real bound before the cycle loop;
         # the default covers direct _step()-driven unit tests.
         self._cycle_limit = 10_000 + 400 * len(self._trace)
-        self._now = 0
+        start_run(self)
 
     # ------------------------------------------------------------------- run
 

@@ -23,11 +23,9 @@ On top of that interface sits the checkpointing policy
 (:class:`RecoveryParams`).  With ``checkpoint_interval > 0`` the manager
 snapshots the *verified* (committed) state every ``checkpoint_interval``
 commits — each snapshot costs ``checkpoint_overhead`` front-end stall
-cycles, and at most ``max_live_checkpoints`` snapshots are live (hardware
-keeps a small ring of shadow copies; older ones are reclaimed).  Fault
-recovery then rolls back to the youngest live checkpoint and replays
-forward to the restart point at commit bandwidth, instead of paying the
-flat ``CheckerParams.recovery_penalty``:
+cycles.  Fault recovery then rolls back to the youngest checkpoint and
+replays forward to the restart point at commit bandwidth, instead of
+paying the flat ``CheckerParams.recovery_penalty``:
 
     stall = restore_penalty + ceil(rollback_distance / commit_width)
 
@@ -51,7 +49,6 @@ pre-refactor core, which the golden-equivalence suite pins.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -59,7 +56,7 @@ from typing import TYPE_CHECKING
 from repro.core.sched import EV_BRANCH_RESOLVE
 from repro.isa.opcodes import OpClass, UNPIPELINED_OPS, fu_class_for
 from repro.isa.registers import REG_ZERO
-from repro.util import Params, knob
+from repro.util import Params, knob, run_state
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.core import SuperscalarCore
@@ -88,29 +85,13 @@ class RecoveryParams(Params):
             flat ``recovery_penalty`` fault-recovery model.
         checkpoint_overhead: Front-end stall cycles charged when a
             checkpoint is taken (shadow-copy creation bandwidth).
-        max_live_checkpoints: Bound on simultaneously live checkpoints;
-            taking a new one past the bound reclaims the oldest.
         restore_penalty: Fixed cycles to restore a checkpoint image before
             the replay-to-restart-point cost is added.
     """
 
     checkpoint_interval: int = knob(0, lo=0)
     checkpoint_overhead: int = knob(1, lo=0)
-    max_live_checkpoints: int = knob(8, lo=1)
     restore_penalty: int = knob(2, lo=0)
-
-
-@dataclass(slots=True, frozen=True)
-class Checkpoint:
-    """One verified-state snapshot: the commit frontier when it was taken.
-
-    ``seq`` is the sequence number of the next instruction to commit —
-    every older instruction is architecturally committed (verified) in
-    the image — and ``cycle`` is when the snapshot was taken.
-    """
-
-    seq: int
-    cycle: int
 
 
 class RecoveryManager:
@@ -124,17 +105,11 @@ class RecoveryManager:
     manager is built per run by ``_reset_run_state``.
     """
 
-    __slots__ = (
-        "_core",
-        "_stats",
-        "_params",
-        "_ckpt_on",
-        "_checkpoints",
-        "_committed",
-        "_next_ckpt_commit",
-        "_commit_width",
-        "_hook",
+    RUN_STATE = run_state(
+        derived="_core _stats _params _ckpt_on _commit_width _hook",
+        value="_ckpt_seq _committed _next_ckpt_commit",
     )
+    __slots__ = tuple(RUN_STATE)
 
     def __init__(self, core: "SuperscalarCore"):
         self._core = core
@@ -147,12 +122,11 @@ class RecoveryManager:
         self._hook = core.tracer
         interval = self._params.checkpoint_interval
         self._ckpt_on = interval > 0
-        self._checkpoints: deque[Checkpoint] = deque(
-            maxlen=self._params.max_live_checkpoints
-        )
-        # The implicit initial checkpoint: architectural state before the
-        # first instruction is always restorable.
-        self._checkpoints.append(Checkpoint(0, 0))
+        #: The youngest checkpoint's seq: the next instruction to commit
+        #: when it was taken (every older one is committed, so verified, in
+        #: its image).  Seq 0 is the implicit initial checkpoint:
+        #: architectural state before the first instruction.
+        self._ckpt_seq = 0
         #: Ops committed so far (counted while checkpointing): the commit
         #: frontier a checkpoint snapshots.
         self._committed = 0
@@ -185,7 +159,7 @@ class RecoveryManager:
         while committed_total >= nxt:
             nxt += interval
         self._next_ckpt_commit = nxt
-        self._checkpoints.append(Checkpoint(committed_total, now))
+        self._ckpt_seq = committed_total
         stats = self._stats
         stats.checkpoints_taken += 1
         if self._hook is not None:
@@ -206,14 +180,13 @@ class RecoveryManager:
         """Cycles between detection and the restart of fetch.
 
         Flat ``recovery_penalty`` without checkpointing; with it, restore
-        the youngest live checkpoint (always at or older than the restart
+        the youngest checkpoint (always at or older than the restart
         point — checkpoints snapshot the commit frontier, and the faulty
         op had not committed) and replay forward at commit bandwidth.
         """
         if not self._ckpt_on:
             return self._core.params.checker.recovery_penalty
-        ckpt = self._checkpoints[-1]
-        distance = restart_seq - ckpt.seq
+        distance = restart_seq - self._ckpt_seq
         if distance < 0:  # defensive: never true by construction
             distance = 0
         stats = self._stats

@@ -69,6 +69,7 @@ from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 from repro.isa.opcodes import FU_CLASSES, FUClass
+from repro.util import run_state
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.dynop import DynOp
@@ -124,7 +125,8 @@ class EventWheel:
     retirement) sort their own batch.
     """
 
-    __slots__ = ("_due", "posted")
+    RUN_STATE = run_state(value="posted", ops="_due")
+    __slots__ = tuple(RUN_STATE)
 
     def __init__(self) -> None:
         self._due: dict[int, list[tuple[int, Any]]] = {}
@@ -167,7 +169,8 @@ class ReadyQueue:
     staleness is resolved lazily in :meth:`pop_live`.
     """
 
-    __slots__ = ("_heap", "_tick")
+    RUN_STATE = run_state(value="_tick", ops="_heap")
+    __slots__ = tuple(RUN_STATE)
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, DynOp]] = []
@@ -211,6 +214,10 @@ class FUPool:
     :meth:`acquire` (see the layout notes above); the methods remain the
     reference the pool's tests pin.
     """
+
+    RUN_STATE = run_state(
+        derived="_counts", value="_used _blocked _cycle _used_classes _any_blocked"
+    )
 
     def __init__(self, counts: Mapping[FUClass, int]):
         # List storage indexed by FUClass (an IntEnum): the issue loops hit

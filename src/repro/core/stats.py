@@ -13,6 +13,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import TYPE_CHECKING, Any
 
 from repro.core.recovery import RecoveryCause
+from repro.util import run_state
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
@@ -164,8 +165,8 @@ class CoreStats:
     squashed_by_cause: dict[str, int] = _rule(KEYED, factory=_zero_causes)
     memory: dict[str, float] = _rule(OWN, factory=dict)
     #: RNG backing the detection-latency reservoir (host-side bookkeeping,
-    #: never serialized).
-    _reservoir_rng: random.Random = _rule(OWN, factory=_reservoir_rng, repr=False)
+    #: never serialized), seeded at the first detection past the cap.
+    _reservoir_rng: random.Random | None = _rule(OWN, None, repr=False)
     #: Total detections observed (may exceed ``len(detection_latencies)``).
     _detections_seen: int = _rule(OWN, 0)
     # --- scheduling-kernel telemetry (host-side measurements, NOT simulated
@@ -245,6 +246,8 @@ class CoreStats:
         if len(samples) < DETECTION_LATENCY_RESERVOIR:
             samples.append(latency)
         else:
+            if self._reservoir_rng is None:
+                self._reservoir_rng = _reservoir_rng()
             slot = self._reservoir_rng.randrange(self._detections_seen)
             if slot < DETECTION_LATENCY_RESERVOIR:
                 samples[slot] = latency
@@ -456,3 +459,6 @@ class CoreStats:
 WINDOW_RULES: tuple[tuple[str, str], ...] = tuple(
     (f.name, f.metadata.get("window", COUNT)) for f in fields(CoreStats)
 )
+
+#: Every field is run state a capture copies (see :func:`repro.util.run_state`).
+CoreStats.RUN_STATE = run_state(value=" ".join(f.name for f in fields(CoreStats)))

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.util import run_state
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.dynop import DynOp
 
@@ -39,16 +41,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 class StoreSetPredictor:
     """SSIT/LFST tables predicting which store a load must wait for."""
 
-    __slots__ = (
-        "_ssit_size",
-        "_lfst_size",
-        "_ssit",
-        "_lfst",
-        "_next_ssid",
-        "_decay_cycles",
-        "_decay_boundary",
-        "decays",
+    RUN_STATE = run_state(
+        derived="_ssit_size _lfst_size _decay_cycles",
+        value="_ssit _next_ssid _decay_boundary decays",
+        ops="_lfst",
     )
+    __slots__ = tuple(RUN_STATE)
 
     def __init__(self, ssit_size: int = 1024, lfst_size: int = 128, decay_cycles: int = 0):
         if ssit_size <= 0 or lfst_size <= 0:

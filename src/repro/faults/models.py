@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.dynop import DynOp
 from repro.isa.opcodes import FUClass, OpClass, fu_class_for
+from repro.util import run_state
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.params import CheckerParams
@@ -76,6 +77,9 @@ class FaultModel:
     name = "fault-model"
     dest_only = True
     wants_check_hook = False
+    #: Run state (see :func:`repro.util.run_state`).  A capture refuses a
+    #: core that injected, so all but the eligible count is as built.
+    RUN_STATE = run_state(derived="rate _rng _force_index injected tracker", value="eligible")
 
     def __init__(self, rate: float, seed: int, force_index: int | None = None):
         if not 0.0 <= rate <= 1.0:
@@ -130,6 +134,7 @@ class TransientFault(FaultModel):
     """
 
     name = "transient"
+    RUN_STATE = {**FaultModel.RUN_STATE, **run_state(derived="_force")}
 
     def __init__(
         self,
@@ -179,6 +184,7 @@ class IntermittentFault(FaultModel):
     """
 
     name = "intermittent"
+    RUN_STATE = {**FaultModel.RUN_STATE, **run_state(derived="burst _burst_left")}
 
     def __init__(
         self,
@@ -235,6 +241,10 @@ class StuckAtFUFault(FaultModel):
 
     name = "stuck-fu"
     wants_check_hook = True
+    RUN_STATE = {
+        **FaultModel.RUN_STATE,
+        **run_state(derived="fu fu_count repair_cycles _broken_until"),
+    }
 
     def __init__(
         self,

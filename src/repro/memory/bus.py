@@ -8,9 +8,15 @@ added to stock SimpleScalar (Section 2.3).
 
 from __future__ import annotations
 
+from repro.util import run_state
+
 
 class MemoryBus:
     """Single-queue bandwidth limiter for off-chip transfers."""
+
+    RUN_STATE = run_state(
+        derived="cycles_per_transfer", value="_next_free transfers total_queue_delay"
+    )
 
     def __init__(self, cycles_per_transfer: int = 4):
         if cycles_per_transfer <= 0:

@@ -34,14 +34,12 @@ always reports the traffic since the last zeroing.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass, field, fields
 
 from repro.memory.bus import MemoryBus
 from repro.memory.cache import LINE_BYTES, Cache, CacheStats
 from repro.memory.mshr import MSHRFile
-from repro.util import check_fields, knob
+from repro.util import BUILT, check_fields, knob, run_state, start_run
 
 #: Mirror of :data:`repro.core.sched.EV_MEM_FILL` (importing it here would
 #: cycle: repro.core.core imports this module).  Pinned equal by a test.
@@ -139,6 +137,9 @@ class HierarchyStats:
     checker_bank_conflicts: list[int] = field(default_factory=list)
 
 
+HierarchyStats.RUN_STATE = run_state(value=" ".join(f.name for f in fields(HierarchyStats)))
+
+
 class MemoryHierarchy:
     """Split L1 I/D + unified L2 + bandwidth-limited main memory.
 
@@ -147,14 +148,42 @@ class MemoryHierarchy:
     cycle per group, so I-cache ports are never the bottleneck here).
     """
 
+    #: The hierarchy's run state (see :func:`repro.util.run_state`).  The
+    #: caches, MSHRs, bus and stats are built once and emptied by :meth:`reset`.
+    RUN_STATE = run_state(
+        derived="params _nbanks _bank_ports _ports _l1_latency _line_shift _wheel",
+        subsystem="bus stats",
+        value={
+            "l1i": BUILT,
+            "l1d": BUILT,
+            "l2": BUILT,
+            "mshrs": BUILT,
+            "_port_cycle": -1,
+            "_ports_used": 0,
+            "_bank_cycle": -1,
+            "_banks_used": lambda hierarchy: [0] * hierarchy._nbanks,
+            # line -> [ready_at, byte_addr, dirty]; L1D fills are applied
+            # only once the miss response arrives, so accesses in the
+            # shadow of an outstanding miss merge at the MSHRs instead of
+            # hitting early.
+            "_pending_fills": dict,
+            # With a wheel attached, each deferred fill posts an
+            # EV_MEM_FILL event and `_fills_armed` flips only when a
+            # response is due, replacing the per-access poll.
+            "_fills_armed": False,
+            # The refusals handed out during cycle `_refusal_cycle`, as
+            # (reason, bank) pairs: what repeat_refusals charges again.
+            "_refusal_cycle": -1,
+            "_refusals": list,
+        },
+    )
+
     def __init__(self, params: HierarchyParams | None = None):
         self.params = params or HierarchyParams()
         p = self.params
         self._nbanks = p.dcache_banks
         #: Per-bank per-cycle access capacity under line interleaving.
         self._bank_ports = max(1, p.dcache_ports // p.dcache_banks)
-        self._bank_cycle = -1
-        self._banks_used = [0] * self._nbanks
         self.l1i = Cache(p.l1i_size, p.l1_ways, p.line_bytes, name="l1i")
         self.l1d = Cache(p.l1d_size, p.l1_ways, p.line_bytes, name="l1d")
         self.l2 = Cache(p.l2_size, p.l2_ways, p.line_bytes, name="l2")
@@ -165,21 +194,9 @@ class MemoryHierarchy:
         self._ports = p.dcache_ports
         self._l1_latency = p.l1_latency
         self._line_shift = p.line_bytes.bit_length() - 1
-        self._port_cycle = -1
-        self._ports_used = 0
-        # line -> [ready_at, byte_addr, dirty]; L1D fills are applied only
-        # once the miss response arrives, so accesses in the shadow of an
-        # outstanding miss merge at the MSHRs instead of hitting early.
-        self._pending_fills: dict[int, list] = {}
-        # Scheduling-kernel hookup: with a wheel attached, each deferred
-        # fill posts an EV_MEM_FILL event and `_fills_armed` flips only
-        # when a response is due, replacing the per-access poll.
+        # Scheduling-kernel hookup (see attach_wheel).
         self._wheel = None
-        self._fills_armed = False
-        # The refusals handed out during cycle `_refusal_cycle`, as
-        # (reason, bank) pairs: what repeat_refusals charges again.
-        self._refusal_cycle = -1
-        self._refusals: list[tuple[str, int]] = []
+        start_run(self)
 
     def attach_wheel(self, wheel) -> None:
         """Route deferred-fill arrivals through ``wheel`` (an
@@ -472,14 +489,7 @@ class MemoryHierarchy:
         self.mshrs.flush()
         self.bus.reset()
         self.reset_counters()
-        self._port_cycle = -1
-        self._ports_used = 0
-        self._bank_cycle = -1
-        self._banks_used = [0] * self._nbanks
-        self._pending_fills.clear()
-        self._fills_armed = False
-        self._refusal_cycle = -1
-        self._refusals = []
+        start_run(self)
 
     def reset_counters(self) -> None:
         """Zero every counter and keep all other state: a warm-start
@@ -491,38 +501,6 @@ class MemoryHierarchy:
         mshrs.allocations = mshrs.merges = mshrs.full_stalls = mshrs.target_stalls = 0
         self.bus.transfers = self.bus.total_queue_delay = 0
         self.stats = self._fresh_stats()
-
-    def save_state(self) -> dict[str, Any]:
-        """An independent copy of everything a run changes, for
-        :meth:`restore_state` (a core capturing its run state)."""
-        stats = self.stats
-        return {
-            "l1i": self.l1i.copy(),
-            "l1d": self.l1d.copy(),
-            "l2": self.l2.copy(),
-            "mshrs": self.mshrs.copy(),
-            "bus": copy.copy(self.bus),
-            "stats": replace(
-                stats,
-                bank_conflicts=list(stats.bank_conflicts),
-                checker_bank_conflicts=list(stats.checker_bank_conflicts),
-            ),
-            "_port_cycle": self._port_cycle,
-            "_ports_used": self._ports_used,
-            "_bank_cycle": self._bank_cycle,
-            "_banks_used": list(self._banks_used),
-            "_pending_fills": {line: list(fill) for line, fill in self._pending_fills.items()},
-            "_fills_armed": self._fills_armed,
-            "_refusal_cycle": self._refusal_cycle,
-            "_refusals": list(self._refusals),
-        }
-
-    def restore_state(self, saved: dict[str, Any]) -> None:
-        """Continue from ``saved`` (a :meth:`save_state` of a hierarchy with
-        these params), which this hierarchy takes over.  The attached event
-        wheel stays: the core restores the events posted to it."""
-        for name, value in saved.items():
-            setattr(self, name, value)
 
     def snapshot(self) -> dict[str, float]:
         """Flat stats dict for reports.

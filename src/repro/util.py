@@ -7,6 +7,11 @@ serialized.  :func:`check_fields` checks every declared range at
 construction, and :class:`Params` gives each serialized params class its
 ``to_dict`` and ``from_dict``.  Each class's plan is built once, on first
 use.
+
+It also holds the run-state rules: a core and each subsystem a capture
+copies declare every attribute once, with :func:`run_state`.
+:func:`start_run` sets those with a start at each reset, and
+:mod:`repro.core.capture` copies and restores them.
 """
 
 from __future__ import annotations
@@ -205,3 +210,59 @@ class Params:
             if name in kwargs:
                 kwargs[name] = decode(kwargs[name])
         return cls(**kwargs)
+
+
+# The run-state rules.
+#: Capture skips it: every reset builds it from the params, the trace or
+#: the constructor's arguments.
+DERIVED = "derived"
+#: Capture copies it, and every container nested in it.
+VALUE = "value"
+#: DynOp references, however nested: capture points them at copies.
+OPS = "ops"
+#: An object that declares its own run state by these rules.
+SUBSYSTEM = "subsystem"
+#: The start of an attribute its constructor builds: :func:`start_run`
+#: leaves it alone.
+BUILT = MISSING
+
+
+def run_state(
+    *,
+    derived: str = "",
+    value: str | dict[str, Any] = "",
+    ops: str | dict[str, Any] = "",
+    subsystem: str = "",
+) -> dict[str, tuple[str, Any]]:
+    """Declare a class's run state: each attribute's rule, and the start
+    of each attribute that :func:`start_run` sets.
+
+    Each argument names the attributes of its rule, space-separated.  A
+    value or ops argument may instead map each name to its start: a
+    constant, a type (built empty), a function of the object, or
+    :data:`BUILT`.
+
+    Raises:
+        ValueError: if an attribute is named twice.
+    """
+    declared: dict[str, tuple[str, Any]] = {}
+    for rule, names in ((DERIVED, derived), (VALUE, value), (OPS, ops), (SUBSYSTEM, subsystem)):
+        starts = names if isinstance(names, dict) else dict.fromkeys(names.split(), BUILT)
+        for name, start in starts.items():
+            if name in declared:
+                raise ValueError(f"run-state attribute {name} is declared twice")
+            declared[name] = (rule, start)
+    return declared
+
+
+def start_run(obj: Any) -> None:
+    """Set each attribute of ``obj`` whose run-state declaration names a
+    start to that start."""
+    for name, (_, start) in obj.RUN_STATE.items():
+        if start is BUILT:
+            continue
+        if isinstance(start, type):
+            start = start()
+        elif callable(start):
+            start = start(obj)
+        setattr(obj, name, start)

@@ -9,18 +9,28 @@ and checkpoints.  Capture
 also has to survive the boundaries random ones rarely hit (a wrong-path
 op peeked behind an I-cache miss or a full LSQ, a full LSQ, a replay-only
 cycle's pending skip) and refuse states it cannot share.
+
+What a state holds is declared once (``RUN_STATE``): every attribute of a
+core and of each subsystem it captures must be declared, and a captured
+state must share nothing its leader still changes.
 """
 
-from dataclasses import replace
+import enum
+import random
+from array import array
+from collections import deque
+from dataclasses import fields, replace
 
 import pytest
 
-from repro.core import CheckerParams, CoreParams, SuperscalarCore
+from repro.core import CheckerParams, CoreParams, DynOp, SuperscalarCore
 from repro.core.params import MemDepParams, RecoveryParams
 from repro.experiments.campaign import _state_before
 from repro.faults import FAULT_MODELS
+from repro.faults.models import build_fault_model
 from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
 from repro.obs.tracer import PipelineTracer
+from repro.util import SUBSYSTEM
 from repro.workloads import PRESETS, WrongPathGenerator, generate
 
 #: (preset, ops, core params, memory params) of the machines.  int-heavy's
@@ -212,3 +222,111 @@ def test_resume_refuses_other_params_a_passed_site_and_a_reused_state():
         _core(TABLE1, site=80).run(trace, start=state)
     with pytest.raises(ValueError, match="trace it was captured on"):
         _core(TABLE1).run(list(trace), start=leader.capture())
+
+
+# ------------------------------------------------------------ run-state rules
+
+
+def _attributes(obj) -> set[str]:
+    """The attributes ``obj`` holds: its instance dict, or its set slots."""
+    names = set(getattr(obj, "__dict__", ()))
+    for cls in type(obj).__mro__:
+        names.update(name for name in getattr(cls, "__slots__", ()) if hasattr(obj, name))
+    return names
+
+
+def _declared_parts(obj, path: str = "core"):
+    """``obj`` and each subsystem its run-state declaration reaches."""
+    yield path, obj
+    for name, (rule, _) in type(obj).RUN_STATE.items():
+        part = getattr(obj, name)
+        if rule == SUBSYSTEM and part is not None:
+            yield from _declared_parts(part, f"{path}.{name}")
+
+
+def test_every_attribute_of_a_core_and_its_subsystems_has_a_rule():
+    """A core with every subsystem built: each object holds exactly the
+    attributes it declares, at the start of a run, mid-run and at its end."""
+    params = CoreParams(
+        use_real_predictor=True,
+        memdep=MemDepParams(enabled=True),
+        recovery=RecoveryParams(checkpoint_interval=64),
+        checker=CheckerParams(enabled=True, fault_rate=1e-2),
+    )
+    core = SuperscalarCore(params, hierarchy=MemoryHierarchy(HierarchyParams(dcache_banks=4)))
+    core.begin(generate(PRESETS["memory-bound"], 600, seed=3))
+    for stop in (None, lambda: core._now >= 300, lambda: False):
+        if stop is not None:
+            core.advance(stop)
+        parts = dict(_declared_parts(core))
+        assert set(parts) == {
+            "core",
+            *(f"core.{name}" for name in (
+                "hierarchy", "_fu", "_wheel", "_ready", "stats", "checker",
+                "fault_injector", "_storesets", "_recovery",
+            )),
+            "core.hierarchy.bus",
+            "core.hierarchy.stats",
+        }
+        for path, obj in parts.items():
+            assert _attributes(obj) == set(type(obj).RUN_STATE), path
+    for model in FAULT_MODELS:
+        built = build_fault_model(replace(params.checker, fault_model=model), params.fu_counts)
+        assert _attributes(built) == set(type(built).RUN_STATE), model
+
+
+def _fingerprint(root) -> list:
+    """Everything reachable from ``root``, by content, in discovery order
+    (references as discovery indices): a change anywhere in it shows."""
+    index: dict[int, int] = {}
+    found: list = []
+
+    def ref(value):
+        if value is None or isinstance(value, (int, float, str, enum.Enum)):
+            return value
+        if id(value) not in index:
+            index[id(value)] = len(found)
+            found.append(value)
+        return ("@", index[id(value)])
+
+    snapshots = []
+    ref(root)
+    for value in found:  # grows as the walk discovers more
+        if isinstance(value, dict):
+            snapshots.append(tuple((key, ref(item)) for key, item in value.items()))
+        elif isinstance(value, (list, tuple, deque)):
+            snapshots.append(tuple(map(ref, value)))
+        elif isinstance(value, array):
+            snapshots.append(tuple(value))
+        elif isinstance(value, random.Random):
+            snapshots.append(value.getstate())
+        elif isinstance(value, DynOp):
+            snapshots.append(tuple(ref(getattr(value, f.name)) for f in fields(DynOp)))
+        else:
+            names = sorted(_attributes(value))
+            snapshots.append((type(value).__name__, *(ref(getattr(value, n)) for n in names)))
+    return snapshots
+
+
+def _state_fingerprint(state) -> list:
+    return _fingerprint((state.saved, state.eligible, state.wp_pulled, state.wp_peeked))
+
+
+@pytest.mark.parametrize("shape", ["int-heavy-table1", "memory-bound-memdep"])
+def test_a_captured_state_stays_independent_of_its_leader(shape: str):
+    """States captured every 25 cycles keep their every declared attribute
+    while the leader runs on to the end.  On int-heavy the unpipelined
+    divides hold FU reservations across capture points, so a state sharing
+    the pool's reservation lists with its leader changes here."""
+    machine = SHAPES[shape]
+    leader = _core(machine)
+    leader.begin(_trace(machine))
+    captured = []
+    for _ in range(20):
+        until = leader._now + 25
+        assert leader.advance(lambda: leader._now >= until)
+        state = leader.capture()
+        captured.append((state, _state_fingerprint(state)))
+    leader.advance()
+    changed = [i for i, (state, before) in enumerate(captured) if _state_fingerprint(state) != before]
+    assert not changed, f"states {changed} of {len(captured)} changed as the leader ran on"

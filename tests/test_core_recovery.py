@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import CheckerParams, CoreParams, RecoveryParams, SuperscalarCore
 from repro.core.params import MemDepParams
+from repro.obs.tracer import PipelineTracer
 from repro.workloads import PRESETS, WrongPathGenerator, generate
 
 from dataclasses import replace
@@ -18,15 +19,12 @@ def test_recovery_params_validate():
     with pytest.raises(ValueError):
         RecoveryParams(checkpoint_overhead=-1)
     with pytest.raises(ValueError):
-        RecoveryParams(max_live_checkpoints=0)
-    with pytest.raises(ValueError):
         RecoveryParams(restore_penalty=-1)
 
 
 def test_recovery_params_roundtrip_and_unknown_keys():
     params = RecoveryParams(
-        checkpoint_interval=32, checkpoint_overhead=3,
-        max_live_checkpoints=4, restore_penalty=5,
+        checkpoint_interval=32, checkpoint_overhead=3, restore_penalty=5,
     )
     assert RecoveryParams.from_dict(params.to_dict()) == params
     with pytest.raises(ValueError):
@@ -46,21 +44,22 @@ def test_core_params_omit_recovery_at_default():
 # -------------------------------------------------------------- checkpointing
 
 
-def _run(interval=0, overhead=1, max_live=8, fault_rate=5e-3, seed=0,
-         ops=2_000, preset="int-heavy", **core_kwargs):
+def _run(interval=0, overhead=1, fault_rate=5e-3, seed=0,
+         ops=2_000, preset="int-heavy", tracer=None, **core_kwargs):
     profile = PRESETS[preset]
     trace = generate(profile, ops, seed=seed)
     params = CoreParams(
         recovery=RecoveryParams(
             checkpoint_interval=interval,
             checkpoint_overhead=overhead,
-            max_live_checkpoints=max_live,
         ),
         checker=CheckerParams(enabled=True, fault_rate=fault_rate, fault_seed=seed + 1),
         **core_kwargs,
     )
     core = SuperscalarCore(
-        params, wrong_path_source=WrongPathGenerator(profile, seed=seed).iter_stream
+        params,
+        wrong_path_source=WrongPathGenerator(profile, seed=seed).iter_stream,
+        tracer=tracer,
     )
     return core, core.run(trace)
 
@@ -96,10 +95,25 @@ def test_rollback_histogram_is_consistent_with_the_recovery_count():
     assert stats.mean_recovery_stall < stats.cycles
 
 
-def test_live_checkpoints_stay_bounded():
-    core, stats = _run(interval=8, max_live=3, ops=1_000)
+def test_each_fault_rollback_restores_the_youngest_checkpoint():
+    """A fault recovery's stall is the restore penalty plus the replay, at
+    commit bandwidth, from the youngest checkpoint taken before it to the
+    restart point (the op after the faulty one)."""
+    tracer = PipelineTracer("checked")
+    core, stats = _run(interval=8, fault_rate=1e-2, ops=1_000, tracer=tracer)
+    penalty = core.params.recovery.restore_penalty
+    width = core.params.commit_width
+    youngest = 0
+    rollbacks = 0
+    for name, _, args in tracer.events:
+        if name == "checkpoint":
+            youngest = args["seq"]
+        elif name == "recovery:checker_fault":
+            replay = args["seq"] + 1 - youngest
+            assert args["stall"] == penalty + -(-replay // width), args
+            rollbacks += 1
     assert stats.checkpoints_taken > 3
-    assert len(core._recovery._checkpoints) <= 3
+    assert rollbacks == stats.recoveries > 0
 
 
 def test_per_cause_counters_partition_every_squash():

@@ -33,7 +33,7 @@ from repro.isa.opcodes import FUClass
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
-IDENTITY_SHA256 = "04dde2216e97fa18ca7aa9e8d1c9dea6730f2520b09929da3c0dacbba1443d93"
+IDENTITY_SHA256 = "7b18f260fd3c1c5c3a802ad8bdca61da487f461d8e83b537d257bcf45d52cf28"
 
 _SMALL_FUS = {"IALU": 4, "IMUL": 1, "FALU": 1, "FMUL": 1}
 
@@ -101,7 +101,6 @@ MEMDEP_OFF: dict = {
 RECOVERY_OFF: dict = {
     "checkpoint_interval": 64,
     "checkpoint_overhead": 3,
-    "max_live_checkpoints": 4,
     "restore_penalty": 5,
 }
 

@@ -110,7 +110,6 @@ PERTURBED: dict[str, object] = {
     "memdep.ssit_decay_cycles": 50,
     "recovery.checkpoint_interval": 16,
     "recovery.checkpoint_overhead": 4,
-    "recovery.max_live_checkpoints": 1,
     "recovery.restore_penalty": 20,
     "hierarchy.l1i_size": 512,
     "hierarchy.l1d_size": 2048,
@@ -132,12 +131,7 @@ PERTURBED: dict[str, object] = {
 OBSERVERS = frozenset({"core.cycle_skip", "core.record_retired", "core.telemetry_interval"})
 
 #: Fields no shape can move, and why.
-NEVER_LIVE = {
-    "recovery.max_live_checkpoints": (
-        "fault recovery always restores the youngest checkpoint, so the bound "
-        "on the ring changes no statistic"
-    ),
-}
+NEVER_LIVE: dict[str, str] = {}
 
 _TRANSIENT_ONLY = "only the transient model reads it"
 _INTERMITTENT_ONLY = "only the intermittent model reads it"

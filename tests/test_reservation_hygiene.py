@@ -164,7 +164,7 @@ def test_checkpoint_rollback_with_a_full_lsq():
     trace = generate(profile, 600, seed=2)
     params = CoreParams(
         memdep=MemDepParams(enabled=True, lsq_size=6),
-        recovery=RecoveryParams(checkpoint_interval=16, max_live_checkpoints=2),
+        recovery=RecoveryParams(checkpoint_interval=16),
         checker=CheckerParams(
             enabled=True, force_fault_seqs=frozenset(range(0, 600, 41))
         ),

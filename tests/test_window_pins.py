@@ -27,7 +27,7 @@ from repro.parallel import run_sharded_experiment
 from repro.workloads import PRESETS, WrongPathGenerator, generate
 
 WINDOW_SHA256 = "9ed30bfde3b451a296955afdc608ac7bd967a66fae715332088db493bdc54fed"
-MERGE_SHA256 = "bd9e8af2e1811828d432da16bc2e9cef3d75fcd55d405283a5063bbc4c2c357b"
+MERGE_SHA256 = "00311d26b00c47b09932aa8946413d42e68fb5f1381ec95a0ab7b814251868ae"
 
 
 def _false_alarms(stats) -> int:
