@@ -76,7 +76,7 @@ from repro.branch.combining import CombiningPredictor
 from repro.core.checker import Checker
 from repro.core.dynop import DynOp
 from repro.faults.models import FaultModel, build_fault_model
-from repro.faults.outcomes import OutcomeTracker, zero_outcomes
+from repro.faults.outcomes import OutcomeTracker
 from repro.core.params import CoreParams
 from repro.core.recovery import RecoveryManager
 from repro.core.sched import (
@@ -114,6 +114,26 @@ WrongPathSource = Callable[[MicroOp, int, int], Iterable[MicroOp]]
 class SuperscalarCore:
     """One simulated core; :meth:`run` executes a trace to completion."""
 
+    #: The live wrong-path episode (one at a time: the next mispredicted
+    #: branch can only be fetched after the redirect), by run-state rule
+    #: with each attribute's start: a reset and every episode's end
+    #: (``RecoveryManager.end_wrong_path``) set these.
+    WRONG_PATH_EPISODE = run_state(
+        # The episode's stream: a lazy iterator plus a one-op lookahead
+        # slot (an op probed for an I-cache miss stays peeked until the
+        # stall clears), so unconsumed wrong-path ops cost nothing to
+        # synthesize.
+        derived={"_wp_iter": None, "_wp_peek": None},
+        value={
+            # Set once the wrong-path stream runs dry (it cannot be
+            # peeked): the episode then fetches nothing more.
+            "_wp_exhausted": False,
+            "_wp_resolve_at": None,
+            "_wp_icache_stall_until": 0,
+        },
+        ops={"_wp_branch": None, "_wp_saved_producers": dict},
+    )
+
     #: Every attribute of a core by its run-state rule (see
     #: :func:`repro.util.run_state`); values and op references with their
     #: starts.
@@ -121,10 +141,10 @@ class SuperscalarCore:
         subsystem="hierarchy _fu _wheel _ready stats checker fault_injector "
         "_storesets _recovery",
         derived="params tracer _owns_predictor _wp_source_override _latencies _trace "
-        "_fault_tracker _issue_width _frontend_depth _reserved _primary_budget "
+        "_silent_tracker _issue_width _frontend_depth _reserved _primary_budget "
         "_ready_heap _wheel_pop _check_deque _trace_len _lat_by_op _fu_by_op "
         "_unpip_by_op _memdep_on _lsq_size _fwd_latency _violation_penalty "
-        "telemetry _ckpt_on _skip_enabled _wp_source _wp_iter _wp_peek _cycle_limit",
+        "telemetry _ckpt_on _skip_enabled _wp_source _cycle_limit",
         value={
             "_now": 0,
             # A caller-supplied predictor keeps its trained state.
@@ -138,11 +158,6 @@ class SuperscalarCore:
             # not cancel an outstanding instruction-fetch miss.
             "_fetch_stall_until": 0,
             "_icache_stall_until": 0,
-            # Set once the wrong-path stream runs dry (it cannot be
-            # peeked): the episode then fetches nothing more.
-            "_wp_exhausted": False,
-            "_wp_resolve_at": None,
-            "_wp_icache_stall_until": 0,
             # Wrong-path seqs start past the trace so they always read as
             # "younger than any real op" to the squash machinery.
             "_wp_next_seq": lambda core: len(core._trace),
@@ -157,10 +172,6 @@ class SuperscalarCore:
             "_window": deque,
             "_reg_producer": dict,
             "_waiting_branch": None,
-            # The live wrong-path episode (one at a time: the next
-            # mispredicted branch can only be fetched after the redirect).
-            "_wp_branch": None,
-            "_wp_saved_producers": dict,
             "_replay": None,
             "_lsq": deque,
             # The LSQ's correct-path ops again, by address, each list in
@@ -168,7 +179,7 @@ class SuperscalarCore:
             # list.
             "_lsq_index": dict,
         },
-    )
+    ) | WRONG_PATH_EPISODE
 
     def __init__(
         self,
@@ -193,9 +204,7 @@ class SuperscalarCore:
         # overrides the default generic stream generator.
         self._wp_source_override = wrong_path_source
         self._latencies = default_latencies()
-        self._trace: Sequence[MicroOp] = ()
-        # Everything else is run state (RUN_STATE): _reset_run_state() sets it.
-        self._reset_run_state()
+        # Everything else is run state (RUN_STATE): begin() sets it.
 
     def _reset_run_state(self) -> None:
         """Rebuild everything a fresh measurement needs: the subsystems and
@@ -214,7 +223,7 @@ class SuperscalarCore:
         cp = self.params.checker
         self.checker: Checker | None = None
         self.fault_injector: FaultModel | None = None
-        self._fault_tracker: OutcomeTracker | None = None
+        self._silent_tracker: OutcomeTracker | None = None
         if cp.enabled:
             # With D-cache banking modelled, every checker load/store must
             # win a (port, bank) slot against the primary stream before its
@@ -227,19 +236,18 @@ class SuperscalarCore:
             self.checker = Checker(
                 self._fu, self._latencies, self.stats, self._wheel, dcache_probe=probe
             )
-            self.fault_injector = build_fault_model(cp, self.params.fu_counts)
-            if self.fault_injector.wants_check_hook:
-                self.checker.fault_hook = self.fault_injector.on_check_issue
-            if cp.fault_model != "transient":
-                # Non-transient models can mask, miss, or false-alarm, so
-                # outcomes need tracking; the transient default resolves
-                # every fault as detected-or-squashed by construction and
-                # carries no tracker (and no stats block) at all.
-                self.stats.fault_model_enabled = True
-                self.stats.fault_model = cp.fault_model
-                self.stats.fault_outcomes = zero_outcomes()
-                self._fault_tracker = OutcomeTracker(self.stats, self.tracer)
-                self.fault_injector.tracker = self._fault_tracker
+            model = self.fault_injector = build_fault_model(cp, self.params.fu_counts)
+            if model.wants_check_hook:
+                self.checker.fault_hook = model.on_check_issue
+            # One tracker resolves every fault of every model; only a model
+            # whose faults can go silent needs its per-op issue and commit
+            # hooks.  The transient default keeps the legacy row format: it
+            # emits no fault-model block.
+            model.tracker = OutcomeTracker(self.stats, self.tracer)
+            if model.can_go_silent:
+                self._silent_tracker = model.tracker
+            self.stats.fault_model_enabled = cp.fault_model != "transient"
+            self.stats.fault_model = cp.fault_model
         # --- per-run caches for the cycle loop (the params object is
         # read-only during a run; a few of these reach into kernel-structure
         # internals, trading encapsulation for measured per-cycle cost) ---
@@ -287,21 +295,13 @@ class SuperscalarCore:
         self._skip_enabled = params.cycle_skip
         self.hierarchy.reset()
         self.hierarchy.attach_wheel(self._wheel)
-        # --- wrong-path streams: the live episode's stream is held as a
-        # lazy iterator plus a one-op lookahead slot (an op probed for an
-        # I-cache miss stays peeked until the stall clears), so unconsumed
-        # wrong-path ops cost nothing to synthesize ---
+        # --- wrong-path streams (see WRONG_PATH_EPISODE) ---
         if self.params.model_wrong_path:
             self._wp_source = self._wp_source_override or WrongPathGenerator(
                 seed=self.params.wrong_path_seed
             ).iter_stream
         else:
             self._wp_source = None
-        self._wp_iter = None
-        self._wp_peek: MicroOp | None = None
-        # begin() overwrites this with the real bound before the cycle loop;
-        # the default covers direct _step()-driven unit tests.
-        self._cycle_limit = 10_000 + 400 * len(self._trace)
         start_run(self)
 
     # ------------------------------------------------------------------- run
@@ -395,10 +395,11 @@ class SuperscalarCore:
         self._wheel.posted = 0
         if self._storesets is not None:
             self._storesets.decays = 0
-        if self.fault_injector is not None:
+        injector = self.fault_injector
+        if injector is not None:
             # A fault still unresolved at the boundary resolves inside the
             # window, so the window counts it as injected too.
-            self.fault_injector.injected = self._unresolved_faults()
+            injector.injected = injector.tracker.unresolved()
         self.advance()
         return self._finish(start_cycle)
 
@@ -480,28 +481,17 @@ class SuperscalarCore:
         started at ``start_cycle``)."""
         stats = self.stats
         stats.cycles = self._now - start_cycle
-        if self.fault_injector is not None:
-            stats.faults_injected = self.fault_injector.injected
-        if self._fault_tracker is not None:
+        injector = self.fault_injector
+        if injector is not None:
+            stats.faults_injected = injector.injected
             # Committed-and-still-live silent faults resolve as SDC; after
             # this every injected fault has exactly one outcome.
-            self._fault_tracker.finalize(self._now)
+            injector.tracker.finalize(self._now)
         if self._storesets is not None:
             stats.ssit_decays = self._storesets.decays
         stats.sched_events = self._wheel.posted
         stats.memory = self.hierarchy.snapshot()
         return stats
-
-    def _unresolved_faults(self) -> int:
-        """Injected faults with no outcome yet.
-
-        Tracked models know theirs (committed silent faults included); a
-        transient fault is unresolved exactly while its op is still in the
-        window (detection clears ``faulty``, a squash removes the op).
-        """
-        if self._fault_tracker is not None:
-            return self._fault_tracker.unresolved()
-        return sum(1 for op in self._window if op.faulty)
 
     def _deadlock(self, limit: int) -> DeadlockError:
         """The error for a run past its cycle limit; with telemetry, it
@@ -531,6 +521,16 @@ class SuperscalarCore:
         lines.append(
             f"cycle {now}; next scheduled event "
             f"{'at cycle ' + str(next_event) if next_event is not None else 'none'}"
+        )
+        # A recovery loop (a replay that recovers again each time) commits
+        # little and shows here; the op states below cannot tell it apart.
+        stats = self.stats
+        causes = ", ".join(
+            f"{cause} {count}" for cause, count in stats.recoveries_by_cause.items() if count
+        )
+        lines.append(
+            f"committed {stats.committed} of {self._trace_len} ops; recoveries by "
+            f"cause: {causes or 'none'}"
         )
         if not self._window:
             lines.append(
@@ -850,7 +850,7 @@ class SuperscalarCore:
         lsq = self._lsq if self._memdep_on else None
         lsq_index = self._lsq_index
         tracer = self.tracer
-        fault_tracker = self._fault_tracker
+        silent_tracker = self._silent_tracker
         while window and done < budget:
             op = window[0]
             if gate_on_check:
@@ -875,8 +875,8 @@ class SuperscalarCore:
                 self.retired.append(op)
             if tracer is not None:
                 tracer.op_retired(op, now)
-            if fault_tracker is not None:
-                fault_tracker.note_commit(op, now)
+            if silent_tracker is not None:
+                silent_tracker.note_commit(op, now)
             done += 1
         self.stats.committed += done
         if done and self._ckpt_on:
@@ -915,7 +915,7 @@ class SuperscalarCore:
         access = self.hierarchy.access
         injector = self.fault_injector
         inject_all = injector is not None and not injector.dest_only
-        fault_tracker = self._fault_tracker
+        silent_tracker = self._silent_tracker
         waiting_branch = self._waiting_branch
         store_cls = OpClass.STORE
         load_cls = OpClass.LOAD
@@ -1008,10 +1008,10 @@ class SuperscalarCore:
                 stats.wrong_path_slots_used += 1
             else:
                 stats.primary_slots_used += 1
-                if fault_tracker is not None:
+                if silent_tracker is not None:
                     # A consumer of a live silent fault just issued: the
                     # corrupt value propagated (MASKED is off the table).
-                    fault_tracker.note_issue(op)
+                    silent_tracker.note_issue(op)
                 # Wrong-path results are never checked, so corrupting them
                 # would be invisible and would break the detected+squashed
                 # == injected invariant.  Skipping them also keeps forced
@@ -1362,15 +1362,12 @@ class SuperscalarCore:
             self._waiting_branch = op
             if self._wp_source is not None:
                 # Start a wrong-path episode: fetch switches to this stream
-                # next cycle and stays there until the branch resolves.
+                # next cycle and stays there until the branch resolves.  The
+                # last episode's end left the rest at their declared starts.
                 self._wp_branch = op
-                self._wp_resolve_at = None
-                self._wp_icache_stall_until = 0
                 self._wp_iter = iter(
                     self._wp_source(uop, op.seq, self.params.wrong_path_depth)
                 )
-                self._wp_peek = None
-                self._wp_exhausted = False
                 # Snapshot the producer map: during the episode only
                 # wrong-path renames (overwrites) and in-order commits
                 # (deletions) touch it, so the resolution squash restores

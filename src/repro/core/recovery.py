@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING
 from repro.core.sched import EV_BRANCH_RESOLVE
 from repro.isa.opcodes import OpClass, UNPIPELINED_OPS, fu_class_for
 from repro.isa.registers import REG_ZERO
-from repro.util import Params, knob, run_state
+from repro.util import Params, knob, run_state, start_run
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.core import SuperscalarCore
@@ -294,9 +294,7 @@ class RecoveryManager:
             # Before the flag flips below: the hook reads fault_at and
             # check_complete_at off the still-marked op.
             self._hook.fault_detected(faulty, now)
-        tracker = core._fault_tracker
-        if tracker is not None:
-            tracker.note_detected(faulty, now)
+        core.fault_injector.tracker.note_detected(faulty, now)
         faulty.faulty = False
         faulty.corrected = True
         faulty.checked = True
@@ -333,9 +331,7 @@ class RecoveryManager:
         """
         core = self._core
         stats = self._stats
-        tracker = core._fault_tracker
-        if tracker is not None:
-            tracker.note_false_alarm(op, now)
+        core.fault_injector.tracker.note_false_alarm(op, now)
         op.check_faulty = False
         stats.recoveries += 1
         label = RecoveryCause.CHECKER_FALSE_ALARM.value
@@ -406,7 +402,6 @@ class RecoveryManager:
             by_cause[label] = 0
         window = core._window
         hook = self._hook
-        tracker = core._fault_tracker
         while window and window[-1].seq > boundary_seq:
             victim = window.pop()
             victim.squashed = True
@@ -417,12 +412,12 @@ class RecoveryManager:
                 stats.wrong_path_squashed += 1
             else:
                 stats.squashed += 1
-                if victim.faulty:
-                    stats.faults_squashed += 1
-                    if tracker is not None:
-                        tracker.note_squashed(victim, now)
-                elif victim.check_faulty and tracker is not None:
-                    tracker.note_squashed(victim, now)
+                if victim.faulty or victim.check_faulty:
+                    # Only a checked core injects, and its model holds the
+                    # outcome tracker.
+                    if victim.faulty:
+                        stats.faults_squashed += 1
+                    core.fault_injector.tracker.note_squashed(victim, now)
             if victim.uop.op in UNPIPELINED_OPS:
                 self.release_victim_fu(victim, now)
         if core._memdep_on:
@@ -430,15 +425,10 @@ class RecoveryManager:
         self.rebuild_producers()
 
     def end_wrong_path(self) -> None:
-        """Terminate the live wrong-path episode (if any)."""
+        """Terminate the live wrong-path episode (if any): each of its
+        attributes takes its start (``SuperscalarCore.WRONG_PATH_EPISODE``)."""
         core = self._core
-        core._wp_branch = None
-        core._wp_iter = None
-        core._wp_peek = None
-        core._wp_exhausted = False
-        core._wp_resolve_at = None
-        core._wp_icache_stall_until = 0
-        core._wp_saved_producers = {}
+        start_run(core, core.WRONG_PATH_EPISODE)
 
     def rebuild_producers(self) -> None:
         """Recompute the register-producer map from the surviving window."""

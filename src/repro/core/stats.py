@@ -113,14 +113,15 @@ class CoreStats:
     #: up to :data:`DETECTION_LATENCY_RESERVOIR` detections; past the cap
     #: the list becomes a uniform sample (see :meth:`record_detection_latency`).
     detection_latencies: list[int] = _rule(OWN, factory=list)
-    # --- fault models (populated only when a non-transient fault model is
-    # configured; same gating pattern as memdep below — the transient
-    # default emits no block and stays byte-identical) ---
+    # --- fault models (every checked run counts its outcomes; the block is
+    # emitted only when a non-transient fault model is configured, the
+    # same gating pattern as memdep below — the transient default emits no
+    # block and stays byte-identical) ---
     fault_model_enabled: bool = _rule(MACHINE, False)
     fault_model: str = _rule(MACHINE, "transient")
     #: Terminal per-fault outcome counters keyed by
-    #: :class:`~repro.faults.outcomes.FaultOutcome` value; the outcome
-    #: tracker guarantees they sum to ``faults_injected`` at run end.
+    #: :class:`~repro.faults.outcomes.FaultOutcome` value; a checked core's
+    #: outcome tracker guarantees they sum to ``faults_injected`` at run end.
     fault_outcomes: dict[str, int] = _rule(KEYED, factory=dict)
     # --- memory dependence (populated only when CoreParams.memdep is on;
     # the gate keeps to_dict() byte-identical for legacy configurations) ---

@@ -275,13 +275,12 @@ def _resolved_silently(core: SuperscalarCore) -> bool:
     repaired).
 
     Masked and SDC faults change no timing, so from here on the trial
-    replays its calibration run's schedule to the same end.  The transient
-    model tracks no outcomes (its faults are all detected or squashed), so
-    its trials never stop early.
+    replays its calibration run's schedule to the same end.  A trial whose
+    fault was detected, squashed or false-alarmed never stops early: every
+    transient trial is one.
     """
     model = core.fault_injector
-    tracker = model.tracker
-    return tracker is not None and tracker.silent and model.spent(core._now)
+    return model.tracker.silent and model.spent(core._now)
 
 
 def _simulate_campaign_point(
@@ -329,19 +328,10 @@ def _simulate_campaign_point(
             state = _state_before(leader, site)
         stop = None if calibration is None else functools.partial(_resolved_silently, core)
         stats = core.run(trace, start=state, stop=stop)
-    if stats.fault_model_enabled:
-        outcomes = dict(stats.fault_outcomes)
-    else:
-        # The transient model carries no outcome tracker (the default
-        # path must stay byte-identical); its taxonomy is derivable —
-        # detection is by construction, so nothing masks or corrupts.
-        outcomes = zero_outcomes()
-        outcomes["detected"] = stats.faults_detected
-        outcomes["squashed"] = stats.faults_squashed
     result = {
         "eligible": core.fault_injector.eligible,
         "injected": stats.faults_injected,
-        "outcomes": outcomes,
+        "outcomes": dict(stats.fault_outcomes),
         "cycles": stats.cycles,
         "committed": stats.committed,
         "recoveries": stats.recoveries,

@@ -68,6 +68,10 @@ class FaultModel:
             themselves.
         wants_check_hook: When True the checker calls
             :meth:`on_check_issue` for every check it issues.
+        can_go_silent: When True a fault can pass its check and commit
+            (``fault_silent``), so the core calls the outcome tracker's
+            per-op issue and commit hooks.  The other models' faults are
+            all detected or squashed, and their runs make no per-op call.
         injected: Corrupted events so far (``CoreStats.faults_injected``
             is finalized from this).
         eligible: Eligible events seen so far — the campaign engine's
@@ -77,6 +81,7 @@ class FaultModel:
     name = "fault-model"
     dest_only = True
     wants_check_hook = False
+    can_go_silent = False
     #: Run state (see :func:`repro.util.run_state`).  A capture refuses a
     #: core that injected, so all but the eligible count is as built.
     RUN_STATE = run_state(derived="rate _rng _force_index injected tracker", value="eligible")
@@ -89,8 +94,8 @@ class FaultModel:
         self._force_index = force_index
         self.injected = 0
         self.eligible = 0
-        #: Outcome tracker registered by the core for non-transient models;
-        #: every corrupted op is reported so end-of-run stragglers resolve.
+        #: The checked core's outcome tracker, told of every injection (a
+        #: model driven on its own, outside a core, has none).
         self.tracker = None
 
     def _triggered(self) -> bool:
@@ -100,6 +105,20 @@ class FaultModel:
         if self._force_index is not None:
             return index == self._force_index
         return self.rate > 0.0 and self._rng.random() < self.rate
+
+    def _count_injection(self) -> None:
+        """Count one injected fault and report it to the tracker."""
+        self.injected += 1
+        if self.tracker is not None:
+            self.tracker.note_injected()
+
+    def _corrupt(self, op: DynOp) -> bool:
+        """Corrupt ``op``'s primary result from its completion on, and
+        count the injection (True, for :meth:`maybe_inject` to return)."""
+        op.faulty = True
+        op.fault_at = op.complete_at
+        self._count_injection()
+        return True
 
     def spent(self, now: int) -> bool:
         """Whether the model can inject no more faults from cycle ``now`` on:
@@ -166,12 +185,7 @@ class TransientFault(FaultModel):
                 return False
         elif not (self.rate > 0.0 and self._rng.random() < self.rate):
             return False
-        op.faulty = True
-        op.fault_at = op.complete_at
-        self.injected += 1
-        if self.tracker is not None:
-            self.tracker.note_injected(op)
-        return True
+        return self._corrupt(op)
 
 
 class IntermittentFault(FaultModel):
@@ -212,12 +226,7 @@ class IntermittentFault(FaultModel):
             self._burst_left = self.burst - 1
         else:
             return False
-        op.faulty = True
-        op.fault_at = op.complete_at
-        self.injected += 1
-        if self.tracker is not None:
-            self.tracker.note_injected(op)
-        return True
+        return self._corrupt(op)
 
 
 class StuckAtFUFault(FaultModel):
@@ -241,6 +250,7 @@ class StuckAtFUFault(FaultModel):
 
     name = "stuck-fu"
     wants_check_hook = True
+    can_go_silent = True
     RUN_STATE = {
         **FaultModel.RUN_STATE,
         **run_state(derived="fu fu_count repair_cycles _broken_until"),
@@ -287,12 +297,7 @@ class StuckAtFUFault(FaultModel):
             self.eligible += 1
             if not self._on_broken_unit():
                 return False
-        op.faulty = True
-        op.fault_at = op.complete_at
-        self.injected += 1
-        if self.tracker is not None:
-            self.tracker.note_injected(op)
-        return True
+        return self._corrupt(op)
 
     def on_check_issue(self, op: DynOp, now: int) -> None:
         if self._broken_until is None or now >= self._broken_until:
@@ -310,9 +315,7 @@ class StuckAtFUFault(FaultModel):
             # counts as an injection and resolves like any other fault.
             op.check_faulty = True
             op.fault_at = now
-            self.injected += 1
-            if self.tracker is not None:
-                self.tracker.note_injected(op)
+            self._count_injection()
 
 
 class AddressPathFault(FaultModel):
@@ -330,6 +333,7 @@ class AddressPathFault(FaultModel):
 
     name = "address"
     dest_only = False
+    can_go_silent = True
 
     #: Fraction of address-path faults landing past the AGU, where the
     #: checker cannot see them.
@@ -341,14 +345,9 @@ class AddressPathFault(FaultModel):
             return False
         if not self._triggered():
             return False
-        op.faulty = True
-        op.fault_at = op.complete_at
         if self._rng.random() < self.DATA_PATH_FRACTION:
             op.fault_silent = True
-        self.injected += 1
-        if self.tracker is not None:
-            self.tracker.note_injected(op)
-        return True
+        return self._corrupt(op)
 
 
 class CheckerFault(FaultModel):
@@ -364,6 +363,7 @@ class CheckerFault(FaultModel):
 
     name = "checker"
     wants_check_hook = True
+    can_go_silent = True
 
     def maybe_inject(self, op: DynOp) -> bool:
         return False  # injects at check issue, not primary issue
@@ -376,9 +376,7 @@ class CheckerFault(FaultModel):
         else:
             op.check_faulty = True
             op.fault_at = now
-        self.injected += 1
-        if self.tracker is not None:
-            self.tracker.note_injected(op)
+        self._count_injection()
 
 
 def build_fault_model(

@@ -25,16 +25,20 @@ lean on (``sum(outcomes) == faults_injected``):
     A checker-side fault made a *clean* op's check miscompare; recovery
     fired and the op replayed — availability cost, no data corruption.
 
-The tracker is attached only for non-transient fault models; the default
-path carries no tracker object at all, so the legacy transient pipeline
-is byte-identical (detected/squashed remain the only possible outcomes
-there and are already counted by ``CoreStats``).
+Every checked core has one tracker, whatever its fault model.  The core
+calls its per-op issue and commit hooks only for models whose faults can
+go silent (``FaultModel.can_go_silent``): a transient or intermittent
+fault can only be detected or squashed.
 
 Silent-fault bookkeeping rides on three ``DynOp`` flags set by the
 models and the issue hook (``fault_silent``, ``check_faulty``,
-``fault_consumed``); the tracker itself keeps only the committed-live
-dest map and the resolution guard, so squash-and-refetch (which builds
-fresh DynOps) needs no cleanup callbacks.
+``fault_consumed``).  The tracker keeps no record of each fault: every
+resolution site sees only unresolved faults (detection clears
+``faulty``, a false alarm clears ``check_faulty``, and a squashed or
+committed op never comes back), and the committed-live dest map holds
+only committed silent faults that have not resolved yet.  So
+squash-and-refetch (which builds fresh DynOps) needs no cleanup
+callbacks, and no op outlives its run.
 """
 
 from __future__ import annotations
@@ -68,13 +72,12 @@ def zero_outcomes() -> dict[str, int]:
 
 
 class OutcomeTracker:
-    """Resolves every injected fault to one :class:`FaultOutcome`.
+    """Resolves every injected fault of one checked core's run to one
+    :class:`FaultOutcome`.
 
-    Writes directly into ``stats.fault_outcomes`` and (when a tracer is
-    attached) emits one ``fault_outcome`` instant event per resolution.
-    ``id(op)``-keyed guards make resolution idempotent: a false-alarmed
-    op that is then squashed for replay, or a committed-live fault also
-    registered in the dest map, counts once.
+    Its counts start at zero in ``stats.fault_outcomes``, which it writes
+    directly, and (when a tracer is attached) it emits one
+    ``fault_outcome`` instant event per resolution.
 
     Attributes:
         silent: True once every injected fault has resolved and each
@@ -85,21 +88,16 @@ class OutcomeTracker:
             reading it costs nothing per cycle.
     """
 
-    __slots__ = (
-        "_stats", "_tracer", "_resolved", "_live", "_injected", "_open", "_loud", "silent"
-    )
+    __slots__ = ("_stats", "_tracer", "_live", "_open", "_loud", "silent")
 
     def __init__(self, stats: "CoreStats", tracer: "PipelineTracer | None" = None):
         self._stats = stats
+        stats.fault_outcomes = zero_outcomes()
         self._tracer = tracer
-        #: ids of ops whose fault already resolved (idempotence guard).
-        self._resolved: set[int] = set()
         #: dest register -> committed silent-faulty op still architecturally
         #: live (not yet overwritten by a younger commit).
         self._live: dict[int, DynOp] = {}
-        #: every corrupted op, for the end-of-run sweep.
-        self._injected: list[DynOp] = []
-        #: injected faults with no outcome yet (models note each op once).
+        #: injected faults with no outcome yet.
         self._open = 0
         #: whether some outcome so far changed the schedule.
         self._loud = False
@@ -107,9 +105,8 @@ class OutcomeTracker:
 
     # ------------------------------------------------------------------ hooks
 
-    def note_injected(self, op: "DynOp") -> None:
-        """A model corrupted ``op`` (primary result or its check)."""
-        self._injected.append(op)
+    def note_injected(self) -> None:
+        """A model corrupted an op (its primary result or its check)."""
         self._open += 1
         self.silent = False
 
@@ -122,7 +119,7 @@ class OutcomeTracker:
     def note_commit(self, op: "DynOp", now: int) -> None:
         """Commit-time resolution: silent faults go live, overwrites mask."""
         dest = op.uop.dest
-        if op.fault_silent and id(op) not in self._resolved:
+        if op.fault_silent:
             if dest is None:
                 # A corrupted store wrote memory: unrecoverable, immediate SDC.
                 self._resolve(op, FaultOutcome.SDC, now)
@@ -152,9 +149,8 @@ class OutcomeTracker:
 
     def finalize(self, now: int) -> None:
         """End of run: anything committed-and-still-live is SDC."""
-        for op in self._injected:
-            if id(op) not in self._resolved:
-                self._resolve(op, FaultOutcome.SDC, now)
+        for op in self._live.values():
+            self._resolve(op, FaultOutcome.SDC, now)
         self._live.clear()
 
     # --------------------------------------------------------------- internal
@@ -165,15 +161,10 @@ class OutcomeTracker:
         self._resolve(op, outcome, now)
 
     def _resolve(self, op: "DynOp", outcome: FaultOutcome, now: int) -> None:
-        key = id(op)
-        if key in self._resolved:
-            return
-        self._resolved.add(key)
         self._open -= 1
         if outcome is not FaultOutcome.MASKED and outcome is not FaultOutcome.SDC:
             self._loud = True
         self.silent = not self._open and not self._loud
-        counters = self._stats.fault_outcomes
-        counters[outcome.value] = counters.get(outcome.value, 0) + 1
+        self._stats.fault_outcomes[outcome.value] += 1
         if self._tracer is not None:
             self._tracer.fault_outcome(op, outcome.value, now)

@@ -128,9 +128,9 @@ class PipelineTracer:
     def fault_outcome(self, op: "DynOp", outcome: str, now: int) -> None:
         """One injected fault resolved to its terminal taxonomy outcome.
 
-        Emitted by the outcome tracker (non-transient fault models only),
-        once per injected fault — including the ``detected`` case, whose
-        instant this duplicates with the outcome attached.
+        Emitted by the outcome tracker under every fault model, once per
+        injected fault — including the ``detected`` case, whose instant
+        this duplicates with the outcome attached.
         """
         if not self._wants(op.seq):
             return

@@ -229,7 +229,7 @@ BUILT = MISSING
 
 def run_state(
     *,
-    derived: str = "",
+    derived: str | dict[str, Any] = "",
     value: str | dict[str, Any] = "",
     ops: str | dict[str, Any] = "",
     subsystem: str = "",
@@ -238,8 +238,8 @@ def run_state(
     of each attribute that :func:`start_run` sets.
 
     Each argument names the attributes of its rule, space-separated.  A
-    value or ops argument may instead map each name to its start: a
-    constant, a type (built empty), a function of the object, or
+    derived, value or ops argument may instead map each name to its
+    start: a constant, a type (built empty), a function of the object, or
     :data:`BUILT`.
 
     Raises:
@@ -255,10 +255,11 @@ def run_state(
     return declared
 
 
-def start_run(obj: Any) -> None:
+def start_run(obj: Any, declared: dict[str, tuple[str, Any]] | None = None) -> None:
     """Set each attribute of ``obj`` whose run-state declaration names a
-    start to that start."""
-    for name, (_, start) in obj.RUN_STATE.items():
+    start to that start: all of ``obj.RUN_STATE``, or only ``declared``
+    (a part of it)."""
+    for name, (_, start) in (obj.RUN_STATE if declared is None else declared).items():
         if start is BUILT:
             continue
         if isinstance(start, type):

@@ -176,6 +176,7 @@ def test_recovery_does_not_cancel_an_outstanding_icache_miss_stall():
     from repro.core.dynop import DynOp
 
     core = SuperscalarCore(checked_params())
+    core.begin([])  # initialise run state
     core._icache_stall_until = 500  # fetch mid-way through an I-miss
     faulty = DynOp(uop=MicroOp(op=OpClass.IALU, dest=1), seq=0, fetched_at=0)
     core._window.append(faulty)

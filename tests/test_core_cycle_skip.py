@@ -239,11 +239,13 @@ def test_rerunning_the_same_core_is_stat_identical_on_random_configs(index: int)
 
 
 def _assert_every_fault_resolved(stats) -> None:
-    """Each injected fault has one outcome: a tracked model's outcomes sum
-    to the injections, and a transient fault is detected or squashed."""
-    if stats.fault_model_enabled:
-        assert sum(stats.fault_outcomes.values()) == stats.faults_injected
-    else:
+    """Each injected fault has one outcome: the outcomes sum to the
+    injections under every model, and a transient fault's outcome is its
+    detection or its squash."""
+    assert sum(stats.fault_outcomes.values()) == stats.faults_injected
+    if not stats.fault_model_enabled:
+        assert stats.fault_outcomes["detected"] == stats.faults_detected
+        assert stats.fault_outcomes["squashed"] == stats.faults_squashed
         assert stats.faults_detected + stats.faults_squashed == stats.faults_injected
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CoreParams, SuperscalarCore
+from repro.core import CheckerParams, CoreParams, SuperscalarCore
 from repro.core.dynop import DynOp
 from repro.core.sched import (
     EV_BRANCH_RESOLVE,
@@ -16,6 +16,7 @@ from repro.core.sched import (
 )
 from repro.isa import MicroOp, OpClass
 from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy, _EV_MEM_FILL
+from repro.workloads import generate, preset
 
 
 def op_at(seq: int) -> DynOp:
@@ -150,6 +151,23 @@ def test_deadlock_report_explains_a_stalled_empty_window():
     message = str(excinfo.value)
     assert "window empty but fetch stuck at trace index 0" in message
     assert "i-cache stall until" in message
+
+
+def test_deadlock_report_names_a_false_alarm_replay_loop():
+    """A checker that false-alarms on every check replays the oldest op
+    forever: the report counts the commits and names the recovery cause,
+    which the oldest op's state alone does not show."""
+    params = CoreParams(
+        checker=CheckerParams(
+            enabled=True, fault_model="checker", fault_rate=1.0, fault_seed=4
+        )
+    )
+    trace = generate(preset("int-heavy"), 200, seed=3)
+    with pytest.raises(DeadlockError) as excinfo:
+        SuperscalarCore(params).run(trace, max_cycles=2_000)
+    message = str(excinfo.value)
+    assert "committed 0 of 200 ops" in message
+    assert "recoveries by cause: checker_false_alarm " in message
 
 
 def test_deadlock_error_is_a_runtime_error_for_backward_compat():

@@ -182,6 +182,29 @@ def test_recovery_sweeps_an_active_wrong_path_episode():
     assert [op.seq for op in core.retired] == list(range(5))
 
 
+def test_ending_a_live_episode_sets_each_attribute_to_its_declared_start():
+    """A recovery's end of a live wrong-path episode and a reset set the
+    episode's attributes from one declaration, and that declaration holds
+    every per-episode attribute of the core."""
+    trace = slow_branch_trace()
+    core = SuperscalarCore(wp_params())
+    core.begin(trace)
+    assert core.advance(lambda: core._wp_resolve_at is not None)
+    episode = SuperscalarCore.WRONG_PATH_EPISODE
+    assert core._wp_branch is not None and core._wp_iter is not None
+    assert core._wp_saved_producers
+    core._recovery.end_wrong_path()
+    fresh = SuperscalarCore(wp_params())
+    fresh.begin(trace)
+    for name, (_, start) in episode.items():
+        value = getattr(core, name)
+        assert value == (start() if isinstance(start, type) else start), name
+        assert value == getattr(fresh, name), name
+    run_wide = {"_wp_source", "_wp_source_override", "_wp_next_seq"}
+    declared = {name for name in SuperscalarCore.RUN_STATE if name.startswith("_wp_")}
+    assert declared - run_wide == set(episode)
+
+
 @pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
 def test_wrong_path_nop_is_fetched_complete(checked: bool):
     """A wrong-path stream may hold nops, which the synthetic generator

@@ -8,9 +8,14 @@ reaches memory or survives the run is SDC — resolved before ``run()``
 returns, even when the faulty op is in the final commit group.
 """
 
+import gc
 import random
 
+import pytest
+
 from repro.core import CheckerParams, CoreParams, RecoveryParams, SuperscalarCore
+from repro.core.dynop import DynOp
+from repro.faults import FAULT_MODELS
 from repro.isa import MicroOp, OpClass
 from repro.workloads import PRESETS, generate
 
@@ -188,3 +193,48 @@ def test_agu_stage_address_fault_is_detected_like_a_transient():
     assert stats.recoveries == 1
     assert stats.committed == len(trace)
     _assert_invariant(stats)
+
+
+# ------------------------------------------------- one tracker, no op records
+
+
+def _live_dynops() -> int:
+    gc.collect()
+    return sum(type(obj) is DynOp for obj in gc.get_objects())
+
+
+@pytest.mark.parametrize("model", FAULT_MODELS)
+def test_no_dynop_outlives_its_run(model: str):
+    """The outcome tracker keeps no record of each fault: once ``run()``
+    returns, the thousands of ops a high fault rate corrupts and squashes
+    are garbage, under every model (the checker model at rate 0.5, since at
+    1.0 no op ever commits)."""
+    params = CoreParams(
+        checker=CheckerParams(
+            enabled=True,
+            fault_model=model,
+            fault_rate=0.5 if model == "checker" else 1.0,
+            fault_seed=4,
+        )
+    )
+    trace = generate(PRESETS["int-heavy"], 2_000, seed=3)
+    before = _live_dynops()
+    core = SuperscalarCore(params)
+    stats = core.run(trace)
+    _assert_invariant(stats)
+    assert stats.faults_injected > 1_000
+    # The core is still alive: only stale entries of its kernel queues
+    # could hold ops, and never more than a window's worth.
+    assert _live_dynops() - before <= core.params.window_size
+
+
+@pytest.mark.parametrize("model", FAULT_MODELS)
+def test_only_models_whose_faults_can_go_silent_get_the_per_op_hooks(model: str):
+    """Every checked core resolves its faults through one tracker, but the
+    issue and commit hooks run only where a fault can pass its check."""
+    core = SuperscalarCore(_checked_params(fault_model=model))
+    core.begin([])
+    tracker = core.fault_injector.tracker
+    assert tracker is not None
+    silent = model in ("stuck-fu", "address", "checker")
+    assert core._silent_tracker is (tracker if silent else None)

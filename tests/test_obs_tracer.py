@@ -73,6 +73,11 @@ def test_instant_events_cover_recoveries_and_checkpoints():
     for cause, count in stats.recoveries_by_cause.items():
         assert names.count(f"recovery:{cause}") == count
     assert names.count("recovery:checker_fault") == stats.recoveries
+    # One fault_outcome instant per injected fault, under the transient
+    # model too, and they add up to the outcome counts.
+    outcomes = [args["outcome"] for name, _, args in tracer.events if name == "fault_outcome"]
+    assert len(outcomes) == stats.faults_injected > 0
+    assert {key: outcomes.count(key) for key in stats.fault_outcomes} == stats.fault_outcomes
     # Detection latency rides on the fault event when both endpoints exist.
     for name, _, args in tracer.events:
         if name == "fault_detected":
