@@ -151,6 +151,8 @@ class SuperscalarCore:
             "predictor": lambda core: (
                 CombiningPredictor() if core._owns_predictor else core.predictor
             ),
+            # Each fetched branch's first outcome, until the branch commits
+            # (see _fetch_branch).
             "_branch_outcome": dict,
             "_fetch_index": 0,
             # Redirect stalls (branch/recovery) and I-cache-miss stalls are
@@ -518,10 +520,15 @@ class SuperscalarCore:
             f"in flight — likely deadlock"
         ]
         next_event = self._wheel.next_cycle()
-        lines.append(
-            f"cycle {now}; next scheduled event "
-            f"{'at cycle ' + str(next_event) if next_event is not None else 'none'}"
-        )
+        if next_event is None:
+            when = "none"
+        elif next_event < now:
+            # Posted into a cycle whose bucket was already drained: no step
+            # ever delivers it.
+            when = f"at cycle {next_event} (stale: that cycle has passed)"
+        else:
+            when = f"at cycle {next_event}"
+        lines.append(f"cycle {now}; next scheduled event {when}")
         # A recovery loop (a replay that recovers again each time) commits
         # little and shows here; the op states below cannot tell it apart.
         stats = self.stats
@@ -554,6 +561,12 @@ class SuperscalarCore:
                     for d in unmet
                 )
                 state = f"waiting to issue on unmet dependencies: {deps_desc}"
+            elif op.pending_deps:
+                state = (
+                    f"every dependency completed, but {op.pending_deps} "
+                    f"wake-up(s) never delivered (lost wake-up: the op never "
+                    f"entered the ready queue)"
+                )
             else:
                 state = (
                     "ready but never issued (structural starvation: functional "
@@ -851,6 +864,8 @@ class SuperscalarCore:
         lsq_index = self._lsq_index
         tracer = self.tracer
         silent_tracker = self._silent_tracker
+        branch_outcome = self._branch_outcome
+        branch_cls = OpClass.BRANCH
         while window and done < budget:
             op = window[0]
             if gate_on_check:
@@ -868,9 +883,13 @@ class SuperscalarCore:
                 else:
                     del entries[0]
             op.committed_at = now
-            dest = op.uop.dest
+            uop = op.uop
+            dest = uop.dest
             if reg_producer.get(dest) is op:
                 del reg_producer[dest]
+            if uop.op is branch_cls:
+                # A committed branch is never fetched again.
+                branch_outcome.pop(op.seq, None)
             if record:
                 self.retired.append(op)
             if tracer is not None:
@@ -1340,7 +1359,9 @@ class SuperscalarCore:
 
         A branch re-fetched after a recovery squash reuses its first
         outcome: the dynamic branch is counted (and, in real-predictor
-        mode, trains the predictor) exactly once.
+        mode, trains the predictor) exactly once.  The outcome is kept
+        until the branch commits (see :meth:`_commit`), so the map holds
+        only branches within a window's length of the commit frontier.
         """
         uop = op.uop
         outcome = self._branch_outcome.get(op.seq)

@@ -4,13 +4,27 @@ The cache tracks tags only (the simulator is trace driven; data values are
 not modelled in the cache).  Writes are write-back / write-allocate: a
 store miss allocates the line and marks it dirty, and evicting a dirty
 line reports a writeback so the hierarchy can charge bus bandwidth.
+
+Layout ``MemoryHierarchy.access`` and ``ifetch`` rely on: they probe sets
+and apply L1 hits in place instead of calling :meth:`Cache.lookup`, and
+leave every fill to :meth:`Cache.fill`.
+
+* ``Cache._sets[line & _set_mask]`` is ``None`` until the set's first
+  fill, then a plain list of line addresses (``addr >> _line_shift``) in
+  LRU order, oldest first.  A set is never empty once built, so its last
+  entry is its most recent line.  A hit moves its line to the end (a hit
+  on the last entry moves nothing).  A fill of a resident line does the
+  same; any other fill appends, first dropping entry 0 from a full set.
+* ``Cache._dirty`` is the set of the cache's dirty lines, each of them
+  resident.  A store hit and a dirty fill add the line (a fill of a
+  resident line ORs its flag in); evicting a line removes it, so a later
+  clean refill of that line is clean.
 """
 
 from __future__ import annotations
 
 import copy
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from repro.util import require_power_of_two
@@ -66,14 +80,17 @@ class Cache:
         self.num_sets = require_power_of_two(size_bytes // (ways * line_bytes), f"{name} set count")
         self._line_shift = line_bytes.bit_length() - 1
         self._set_mask = self.num_sets - 1
-        # Each set maps line address -> dirty flag, in LRU order (oldest
-        # first).  A set's map is created by its first fill, so building or
-        # invalidating a cache costs one list, not one dict per set (a run
-        # of a few thousand ops touches a small fraction of a 2 MB L2).
-        self._sets: list[OrderedDict[int, bool] | None] = [None] * self.num_sets
+        # Each set is a list of line addresses in LRU order (oldest first;
+        # see the module docstring).  A set's list is created by its first
+        # fill, so building or invalidating a cache costs one list, not one
+        # per set (a run of a few thousand ops touches a small fraction of
+        # a 2 MB L2).
+        self._sets: list[list[int] | None] = [None] * self.num_sets
         #: Indices of the sets created so far, so a copy skips the rest
         #: (an array: a list would keep an int object alive per index).
         self._filled = array("I")
+        #: The dirty lines, every one of them resident.
+        self._dirty: set[int] = set()
         self.stats = CacheStats()
 
     def line_addr(self, addr: int) -> int:
@@ -90,9 +107,11 @@ class Cache:
         line = self.line_addr(addr)
         cache_set = self._sets[line & self._set_mask]
         if cache_set is not None and line in cache_set:
-            cache_set.move_to_end(line)
+            if cache_set[-1] != line:
+                cache_set.remove(line)
+                cache_set.append(line)
             if is_store:
-                cache_set[line] = True
+                self._dirty.add(line)
             self.stats.hits += 1
             return True
         self.stats.misses += 1
@@ -105,22 +124,28 @@ class Cache:
         (and merges the dirty flag) rather than evicting.
         """
         line = self.line_addr(addr)
+        if dirty:
+            self._dirty.add(line)
         index = line & self._set_mask
         cache_set = self._sets[index]
         if cache_set is None:
-            cache_set = self._sets[index] = OrderedDict()
+            self._sets[index] = [line]
             self._filled.append(index)
-        elif line in cache_set:
-            cache_set[line] = cache_set[line] or dirty
-            cache_set.move_to_end(line)
+            return None
+        if line in cache_set:
+            if cache_set[-1] != line:
+                cache_set.remove(line)
+                cache_set.append(line)
             return None
         evicted = None
         if len(cache_set) >= self.ways:
-            victim_line, victim_dirty = cache_set.popitem(last=False)
+            victim = cache_set.pop(0)
+            victim_dirty = victim in self._dirty
             if victim_dirty:
+                self._dirty.remove(victim)
                 self.stats.writebacks += 1
-            evicted = EvictedLine(line_addr=victim_line, dirty=victim_dirty)
-        cache_set[line] = dirty
+            evicted = EvictedLine(line_addr=victim, dirty=victim_dirty)
+        cache_set.append(line)
         return evicted
 
     def contains(self, addr: int) -> bool:
@@ -133,13 +158,15 @@ class Cache:
         """Drop every line (used between independent simulation regions)."""
         self._sets = [None] * self.num_sets
         self._filled = array("I")
+        self._dirty = set()
 
     def copy(self) -> "Cache":
-        """An independent copy: contents, LRU order and counters."""
+        """An independent copy: contents, LRU order, dirty lines and counters."""
         clone = copy.copy(self)
         sets = clone._sets = self._sets.copy()
         for index in self._filled:
-            sets[index] = sets[index].copy()
+            sets[index] = sets[index][:]
         clone._filled = self._filled[:]
+        clone._dirty = self._dirty.copy()
         clone.stats = replace(self.stats)
         return clone

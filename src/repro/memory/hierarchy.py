@@ -24,6 +24,22 @@ Fills are still *applied* at the first data access on or after arrival —
 identical observable timing to the polled model, verified by the
 golden-equivalence suite.
 
+Layout the hot paths rely on.  :meth:`MemoryHierarchy.access` and
+:meth:`MemoryHierarchy.ifetch` probe the caches and the MSHR file in their
+own bodies, reading and updating these internals in place:
+
+* the caches' line lists and dirty sets, as :mod:`repro.memory.cache`
+  lays them out.  An L1D or L1I hit moves its line to the end of its set
+  unless it is there already, and a store hit adds its line to
+  ``l1d._dirty``; a prefetch probe of the L1I or L2 reads a set without
+  reordering it.  Every fill goes through :meth:`Cache.fill`.
+* ``MSHRFile._misses`` maps a line to its in-flight miss, and
+  ``_ready_heap`` holds the misses again as ``(ready_at, line)``,
+  earliest first: a reclaim pops the finished ones.
+* ``_pending_fills`` maps a line to its deferred L1D fill,
+  ``[ready_at, byte_addr, dirty]``; a store merging onto the miss sets
+  its dirty flag.
+
 Counters — the caches', the MSHR file's, the bus's and
 :class:`HierarchyStats` — are running totals, all zeroed by
 :meth:`MemoryHierarchy.reset_counters`: :meth:`MemoryHierarchy.reset` calls
@@ -53,7 +69,9 @@ class HierarchyParams:
     Attributes:
         l1i_size / l1d_size: Split 64KB L1 instruction / data caches.
         l1_ways: L1 associativity (2-way).
-        l1_latency: L1 hit latency in cycles (3).
+        l1_latency: L1 hit latency in cycles (3).  At least 1: a hit that
+            completed in its issue cycle would post its consumers' wake-ups
+            into the cycle the core has already drained.
         l2_size / l2_ways / l2_latency: Unified 2MB 4-way L2, 12-cycle hits.
         mem_latency: Main-memory access latency (200 cycles).
         line_bytes: Cache line size everywhere (64 bytes).
@@ -75,7 +93,7 @@ class HierarchyParams:
     l1i_size: int = 64 * 1024
     l1d_size: int = 64 * 1024
     l1_ways: int = knob(2, lo=1)
-    l1_latency: int = knob(3, lo=0)
+    l1_latency: int = knob(3, lo=1)
     l2_size: int = 2 * 1024 * 1024
     l2_ways: int = knob(4, lo=1)
     l2_latency: int = knob(12, lo=0)
@@ -364,12 +382,14 @@ class MemoryHierarchy:
             # Kept even if the MSHRs refuse the access below.
             self._banks_used[bank] += 1
         l1d = self.l1d
-        # Cache.lookup's hit path, inlined.
+        # Cache.lookup's hit path, inlined (see repro.memory.cache).
         cache_set = l1d._sets[line & l1d._set_mask]
         if cache_set is not None and line in cache_set:
-            cache_set.move_to_end(line)
+            if cache_set[-1] != line:
+                cache_set.remove(line)
+                cache_set.append(line)
             if is_store:
-                cache_set[line] = True
+                l1d._dirty.add(line)
             l1d.stats.hits += 1
             self._ports_used += 1
             return AccessResult(True, now + self._l1_latency, "l1")
@@ -450,7 +470,9 @@ class MemoryHierarchy:
         l1i_mask = l1i._set_mask
         cache_set = l1i_sets[line & l1i_mask]
         if cache_set is not None and line in cache_set:
-            cache_set.move_to_end(line)
+            if cache_set[-1] != line:
+                cache_set.remove(line)
+                cache_set.append(line)
             l1i.stats.hits += 1
             result = AccessResult(True, now, "l1")
         else:

@@ -298,6 +298,8 @@ def _fingerprint(root) -> list:
             snapshots.append(tuple(map(ref, value)))
         elif isinstance(value, array):
             snapshots.append(tuple(value))
+        elif isinstance(value, (set, frozenset)):
+            snapshots.append(frozenset(map(ref, value)))
         elif isinstance(value, random.Random):
             snapshots.append(value.getstate())
         elif isinstance(value, DynOp):

@@ -8,7 +8,8 @@ contract on five machine shapes and on seeded random draws across the
 knob space, in both unchecked and
 checked modes: ``CoreStats.to_dict()`` (memory snapshot included), the
 MSHR target stalls and every retired op's replay count must be identical
-with skipping on or off, and the skipping run must actually skip.  The
+with skipping on or off, no event may be left in the wheel for a cycle
+the run has passed, and the skipping run must actually skip.  The
 random draws also pin that a run stopped at any cycle boundary, captured
 and resumed in a fresh core ends exactly as the uninterrupted run, that a
 core run twice gives the same run twice, and that each draw's outputs
@@ -115,6 +116,7 @@ def _core(shape: dict, cycle_skip: bool, checker: CheckerParams) -> SuperscalarC
         HierarchyParams(
             dcache_banks=shape.get("dcache_banks", 1),
             mshr_entries=shape.get("mshr_entries", 32),
+            **shape.get("latencies", {}),
         )
     )
     return SuperscalarCore(
@@ -141,6 +143,10 @@ def _run(shape: dict, cycle_skip: bool, checked: bool):
 
 
 def _assert_identical(ticked_core, ticked, skipped_core, skipped) -> None:
+    # The wheel invariant: every event was posted for a cycle still ahead,
+    # so no bucket is left behind the run's last cycle.
+    for core in (ticked_core, skipped_core):
+        assert all(cycle >= core._now for cycle in core._wheel._due)
     assert skipped.to_dict() == ticked.to_dict()
     assert skipped.cycles == ticked.cycles
     # Outside to_dict: the MSHR merge-target stalls and per-op retries.
@@ -296,6 +302,22 @@ def test_warm_start_window_is_stat_identical(seed: int, warmup: int, checked: bo
     ticked_core, ticked = _run(shape, cycle_skip=False, checked=checked)
     skipped_core, skipped = _run(shape, cycle_skip=True, checked=checked)
     _assert_identical(ticked_core, ticked, skipped_core, skipped)
+
+
+def test_the_smallest_accepted_latencies_complete_and_skip_identically():
+    """An L1 hit at latency 1 wakes its consumers on the next cycle; with
+    free L2 and memory a miss is as fast as a hit.  (At L1 latency 0, which
+    ``HierarchyParams`` refuses, this run deadlocked.)"""
+    shape = {
+        **SHAPES["memdep"],
+        "seed": 3,
+        "latencies": {"l1_latency": 1, "l2_latency": 0, "mem_latency": 0},
+    }
+    for checked in (False, True):
+        ticked_core, ticked = _run(shape, cycle_skip=False, checked=checked)
+        skipped_core, skipped = _run(shape, cycle_skip=True, checked=checked)
+        _assert_identical(ticked_core, ticked, skipped_core, skipped)
+        assert skipped.committed == NUM_OPS and skipped.cycles_skipped > 0
 
 
 def test_cycle_skip_default_on_and_serialized_only_when_off():

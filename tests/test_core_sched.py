@@ -170,6 +170,40 @@ def test_deadlock_report_names_a_false_alarm_replay_loop():
     assert "recoveries by cause: checker_false_alarm " in message
 
 
+def test_deadlock_report_names_a_lost_wake_up():
+    """White-box: one correct-path op's wake-up is moved into the cycle the
+    core has just drained, as an L1 hit at latency 0 posted its consumers'
+    wake-ups.  The op never becomes ready; the report says its wake-up was
+    never delivered (not structural starvation) and marks the event
+    stale."""
+    trace = generate(preset("int-heavy"), 300, seed=3)
+    core = SuperscalarCore(CoreParams())
+    core.begin(trace, max_cycles=2_000)
+    due = core._wheel._due
+
+    def waking_op():
+        for cycle, bucket in sorted(due.items()):
+            for index, (kind, op) in enumerate(bucket):
+                if kind == EV_DEP_WAKE and not op.wrong_path:
+                    return cycle, index
+        return None
+
+    assert core.advance(lambda: waking_op() is not None)
+    cycle, index = waking_op()
+    _, lost = due[cycle].pop(index)
+    if not due[cycle]:
+        del due[cycle]
+    stale = core._now - 1
+    due.setdefault(stale, []).append((EV_DEP_WAKE, lost))
+    with pytest.raises(DeadlockError) as excinfo:
+        core.advance()
+    message = str(excinfo.value)
+    assert f"next scheduled event at cycle {stale} (stale: that cycle has passed)" in message
+    assert f"oldest op seq={lost.seq} " in message
+    assert "wake-up(s) never delivered" in message
+    assert "structural starvation" not in message
+
+
 def test_deadlock_error_is_a_runtime_error_for_backward_compat():
     trace = [MicroOp(op=OpClass.IALU, dest=1) for _ in range(64)]
     core = SuperscalarCore(CoreParams())

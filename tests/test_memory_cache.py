@@ -83,6 +83,51 @@ def test_fill_on_present_line_refreshes_without_eviction_and_merges_dirty():
     assert evicted.dirty is True
 
 
+def test_a_dirty_victim_refilled_clean_is_clean():
+    cache = one_set_cache(ways=2)
+    cache.fill(A, dirty=True)
+    cache.fill(B)
+    assert cache.fill(C).dirty is True  # A leaves, written back
+    cache.fill(A)  # evicts B; A comes back clean
+    evicted = cache.fill(D)  # evicts C
+    assert (evicted.line_addr, evicted.dirty) == (cache.line_addr(C), False)
+    evicted = cache.fill(B)  # evicts A
+    assert (evicted.line_addr, evicted.dirty) == (cache.line_addr(A), False)
+    assert cache.stats.writebacks == 1
+
+
+def test_a_clean_fill_of_a_dirty_resident_line_keeps_it_dirty():
+    cache = one_set_cache(ways=2)
+    cache.fill(A)
+    cache.lookup(A, is_store=True)
+    cache.fill(B)
+    assert cache.fill(A) is None  # ORs in clean, refreshes A's position
+    evicted = cache.fill(C)  # B is LRU now
+    assert (evicted.line_addr, evicted.dirty) == (cache.line_addr(B), False)
+    evicted = cache.fill(D)
+    assert (evicted.line_addr, evicted.dirty) == (cache.line_addr(A), True)
+
+
+def test_a_copy_shares_no_set_and_no_dirty_line_with_its_source():
+    cache = Cache(size_bytes=2 * 64, ways=1, line_bytes=64)  # A, C | B, D
+    cache.fill(A, dirty=True)
+    cache.fill(B)
+    clone = cache.copy()
+    built = [index for index, lines in enumerate(cache._sets) if lines is not None]
+    assert built == [0, 1]
+    assert all(clone._sets[index] is not cache._sets[index] for index in built)
+    assert clone._dirty is not cache._dirty
+    assert _contents(clone) == _contents(cache)
+    # The source moves on; the copy keeps its contents, LRU order and stats.
+    before = _contents(clone)
+    assert cache.fill(C).dirty is True  # evicts A
+    cache.lookup(B, is_store=True)
+    assert cache.fill(D).dirty is True  # evicts B
+    assert _contents(clone) == before
+    assert clone.stats == CacheStats()
+    assert clone.fill(C).dirty is True  # A is still dirty in the copy
+
+
 def test_store_miss_does_not_allocate():
     cache = one_set_cache()
     assert cache.lookup(A, is_store=True) is False
@@ -172,7 +217,14 @@ class EagerCache:
 
 
 def _contents(cache) -> list[list[tuple[int, bool]]]:
-    return [list(s.items()) if s is not None else [] for s in cache._sets]
+    """Each set's (line, dirty) pairs in LRU order, oldest first."""
+    if isinstance(cache, EagerCache):
+        return [list(lines.items()) for lines in cache._sets]
+    dirty = cache._dirty
+    resident = [lines or [] for lines in cache._sets]
+    # Only a resident line can be dirty.
+    assert dirty <= {line for lines in resident for line in lines}
+    return [[(line, line in dirty) for line in lines] for lines in resident]
 
 
 @pytest.mark.parametrize("seed", [0, 1])

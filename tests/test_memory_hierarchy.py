@@ -183,6 +183,7 @@ def test_snapshot_exposes_key_counters():
         ("dcache_ports", 0),  # a DeadlockError that blamed the issue slots
         ("dcache_banks", 0),
         ("l1_latency", -1),  # simulated without complaint
+        ("l1_latency", 0),  # a hit's wake-ups went into a drained cycle
         ("l2_latency", -1),
         ("mem_latency", -1),
     ],
