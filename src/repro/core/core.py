@@ -601,7 +601,8 @@ class SuperscalarCore:
 
         * the event wheel's next pending wakeup (producer completions,
           memory fills, branch resolution, check retirements, violation
-          deliveries all live there);
+          deliveries all live there), not counting a bucket behind
+          ``now``, which is never delivered;
         * the window head's completion (unchecked mode's commit gate);
         * the check-queue head's wake-up — its primary completion and its
           verified source operands, whose ready cycles the in-order
@@ -645,6 +646,8 @@ class SuperscalarCore:
             # inflate the recorded cycle count past the final commit.
             return
         target = self._wheel.next_cycle()
+        if target is not None and target < now:  # a stale bucket
+            target = min((due for due in self._wheel._due if due >= now), default=None)
         checker = self.checker
         if window:
             head = window[0]

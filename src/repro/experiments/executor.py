@@ -1,32 +1,33 @@
-"""One executor for sweep and campaign points: configs in, store rows out.
+"""One executor for sweep points, campaign trials and shards: configs in, rows out.
 
 Sweeps and campaigns both turn a list of configs into one row per config
 and append the rows in list order, which is what keeps a store
-byte-identical for any ``--workers`` value and across resume.
-:func:`execute_batched` is that fan-out, and it stops a study from
-re-computing what it already knows.  Configs with equal *share keys* run
-back to back in one process, and what they have in common -- a generated
-trace, an unchecked baseline run -- is computed by the first point that
-needs it and reused by the rest (:func:`shared_input`).  A caller may also
-order each group's points: a campaign runs its trials by fault site, so
-the one fault-free leader core its batch keeps only moves forward
-(:func:`shared_state`).  The per-point executor (``execute_point``,
-``execute_campaign_point``) is still called once per config, so every row
-is exactly the row that executor returns on its own.
+byte-identical for any ``--workers`` value and across resume; a sharded
+run merges its windows' rows.  :func:`execute_batched` is that fan-out,
+on the one process pool, and it stops a study from re-computing what it
+already knows.  Configs with equal *share keys* run back to back in one
+process, and what they have in common -- a generated trace, an unchecked
+baseline run -- is computed by the first point that needs it and reused
+by the rest (:func:`shared_input`).  A caller may also order each group's
+points: a campaign runs its trials by fault site, so the one fault-free
+leader core its batch keeps only moves forward (:func:`shared_state`).
+The per-point executor is still called once per config, so every row is
+exactly the row that executor returns on its own.
 
 Three properties the tests pin down:
 
 * **Order** -- rows are yielded in config order, whatever the worker count
   and however the configs were batched.
-* **Crash isolation** -- a point executor never raises: :func:`point_row`
+* **Crash isolation** -- a point executor never raises: :func:`guarded`
   turns any exception, or an exceeded wall-clock budget, into an error row.
+  A worker killed outright raises nothing, and the pool waits for it.
 * **Streaming** -- a row is yielded as soon as every earlier row is in, so
   an interrupted run keeps its completed prefix (in config order: points
   that ran out of config order wait for the earlier ones).
 
 :func:`drive` wraps the fan-out with what both studies do around it: skip
-the configs the store already holds, retry error rows, append each row
-and report it.
+the configs the store already holds, retry error rows (:func:`retry_errors`,
+the rule shards follow too), append each row and report it.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ WORKER_KEY = "_worker"
 #: still shares its inputs across several points.
 BATCHES_PER_WORKER = 4
 
-#: ``execute(config, timeout_s) -> row``: a point executor.
-Execute = Callable[[dict[str, Any], float | None], dict[str, Any]]
+#: ``execute(config, timeout_s) -> row``: a point executor.  A config is a
+#: dict, or a shard's task.
+Execute = Callable[[Any, float | None], dict[str, Any]]
 
 #: Progress callback: (completed count, pending total, the row just stored).
 ProgressFn = Callable[[int, int, dict], None]
@@ -111,21 +113,14 @@ def wall_clock_limit(seconds: float | None):
 
 
 @contextmanager
-def point_row(config: dict[str, Any], timeout_s: float | None) -> Iterator[dict[str, Any]]:
-    """Run the ``with`` body as one point and record its outcome in the row.
+def guarded(row: dict[str, Any], timeout_s: float | None) -> Iterator[dict[str, Any]]:
+    """Run the ``with`` body under the ``timeout_s`` wall-clock budget and
+    record its outcome in ``row``, which it yields.
 
-    Yields the row (schema, config hash, config and the transport keys);
-    the body stores its ``result`` in it.  The body runs under the
-    ``timeout_s`` wall-clock budget, and anything it raises -- the budget
-    running out included -- becomes an error row instead of propagating.
+    Nothing the body raises propagates: the row's ``status`` is ``"ok"``,
+    or ``"error"`` with the traceback (or the exceeded budget) as its
+    ``error``.  The body's wall time goes to :data:`ELAPSED_KEY`.
     """
-    row: dict[str, Any] = {
-        "schema": SCHEMA_VERSION,
-        "config_hash": config_hash(config),
-        "config": config,
-        STARTED_KEY: time.time(),
-        WORKER_KEY: os.getpid(),
-    }
     started = time.perf_counter()
     try:
         with wall_clock_limit(timeout_s):
@@ -138,6 +133,37 @@ def point_row(config: dict[str, Any], timeout_s: float | None) -> Iterator[dict[
         row["status"] = "error"
         row["error"] = traceback.format_exc()
     row[ELAPSED_KEY] = round(time.perf_counter() - started, 3)
+
+
+@contextmanager
+def point_row(config: dict[str, Any], timeout_s: float | None) -> Iterator[dict[str, Any]]:
+    """Run the ``with`` body as one point, :func:`guarded`, and yield its
+    store row: schema, config hash, config and the transport keys.  The
+    body stores its ``result`` in it.
+    """
+    row: dict[str, Any] = {
+        "schema": SCHEMA_VERSION,
+        "config_hash": config_hash(config),
+        "config": config,
+        STARTED_KEY: time.time(),
+        WORKER_KEY: os.getpid(),
+    }
+    with guarded(row, timeout_s):
+        yield row
+
+
+def retry_errors(
+    rerun: Callable[[], dict[str, Any]], row: dict[str, Any], retries: int, backoff_s: float
+) -> tuple[dict[str, Any], int]:
+    """``rerun()`` in this process while ``row`` is an error row, up to
+    ``retries`` times, with exponential backoff starting at ``backoff_s``.
+    Returns the last row and the attempts made."""
+    attempt = 0
+    while row.get("status") == "error" and attempt < retries:
+        time.sleep(backoff_s * (2 ** attempt))
+        attempt += 1
+        row = rerun()
+    return row, attempt
 
 
 # ------------------------------------------------------------- shared inputs
@@ -183,7 +209,7 @@ def shared_state(kind: str, key: Any, make: Callable[[], T]) -> Iterator[T]:
 
 
 def _batch_rows(
-    execute: Execute, timeout_s: float | None, batch: list[tuple[int, dict[str, Any]]]
+    execute: Execute, timeout_s: float | None, batch: list[tuple[int, Any]]
 ) -> Iterator[tuple[int, dict[str, Any]]]:
     """Run one batch's points in order, each able to reuse the earlier ones'
     shared inputs; yields ``(config index, row)``."""
@@ -198,18 +224,18 @@ def _batch_rows(
 
 
 def _run_batch(
-    execute: Execute, timeout_s: float | None, batch: list[tuple[int, dict[str, Any]]]
+    execute: Execute, timeout_s: float | None, batch: list[tuple[int, Any]]
 ) -> list[tuple[int, dict[str, Any]]]:
     """One pool task: a whole batch."""
     return list(_batch_rows(execute, timeout_s, batch))
 
 
 def _batches(
-    configs: list[dict[str, Any]],
-    share_key: Callable[[dict[str, Any]], Hashable],
+    configs: list[Any],
+    share_key: Callable[[Any], Hashable],
     workers: int,
-    order: Callable[[dict[str, Any]], Any] | None,
-) -> list[list[tuple[int, dict[str, Any]]]]:
+    order: Callable[[Any], Any] | None,
+) -> list[list[tuple[int, Any]]]:
     """Group the indexed configs by share key, sort each group by ``order``
     (config order if None), then cut the groups into batches.
 
@@ -217,7 +243,7 @@ def _batches(
     appearance.  A pool gets each group cut into chunks of about
     ``len(configs) / (workers * BATCHES_PER_WORKER)`` points.
     """
-    groups: dict[Hashable, list[tuple[int, dict[str, Any]]]] = {}
+    groups: dict[Hashable, list[tuple[int, Any]]] = {}
     for index, config in enumerate(configs):
         groups.setdefault(share_key(config), []).append((index, config))
     if order is not None:
@@ -249,11 +275,11 @@ def _in_config_order(
 
 def execute_batched(
     execute: Execute,
-    configs: list[dict[str, Any]],
-    share_key: Callable[[dict[str, Any]], Hashable],
+    configs: list[Any],
+    share_key: Callable[[Any], Hashable],
     workers: int,
     timeout_s: float | None,
-    order: Callable[[dict[str, Any]], Any] | None = None,
+    order: Callable[[Any], Any] | None = None,
 ) -> Iterator[dict[str, Any]]:
     """``execute(config, timeout_s)`` for every config, yielded in config order.
 
@@ -352,12 +378,10 @@ def drive(
     for row in execute_batched(execute, pending, share_key, workers, timeout_s, order):
         # Transport keys are still on a retried row, so the replacement
         # flows through the same popping below.
-        attempt = 0
-        while row.get("status") == "error" and attempt < retries:
-            time.sleep(retry_backoff_s * (2 ** attempt))
-            attempt += 1
-            row = execute(row["config"], timeout_s)
-        retried += attempt
+        row, attempts = retry_errors(
+            functools.partial(execute, row["config"], timeout_s), row, retries, retry_backoff_s
+        )
+        retried += attempts
         elapsed = row.pop(ELAPSED_KEY, 0.0)
         started_at = row.pop(STARTED_KEY, None)
         worker = row.pop(WORKER_KEY, 0)

@@ -34,6 +34,23 @@ from repro.util import require_power_of_two
 LINE_BYTES = 64
 
 
+def set_count(size_bytes: int, ways: int, line_bytes: int, name: str) -> int:
+    """The set count of a ``size_bytes`` cache of ``ways`` ways.
+
+    Raises:
+        ValueError: naming ``name`` unless ``line_bytes`` is a power of two
+            and the set count a positive one (sets are indexed by a mask).
+    """
+    require_power_of_two(line_bytes, "line_bytes")
+    sets, rest = divmod(size_bytes, ways * line_bytes)
+    if rest or sets <= 0 or sets & (sets - 1):
+        raise ValueError(
+            f"{name} must be a power of two times ways * line_bytes "
+            f"({ways} * {line_bytes}), got {size_bytes}"
+        )
+    return sets
+
+
 @dataclass(slots=True)
 class CacheStats:
     """Hit/miss/writeback counters for one cache."""
@@ -69,15 +86,10 @@ class Cache:
     def __init__(
         self, size_bytes: int, ways: int, line_bytes: int = LINE_BYTES, name: str = "cache"
     ):
-        require_power_of_two(line_bytes, "line_bytes")
-        if size_bytes % (ways * line_bytes):
-            raise ValueError(
-                f"{name}: size {size_bytes} not divisible by ways*line ({ways}*{line_bytes})"
-            )
         self.name = name
         self.line_bytes = line_bytes
         self.ways = ways
-        self.num_sets = require_power_of_two(size_bytes // (ways * line_bytes), f"{name} set count")
+        self.num_sets = set_count(size_bytes, ways, line_bytes, f"{name} size")
         self._line_shift = line_bytes.bit_length() - 1
         self._set_mask = self.num_sets - 1
         # Each set is a list of line addresses in LRU order (oldest first;

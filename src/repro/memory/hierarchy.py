@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from repro.memory.bus import MemoryBus
-from repro.memory.cache import LINE_BYTES, Cache, CacheStats
+from repro.memory.cache import LINE_BYTES, Cache, CacheStats, set_count
 from repro.memory.mshr import MSHRFile
 from repro.util import BUILT, check_fields, knob, run_state, start_run
 
@@ -88,6 +88,9 @@ class HierarchyParams:
             L1 hit.
         mshr_entries / mshr_targets: MSHR file bounds (32 entries, 8 targets).
         bus_cycles_per_transfer: Line occupancy of the memory bus.
+
+    Each cache's size must be a power of two times its ways times
+    ``line_bytes``, itself a power of two (:func:`~repro.memory.cache.set_count`).
     """
 
     l1i_size: int = 64 * 1024
@@ -101,11 +104,18 @@ class HierarchyParams:
     line_bytes: int = LINE_BYTES
     dcache_ports: int = knob(4, lo=1)
     dcache_banks: int = knob(1, lo=1)
-    mshr_entries: int = 32
-    mshr_targets: int = 8
-    bus_cycles_per_transfer: int = 4
+    mshr_entries: int = knob(32, lo=1)
+    mshr_targets: int = knob(8, lo=1)
+    bus_cycles_per_transfer: int = knob(4, lo=1)
 
-    __post_init__ = check_fields
+    def __post_init__(self) -> None:
+        check_fields(self)
+        for name, ways in (
+            ("l1i_size", self.l1_ways),
+            ("l1d_size", self.l1_ways),
+            ("l2_size", self.l2_ways),
+        ):
+            set_count(getattr(self, name), ways, self.line_bytes, name)
 
 
 @dataclass(slots=True)

@@ -26,19 +26,26 @@ instead of a cold machine.  ``--shards 1`` (no warmup, no pool) is
 bit-identical to the monolithic path; N > 1 is an explicitly approximate
 fast mode — cold-boundary effects and per-shard fault-RNG divergence are
 real — whose error is measured and gated by tests/test_parallel_sharded.py.
+
+The windows fan out through :mod:`repro.experiments.executor`, each shard
+its own share key and crash-guarded.  A multi-shard run re-runs a failed
+shard once, in the calling process (the executor's retry rule, with no
+backoff); a second failure fails the run, and a single-shard run never
+re-runs.  A shard is deterministic: only host trouble (a ``MemoryError``,
+say) passes on the second attempt.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Any
 
 from repro.core.core import SuperscalarCore
 from repro.core.params import CoreParams
-from repro.core.stats import CoreStats
-from repro.experiments.executor import PointTimeout, wall_clock_limit
+from repro.experiments.executor import ELAPSED_KEY, execute_batched, guarded, retry_errors
 from repro.experiments.runner import core_hierarchy, result_dict
 from repro.experiments.spec import (
     DEFAULT_FAULT_RATE,
@@ -138,128 +145,58 @@ class _ShardTask:
     #: ``--trace-ops`` window in *monolithic* seq coordinates (or None);
     #: the worker translates it into shard-local seqs before tracing.
     trace_ops: tuple[int, int] | None
-    timeout_s: float | None
 
 
-@dataclass(slots=True)
-class _ShardResult:
-    """One worker's answer: per-mode window stats plus trace rows."""
-
-    index: int
-    error: str | None = None
-    unchecked: CoreStats | None = None
-    checked: CoreStats | None = None
-    #: Total simulated cycles per mode *including* warmup (window stats
-    #: only cover the measured span; obs lanes need the full extent).
-    total_cycles: dict[str, int] = field(default_factory=dict)
-    #: Per-mode (op rows, instant events) captured by the shard's tracers.
-    trace_rows: dict[str, tuple[list, list]] = field(default_factory=dict)
-    wall_s: float = 0.0
-
-
-def _execute_shard(task: _ShardTask) -> _ShardResult:
+def _execute_shard(task: _ShardTask, timeout_s: float | None) -> dict[str, Any]:
     """Simulate one shard's window; top-level so pools can pickle it.
 
-    Exceptions (including the wall-clock budget) become an ``error``
-    string — the parent raises one RuntimeError naming every failed shard
-    instead of a half-merged result.
+    Returns the guard's row (:func:`~repro.experiments.executor.guarded`)
+    holding each mode's window stats under the mode's name and, when
+    tracing, its ``(op rows, instant events, total cycles)`` under
+    ``trace``.  The total includes the warmup: window stats cover only the
+    measured span, and the trace lanes need the full extent.
     """
     window = task.window
-    result = _ShardResult(index=window.index)
-    started = time.perf_counter()
-    try:
-        with wall_clock_limit(task.timeout_s):
-            trace = generate_window(
-                task.profile, window.fetch_start, window.warmup + window.length, task.seed
-            )
-            wp_source = (
-                OffsetWrongPathSource(task.profile, task.seed, window.fetch_start)
-                if task.cores[0][1].model_wrong_path
-                else None
-            )
-            # Shard-local seqs are monolithic seqs minus the fetch offset,
-            # so the --trace-ops window translates by the same shift (a
-            # negative bound is harmless: local seqs start at 0).
-            local_trace_ops = (
-                (
-                    task.trace_ops[0] - window.fetch_start,
-                    task.trace_ops[1] - window.fetch_start,
-                )
-                if task.trace_ops is not None
-                else None
-            )
-            for mode, params in task.cores:
-                tracer = (
-                    PipelineTracer(mode, seq_range=local_trace_ops)
-                    if task.collect_trace
-                    else None
-                )
-                core = SuperscalarCore(
-                    params,
-                    hierarchy=core_hierarchy(task.dcache_banks),
-                    wrong_path_source=wp_source,
-                    tracer=tracer,
-                )
-                stats = core.run_window(trace, warmup_ops=window.warmup)
-                setattr(result, mode, stats)
-                result.total_cycles[mode] = core._now
-                if tracer is not None:
-                    result.trace_rows[mode] = (tracer.ops, tracer.events)
-    except PointTimeout:
-        result.error = (
-            f"timeout: shard exceeded its {task.timeout_s}s wall-clock budget"
+    with guarded({"trace": {}}, timeout_s) as row:
+        trace = generate_window(
+            task.profile, window.fetch_start, window.warmup + window.length, task.seed
         )
-    except Exception as exc:  # crash isolation: the parent reports which shard
-        result.error = f"{type(exc).__name__}: {exc}"
-    result.wall_s = time.perf_counter() - started
-    return result
+        wp_source = (
+            OffsetWrongPathSource(task.profile, task.seed, window.fetch_start)
+            if task.cores[0][1].model_wrong_path
+            else None
+        )
+        # Shard-local seqs are monolithic seqs minus the fetch offset, so
+        # the --trace-ops window translates by the same shift (a negative
+        # bound is harmless: local seqs start at 0).
+        local_trace_ops = (
+            (
+                task.trace_ops[0] - window.fetch_start,
+                task.trace_ops[1] - window.fetch_start,
+            )
+            if task.trace_ops is not None
+            else None
+        )
+        for mode, params in task.cores:
+            tracer = (
+                PipelineTracer(mode, seq_range=local_trace_ops)
+                if task.collect_trace
+                else None
+            )
+            core = SuperscalarCore(
+                params,
+                hierarchy=core_hierarchy(task.dcache_banks),
+                wrong_path_source=wp_source,
+                tracer=tracer,
+            )
+            row[mode] = core.run_window(trace, warmup_ops=window.warmup)
+            if tracer is not None:
+                row["trace"][mode] = (tracer.ops, tracer.events, core._now)
+    return row
 
 
-def _retry_shard(task: _ShardTask) -> _ShardResult:
-    """Re-run one failed shard in a fresh single-worker pool.
-
-    A shard that died with the rest of a crashed pool (OOM kill, broken
-    pipe) often succeeds alone; pool-level failures here become an error
-    result so the caller can fall through to in-process execution.
-    """
-    try:
-        with multiprocessing.Pool(processes=1) as pool:
-            return pool.apply(_execute_shard, (task,))
-    except Exception as exc:
-        result = _ShardResult(index=task.window.index)
-        result.error = f"retry pool failed — {type(exc).__name__}: {exc}"
-        return result
-
-
-def _degrade_failed_shards(
-    tasks: list[_ShardTask], shard_results: list[_ShardResult]
-) -> tuple[int, int]:
-    """Retry each failed shard once, then fall back to in-process execution.
-
-    Returns ``(retries, fallbacks)``.  Results are repaired in place; a
-    shard whose in-process fallback *also* fails keeps its error and the
-    caller raises as before — degradation never hides a deterministic
-    failure (a bad config fails identically everywhere).
-    """
-    retries = 0
-    fallbacks = 0
-    for position, result in enumerate(shard_results):
-        if result.error is None:
-            continue
-        task = tasks[position]
-        retries += 1
-        repaired = _retry_shard(task)
-        if repaired.error is not None:
-            fallbacks += 1
-            repaired = _execute_shard(task)
-        shard_results[position] = repaired
-    return retries, fallbacks
-
-
-def _host_shard_tracers(
-    shard_results: list[_ShardResult], obs: ObsSession, check: bool
-) -> None:
-    """Re-host worker trace rows as per-shard tracers with offset stamps.
+def _host_shard_tracers(rows: list[dict[str, Any]], obs: ObsSession, check: bool) -> None:
+    """Re-host each shard's trace rows as its own tracer with offset stamps.
 
     Each shard becomes its own Perfetto lane group (``unchecked.shard0``,
     ``unchecked.shard1``, …); within a mode, shard *k*'s timestamps are
@@ -270,15 +207,15 @@ def _host_shard_tracers(
     modes = ["unchecked"] + (["checked"] if check else [])
     for mode in modes:
         offset = 0
-        for result in shard_results:
-            rows, events = result.trace_rows.get(mode, ([], []))
-            tracer = PipelineTracer(f"{mode}.shard{result.index}")
-            tracer.ops = [_offset_row(row, offset) for row in rows]
+        for index, row in enumerate(rows):
+            ops, events, cycles = row["trace"][mode]
+            tracer = PipelineTracer(f"{mode}.shard{index}")
+            tracer.ops = [_offset_row(op, offset) for op in ops]
             tracer.events = [
                 (name, cycle + offset, args) for name, cycle, args in events
             ]
             obs.tracers.append(tracer)
-            offset += result.total_cycles.get(mode, 0)
+            offset += cycles
 
 
 def _offset_row(row: dict, offset: int) -> dict:
@@ -307,7 +244,6 @@ def run_sharded_experiment(
     dcache_banks: int = 1,
     store_alias_fraction: float | None = None,
     workers: int | None = None,
-    timeout_s: float | None = None,
     obs: ObsSession | None = None,
 ) -> dict:
     """Run one experiment point time-sharded across processes.
@@ -323,6 +259,8 @@ def run_sharded_experiment(
         ValueError: if ``obs`` or ``params`` asks for interval telemetry,
             at any shard count: no shard records it, and a warm-start
             window cannot sample it.
+        RuntimeError: naming each shard that failed (a multi-shard run's
+            after its re-run) with its traceback.
     """
     interval = (obs.telemetry_interval if obs is not None else 0) or (
         params.telemetry_interval if params is not None else 0
@@ -370,40 +308,33 @@ def run_sharded_experiment(
             dcache_banks=dcache_banks,
             collect_trace=collect_trace,
             trace_ops=obs.trace_ops if obs is not None else None,
-            timeout_s=timeout_s,
         )
         for window in windows
     ]
     started = time.perf_counter()
     pool_size = min(workers or shards, shards)
-    if pool_size <= 1 or shards <= 1:
-        shard_results = [_execute_shard(task) for task in tasks]
-    else:
-        # Same ordered-map discipline as the sweep runner: results come
-        # back in shard order regardless of completion order or pool size.
-        try:
-            with multiprocessing.Pool(processes=pool_size) as pool:
-                shard_results = pool.map(_execute_shard, tasks, chunksize=1)
-        except Exception as exc:
-            # A pool-level crash (a worker killed hard enough to break the
-            # pool itself) loses every result; synthesize error results so
-            # the degradation pass below re-runs each shard individually.
-            shard_results = []
-            for task in tasks:
-                result = _ShardResult(index=task.window.index)
-                result.error = f"pool crashed — {type(exc).__name__}: {exc}"
-                shard_results.append(result)
-    shard_retries = 0
-    shard_fallbacks = 0
-    if shards > 1:
-        shard_retries, shard_fallbacks = _degrade_failed_shards(tasks, shard_results)
+    rows = list(
+        execute_batched(
+            _execute_shard, tasks, lambda task: task.window.index, pool_size, None
+        )
+    )
+    # A multi-shard run re-runs each failed shard once, here.
+    reruns = 0
+    for index, task in enumerate(tasks):
+        rows[index], attempts = retry_errors(
+            functools.partial(_execute_shard, task, None), rows[index], int(shards > 1), 0.0
+        )
+        reruns += attempts
     wall_s = time.perf_counter() - started
-    failed = [result for result in shard_results if result.error is not None]
+    failed = [
+        f"shard {index}: {row['error']}"
+        for index, row in enumerate(rows)
+        if row["status"] == "error"
+    ]
     if failed:
-        details = "; ".join(f"shard {r.index}: {r.error}" for r in failed)
-        raise RuntimeError(f"{len(failed)} shard(s) failed — {details}")
-    unchecked = merge_core_stats([r.unchecked for r in shard_results])
-    checked = merge_core_stats([r.checked for r in shard_results]) if check else None
+        raise RuntimeError(f"{len(failed)} shard(s) failed\n" + "\n".join(failed))
+    unchecked = merge_core_stats([row["unchecked"] for row in rows])
+    checked = merge_core_stats([row["checked"] for row in rows]) if check else None
     # Shard 0's last core is the monolithic run's: same fault seed.
     result = result_dict(
         profile, num_ops, seed, wrong_path, tasks[0].cores[-1][1], unchecked, checked
@@ -414,22 +345,24 @@ def run_sharded_experiment(
             "warmup_ops": warmup,
             "workers": pool_size,
             "host_cpus": os.cpu_count(),
-            "retries": shard_retries,
-            "fallbacks": shard_fallbacks,
+            # Both count the shards re-run in this process; readers of
+            # either key (perfbench among them) keep working.
+            "retries": reruns,
+            "fallbacks": reruns,
             "wall_s": round(wall_s, 4),
             "windows": [
                 {
                     "start": window.start,
                     "length": window.length,
                     "warmup": window.warmup,
-                    "wall_s": round(result_.wall_s, 4),
+                    "wall_s": row[ELAPSED_KEY],
                 }
-                for window, result_ in zip(windows, shard_results)
+                for window, row in zip(windows, rows)
             ],
         }
     if obs is not None:
         if collect_trace:
-            _host_shard_tracers(shard_results, obs, check)
+            _host_shard_tracers(rows, obs, check)
         unchecked.register_metrics(obs.registry, "unchecked.")
         if checked is not None:
             checked.register_metrics(obs.registry, "checked.")

@@ -186,6 +186,13 @@ def test_snapshot_exposes_key_counters():
         ("l1_latency", 0),  # a hit's wake-ups went into a drained cycle
         ("l2_latency", -1),
         ("mem_latency", -1),
+        # These failed only when a hierarchy was built, without the field.
+        ("mshr_entries", 0),
+        ("mshr_targets", 0),
+        ("bus_cycles_per_transfer", 0),
+        ("l2_size", 1000),  # not a whole number of sets
+        ("line_bytes", 48),
+        ("l1d_size", 3072),  # 24 sets: not a power of two
     ],
 )
 def test_unusable_hierarchy_params_fail_at_construction(field, value):

@@ -8,21 +8,26 @@ merged IPC within 1% of the monolithic run, detect every fault, and (on a
 host with 4 CPUs) run at least 2.5x faster than ``--shards 1``.
 """
 
+import copy
 import functools
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main, run_experiment
 from repro.core.core import SuperscalarCore
 from repro.core.params import CheckerParams, CoreParams
-from repro.obs import ObsSession
+from repro.obs import ObsSession, validate_schema
 from repro.parallel import plan_shards, run_sharded_experiment
 from repro.workloads import PRESETS, WrongPathGenerator, generate
 
 BRANCHY = PRESETS["branchy"]
+TRACE_SCHEMA = json.loads(
+    (Path(__file__).parent / "trace_event.schema.json").read_text(encoding="utf-8")
+)
 
 
 # ------------------------------------------------------------- plan_shards
@@ -250,97 +255,156 @@ def test_sharded_fault_detection_is_preserved():
     assert result["fault_coverage"] == 1.0
 
 
-# ------------------------------------------------------ graceful degradation
+# ------------------------------------------------------ the pooled fan-out
+
+#: A sharded run's host fields: everything else is a function of its inputs.
+HOST_FIELDS = ("wall_s", "workers", "host_cpus")
 
 
-def _flaky_execute_shard(fail_first: int = 1):
-    """A stand-in for ``_execute_shard`` that fails its first N calls."""
-    from repro.parallel import shards as shards_mod
-
-    real = shards_mod._execute_shard
-    calls = {"n": 0}
-
-    def flaky(task):
-        calls["n"] += 1
-        if calls["n"] <= fail_first:
-            result = shards_mod._ShardResult(index=task.window.index)
-            result.error = "synthetic worker crash"
-            return result
-        return real(task)
-
-    return flaky
+def _without_host_fields(result: dict) -> dict:
+    result = copy.deepcopy(result)
+    sharding = result["sharding"]
+    for key in HOST_FIELDS:
+        del sharding[key]
+    for window in sharding["windows"]:
+        del window["wall_s"]
+    return result
 
 
-def _run_degraded(**kwargs):
+def test_pooled_shards_merge_exactly_as_in_process_ones():
+    """A shard runs the same simulation in a pool worker as in this process."""
+    kwargs = dict(num_ops=3_000, seed=2, shards=3, warmup=300, fault_rate=2e-3)
+    in_process = run_sharded_experiment(BRANCHY, workers=1, **kwargs)
+    pooled = run_sharded_experiment(BRANCHY, workers=3, **kwargs)
+    assert pooled["sharding"]["workers"] == 3
+    assert pooled["checked"]["faults_injected"] > 0
+    assert _without_host_fields(pooled) == _without_host_fields(in_process)
+
+
+def _recording_run_window(monkeypatch) -> list[tuple[str, list[dict], int]]:
+    """Record each traced ``run_window`` made in this process: its tracer's
+    label, its op rows and its total cycles (warmup included)."""
+    real = SuperscalarCore.run_window
+    windows = []
+
+    def run_window(self, trace, warmup_ops, max_cycles=None):
+        stats = real(self, trace, warmup_ops, max_cycles)
+        windows.append((self.tracer.label, list(self.tracer.ops), self._now))
+        return stats
+
+    monkeypatch.setattr(SuperscalarCore, "run_window", run_window)
+    return windows
+
+
+def _traced_two_shards(tmp_path, workers: int) -> ObsSession:
+    obs = ObsSession(trace_out=tmp_path / f"trace{workers}.json")
+    run_sharded_experiment(
+        BRANCHY, num_ops=3_000, shards=2, warmup=300, fault_rate=1e-3,
+        workers=workers, obs=obs,
+    )
+    return obs
+
+
+def test_traced_shards_get_one_lane_each_in_run_order(tmp_path, monkeypatch):
+    """Each (mode, shard) gets its own tracer, whose op stamps are the
+    shard's own shifted by the total cycles of the shards before it; a
+    pool hosts the same lanes, and the timeline validates."""
+    windows = _recording_run_window(monkeypatch)
+    in_process = _traced_two_shards(tmp_path, workers=1)
+    monkeypatch.undo()
+    labels = ["unchecked.shard0", "unchecked.shard1", "checked.shard0", "checked.shard1"]
+    assert [tracer.label for tracer in in_process.tracers] == labels
+    # Shards run in order, each simulating its unchecked core, then its
+    # checked one.
+    assert [label for label, _, _ in windows] == ["unchecked", "checked"] * 2
+    for mode in ("unchecked", "checked"):
+        offset = 0
+        for shard, (_, rows, cycles) in enumerate(w for w in windows if w[0] == mode):
+            hosted = in_process.tracers[labels.index(f"{mode}.shard{shard}")]
+            assert rows and len(hosted.ops) == len(rows)
+            for local, shifted in zip(rows, hosted.ops):
+                for key, value in local.items():
+                    moved = key.endswith("_at") and value is not None
+                    assert shifted[key] == (value + offset if moved else value)
+            offset += cycles
+    pooled = _traced_two_shards(tmp_path, workers=2)
+    assert [tracer.label for tracer in pooled.tracers] == labels
+    for hosted, same in zip(in_process.tracers, pooled.tracers):
+        assert (same.ops, same.events) == (hosted.ops, hosted.events)
+    pooled.finish()
+    doc = json.loads((tmp_path / "trace2.json").read_text(encoding="utf-8"))
+    assert validate_schema(doc, TRACE_SCHEMA) == []
+    lanes = [e["args"]["name"] for e in doc["traceEvents"] if e["name"] == "process_name"]
+    assert lanes == labels
+
+
+# ---------------------------------------------------------- failed shards
+
+
+def _failing_run_window(monkeypatch, fails) -> list[int]:
+    """Make ``SuperscalarCore.run_window`` raise on each call for which
+    ``fails(calls)`` holds; ``calls`` lists the ``warmup_ops`` of every
+    call made in this process, the current one last.  A pool forked after
+    the patch inherits it, with its own ``calls``."""
+    real = SuperscalarCore.run_window
+    calls = []
+
+    def run_window(self, trace, warmup_ops, max_cycles=None):
+        calls.append(warmup_ops)
+        if fails(calls):
+            raise MemoryError(f"synthetic failure at warmup_ops={warmup_ops}")
+        return real(self, trace, warmup_ops, max_cycles)
+
+    monkeypatch.setattr(SuperscalarCore, "run_window", run_window)
+    return calls
+
+
+def _two_shards(workers: int):
+    """Two unchecked shards: shard 0 runs with no warmup, shard 1 with 100."""
     return run_sharded_experiment(
-        BRANCHY, num_ops=1_200, seed=0, shards=2, warmup=100, check=False,
-        workers=1, **kwargs
+        BRANCHY, num_ops=1_200, shards=2, warmup=100, check=False, workers=workers
     )
 
 
-def test_failed_shard_is_retried_and_the_result_is_unchanged(monkeypatch):
-    from repro.parallel import shards as shards_mod
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_shard_is_rerun_here_and_merges_as_a_clean_run(monkeypatch, workers):
+    """Shard 1's first attempt fails, in this process at 1 worker and in a
+    pool worker at 2; the run re-runs it once, in this process."""
+    clean = _two_shards(workers)
+    here = os.getpid()
 
-    clean = _run_degraded()
-    flaky = _flaky_execute_shard(fail_first=1)
-    monkeypatch.setattr(shards_mod, "_execute_shard", flaky)
-    # Route the retry through the same in-process stand-in instead of a
-    # fresh single-worker pool (the production path, minus the fork).
-    monkeypatch.setattr(shards_mod, "_retry_shard", lambda task: flaky(task))
-    result = _run_degraded()
-    assert result["sharding"]["retries"] == 1
-    assert result["sharding"]["fallbacks"] == 0
-    # Degradation repaired the shard, so the merged stats are exactly the
-    # no-failure run's (only wall-clock bookkeeping may differ).
+    def first_attempt_at_shard_1(calls):
+        if workers == 1:  # this process makes both attempts
+            return calls == [0, 100]
+        return calls[-1] == 100 and os.getpid() != here
+
+    calls = _failing_run_window(monkeypatch, first_attempt_at_shard_1)
+    result = _two_shards(workers)
+    assert calls == ([0, 100, 100] if workers == 1 else [100])
+    assert result["sharding"]["retries"] == result["sharding"]["fallbacks"] == 1
     assert result["unchecked"] == clean["unchecked"]
 
 
-def test_failed_retry_falls_back_to_in_process_execution(monkeypatch):
-    from repro.parallel import shards as shards_mod
-
-    clean = _run_degraded()
-    flaky = _flaky_execute_shard(fail_first=1)
-    monkeypatch.setattr(shards_mod, "_execute_shard", flaky)
-
-    def broken_retry(task):
-        result = shards_mod._ShardResult(index=task.window.index)
-        result.error = "retry pool failed — synthetic"
-        return result
-
-    monkeypatch.setattr(shards_mod, "_retry_shard", broken_retry)
-    result = _run_degraded()
-    assert result["sharding"]["retries"] == 1
-    assert result["sharding"]["fallbacks"] == 1
-    assert result["unchecked"] == clean["unchecked"]
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_shard_that_fails_again_fails_the_run_naming_every_shard(monkeypatch, workers):
+    calls = _failing_run_window(monkeypatch, lambda calls: True)
+    with pytest.raises(RuntimeError) as excinfo:
+        _two_shards(workers)
+    # One re-run of each shard here, after a first attempt here or in a pool.
+    assert calls == ([0, 100, 0, 100] if workers == 1 else [0, 100])
+    message = str(excinfo.value)
+    assert message.startswith("2 shard(s) failed")
+    for warmup in (0, 100):
+        assert f"MemoryError: synthetic failure at warmup_ops={warmup}" in message
+    assert "shard 0: Traceback" in message and "shard 1: Traceback" in message
 
 
-def test_persistent_shard_failure_still_raises(monkeypatch):
-    """Degradation never hides a deterministic failure: when the retry and
-    the in-process fallback fail too, the run dies loudly as before."""
-    from repro.parallel import shards as shards_mod
-
-    def always_broken(task):
-        result = shards_mod._ShardResult(index=task.window.index)
-        result.error = "synthetic deterministic crash"
-        return result
-
-    monkeypatch.setattr(shards_mod, "_execute_shard", always_broken)
-    monkeypatch.setattr(shards_mod, "_retry_shard", always_broken)
-    with pytest.raises(RuntimeError, match="shard"):
-        _run_degraded()
-
-
-def test_single_shard_runs_skip_the_degradation_pass(monkeypatch):
-    """``--shards 1`` must stay bit-identical to the monolithic path, so
-    the degradation machinery (and its bookkeeping) never engages."""
-    from repro.parallel import shards as shards_mod
-
-    def exploding_retry(task):  # pragma: no cover - must never run
-        raise AssertionError("degradation engaged on a single-shard run")
-
-    monkeypatch.setattr(shards_mod, "_retry_shard", exploding_retry)
-    result = run_sharded_experiment(BRANCHY, num_ops=1_000, shards=1, check=False)
-    assert "sharding" not in result
+def test_a_single_shard_run_makes_one_attempt(monkeypatch):
+    """``--shards 1`` is the monolithic run: a failure is not re-run."""
+    calls = _failing_run_window(monkeypatch, lambda calls: True)
+    with pytest.raises(RuntimeError, match="1 shard\\(s\\) failed"):
+        run_sharded_experiment(BRANCHY, num_ops=1_000, shards=1, check=False)
+    assert calls == [0]
 
 
 # --------------------------------------------------------------------- CLI
