@@ -377,7 +377,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     obs_group.add_argument(
         "--telemetry-interval",
         type=int,
-        default=core.telemetry_interval,
+        default=0,
         metavar="CYCLES",
         help=(
             "sample IPC/occupancy/slot-steal/checker-lag telemetry every "
@@ -609,7 +609,6 @@ def _run_inputs(args: argparse.Namespace) -> tuple[CoreParams, list]:
         ),
         memdep=MemDepParams(enabled=args.memdep, ssit_decay_cycles=args.ssit_decay_cycles),
         recovery=RecoveryParams(checkpoint_interval=args.checkpoint_interval, **overhead),
-        telemetry_interval=args.telemetry_interval,
     )
     run_params(
         params,
@@ -673,18 +672,19 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "observability outputs trace one experiment; drop --all-presets "
             "or run presets individually"
         )
-    obs = (
-        ObsSession(
-            trace_out=args.trace_out,
-            op_trace_out=args.op_trace_out,
-            telemetry_interval=args.telemetry_interval,
-            telemetry_out=args.telemetry_out,
-            metrics_out=args.metrics_out,
-            trace_ops=trace_ops,
-        )
-        if obs_requested
-        else None
-    )
+    obs = None
+    if obs_requested:
+        try:
+            obs = ObsSession(
+                trace_out=args.trace_out,
+                op_trace_out=args.op_trace_out,
+                telemetry_interval=args.telemetry_interval,
+                telemetry_out=args.telemetry_out,
+                metrics_out=args.metrics_out,
+                trace_ops=trace_ops,
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
     run, sharding = run_experiment, {}
     if args.shards > 1:
         run = run_sharded_experiment

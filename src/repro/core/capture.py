@@ -143,16 +143,15 @@ class CoreState:
 
     Raises:
         ValueError: if the core has injected a fault (only fault-free
-            prefixes are shared), or has a tracer or telemetry attached
-            (a run resumed from the state would lack their records of the
-            prefix).
+            prefixes are shared), or has a tracer attached (a run resumed
+            from the state would lack its records of the prefix).
     """
 
     def __init__(self, core: "SuperscalarCore") -> None:
-        if core.tracer is not None or core.telemetry is not None:
+        if core.tracer is not None:
             raise ValueError(
-                "cannot capture a core with a tracer or telemetry attached: a "
-                "resumed run would lack their records of the prefix"
+                "cannot capture a core with a tracer attached: a resumed run "
+                "would lack its records of the prefix"
             )
         injector = core.fault_injector
         if injector is not None and injector.injected:

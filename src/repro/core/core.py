@@ -67,7 +67,6 @@ schedule (and every statistic) is identical to ticking cycle by cycle.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -96,13 +95,12 @@ from repro.isa.instruction import MicroOp, format_microop
 from repro.isa.opcodes import OpClass, UNPIPELINED_OPS, default_latencies, fu_class_for
 from repro.isa.registers import REG_ZERO
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.obs.telemetry import IntervalTelemetry
-from repro.obs.tracer import PipelineTracer
 from repro.util import run_state, start_run
 from repro.workloads.synthetic import WrongPathGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.capture import CoreState
+    from repro.obs.tracer import PipelineTracer
 
 #: Signature of a wrong-path stream source: (branch uop, branch seq,
 #: depth) -> the micro-ops the front end finds down the wrong path.  The
@@ -144,7 +142,7 @@ class SuperscalarCore:
         "_silent_tracker _issue_width _frontend_depth _reserved _primary_budget "
         "_ready_heap _wheel_pop _check_deque _trace_len _lat_by_op _fu_by_op "
         "_unpip_by_op _memdep_on _lsq_size _fwd_latency _violation_penalty "
-        "telemetry _ckpt_on _skip_enabled _wp_source _cycle_limit",
+        "_ckpt_on _skip_enabled _wp_source _cycle_limit",
         value={
             "_now": 0,
             # A caller-supplied predictor keeps its trained state.
@@ -195,10 +193,10 @@ class SuperscalarCore:
         self.hierarchy = hierarchy if hierarchy is not None else MemoryHierarchy()
         # Observability is opt-in objects, not no-op objects: with no
         # tracer the commit/recovery paths hold None and pay one is-None
-        # test per finalized op; with telemetry_interval == 0 the run loop
-        # has no per-cycle observer.  Only the tracer may also be assigned
-        # directly, before begin(): each run builds its telemetry from
-        # ``params.telemetry_interval``.
+        # test per finalized op.  The tracer may also be assigned directly,
+        # before begin().  Interval telemetry attaches nothing here: it
+        # runs the core through run()'s ``stop`` hook (see
+        # repro.obs.telemetry.IntervalTelemetry.run).
         self.tracer = tracer
         self._owns_predictor = predictor is None and self.params.use_real_predictor
         self.predictor = predictor  # built by _reset_run_state() when owned
@@ -285,12 +283,9 @@ class SuperscalarCore:
         )
         self.stats.memdep_enabled = md.enabled
         self.stats.ssit_decay_enabled = md.enabled and md.ssit_decay_cycles > 0
-        # --- observability: telemetry exists only when sampling is on;
-        # the recovery manager below captures self.tracer as its hook ---
-        interval = params.telemetry_interval
-        self.telemetry = IntervalTelemetry(interval, self) if interval else None
         # --- recovery subsystem: one manager owns every squash path and
-        # the (optional) verified-state checkpointing policy ---
+        # the (optional) verified-state checkpointing policy; it captures
+        # self.tracer as its hook ---
         self._recovery = RecoveryManager(self)
         self._ckpt_on = self._recovery.checkpointing
         self.stats.checkpointing_enabled = self._ckpt_on
@@ -331,8 +326,10 @@ class SuperscalarCore:
         which ``stop()`` holds (see :meth:`advance`), and the stats cover
         only the cycles simulated up to there (``committed`` falls short of
         the trace's length unless that was the last cycle).  ``stop`` is
-        called once per stepped cycle, so it must be cheap.  A campaign
-        trial stops this way once its fault has resolved silently.
+        called once per stepped cycle, so it must be cheap.  It is the run
+        loop's one per-cycle hook: a campaign trial stops through it once
+        its fault has resolved silently, and interval telemetry samples
+        through it (returning False).
 
         Raises:
             DeadlockError: if the simulation exceeds ``max_cycles``
@@ -344,8 +341,6 @@ class SuperscalarCore:
         """
         self.begin(trace, max_cycles, start)
         self.advance(stop)
-        if self.telemetry is not None:
-            self.telemetry.finalize(self._now)
         return self._finish()
 
     def run_window(
@@ -380,10 +375,6 @@ class SuperscalarCore:
         if warmup_ops <= 0:
             return self.run(trace, max_cycles=max_cycles)
         self.begin(trace, max_cycles)
-        if self.telemetry is not None:
-            raise ValueError(
-                "interval telemetry is not supported with warm-start windows"
-            )
         stats = self.stats
         # Warmup stops right after the cycle whose commit count reaches the
         # target, so any cycles that cycle lets the loop skip are skipped
@@ -435,10 +426,9 @@ class SuperscalarCore:
         (returns True) or the trace has drained (returns False).
 
         This is the core's one cycle loop; :meth:`run`, :meth:`run_window`
-        and a campaign's fault-free leader all drive it.  With telemetry
-        attached, every cycle goes to its sampler (``observe``).  A stopped
-        loop continues exactly as if it had never stopped: the cycles the
-        last cycle lets it skip are skipped when it is entered again.
+        and a campaign's fault-free leader all drive it.  A stopped loop
+        continues exactly as if it had never stopped: the cycles the last
+        cycle lets it skip are skipped when it is entered again.
 
         Raises:
             DeadlockError: past the run's cycle limit (see :meth:`run`).
@@ -450,18 +440,14 @@ class SuperscalarCore:
         ready_heap = self._ready_heap
         maybe_skip = self._maybe_skip
         limit = self._cycle_limit
-        telemetry = self.telemetry
-        observe = telemetry.observe if telemetry is not None else None
         while self._fetch_index < trace_len or window:
             # Cycle skipping: with nothing ready to issue, or only refused
             # retries, jump to the next cycle that can differ.
             if skip and (not ready_heap or self._replay is not None):
                 maybe_skip()
             if self._now > limit:
-                raise self._deadlock(limit)
+                raise DeadlockError(self._deadlock_report(limit))
             step()
-            if observe is not None:
-                observe(self._now)
             if stop is not None and stop():
                 return True
         return False
@@ -471,8 +457,8 @@ class SuperscalarCore:
         boundary, for another core to :meth:`run` on from there.
 
         Raises:
-            ValueError: if a fault has been injected, or a tracer or
-                telemetry is attached.
+            ValueError: if a fault has been injected, or a tracer is
+                attached.
         """
         from repro.core.capture import CoreState
 
@@ -494,23 +480,6 @@ class SuperscalarCore:
         stats.sched_events = self._wheel.posted
         stats.memory = self.hierarchy.snapshot()
         return stats
-
-    def _deadlock(self, limit: int) -> DeadlockError:
-        """The error for a run past its cycle limit; with telemetry, it
-        carries (and its message appends) the flight recorder's last
-        samples."""
-        telemetry = self.telemetry
-        report = self._deadlock_report(limit)
-        if telemetry is None:
-            return DeadlockError(report)
-        telemetry.finalize(self._now)
-        samples = telemetry.recent_samples()
-        if samples:
-            lines = [report, f"flight recorder (last {len(samples)} telemetry samples):"]
-            for row in samples:
-                lines.append("  " + json.dumps(row, sort_keys=True))
-            report = "\n".join(lines)
-        return DeadlockError(report, samples=samples)
 
     def _deadlock_report(self, limit: int) -> str:
         """Describe why the window is stuck (for :class:`DeadlockError`)."""

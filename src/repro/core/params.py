@@ -190,12 +190,6 @@ class CoreParams(Params):
             way (asserted by the cycle-skip identity tests), so it is on
             by default and excluded from serialized configs unless
             disabled.
-        telemetry_interval: Cycles between interval-telemetry samples
-            (see :class:`~repro.obs.telemetry.IntervalTelemetry`).  0 (the
-            default) disables sampling entirely — the run loop then has no
-            per-cycle observer to call.  Sampling is
-            read-only: every ``CoreStats`` field is identical at any
-            interval (pinned by the trace-identity tests).
     """
 
     fetch_width: int = knob(8, lo=1)
@@ -223,7 +217,6 @@ class CoreParams(Params):
         factory=RecoveryParams, emit=lambda recovery: recovery.checkpoint_interval > 0
     )
     cycle_skip: bool = knob(True, emit=OFF_DEFAULT)
-    telemetry_interval: int = knob(0, lo=0, emit=OFF_DEFAULT)
 
     def __post_init__(self) -> None:
         check_fields(self)

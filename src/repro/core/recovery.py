@@ -176,27 +176,36 @@ class RecoveryManager:
             if core._wp_branch is not None and until > core._wp_icache_stall_until:
                 core._wp_icache_stall_until = until
 
-    def _fault_stall_cycles(self, restart_seq: int, now: int) -> int:
-        """Cycles between detection and the restart of fetch.
+    def _checker_stall(
+        self, cause: RecoveryCause, seq: int, restart_seq: int, now: int
+    ) -> None:
+        """Stall fetch from detection until a checker recovery of ``seq``
+        can restart it at ``restart_seq``, and report the recovery.
 
         Flat ``recovery_penalty`` without checkpointing; with it, restore
         the youngest checkpoint (always at or older than the restart
-        point — checkpoints snapshot the commit frontier, and the faulty
-        op had not committed) and replay forward at commit bandwidth.
+        point — checkpoints snapshot the commit frontier, and the
+        recovered op had not committed) and replay forward at commit
+        bandwidth.
         """
-        if not self._ckpt_on:
-            return self._core.params.checker.recovery_penalty
-        distance = restart_seq - self._ckpt_seq
-        if distance < 0:  # defensive: never true by construction
-            distance = 0
         stats = self._stats
-        stats.rollback_distance_sum += distance
-        if distance > stats.rollback_distance_max:
-            stats.rollback_distance_max = distance
-        hist = stats.rollback_distance_hist
-        bucket = "0" if distance == 0 else str(1 << (distance - 1).bit_length())
-        hist[bucket] = hist.get(bucket, 0) + 1
-        return self._params.restore_penalty + -(-distance // self._commit_width)
+        if not self._ckpt_on:
+            stall = self._core.params.checker.recovery_penalty
+        else:
+            distance = restart_seq - self._ckpt_seq
+            if distance < 0:  # defensive: never true by construction
+                distance = 0
+            stats.rollback_distance_sum += distance
+            if distance > stats.rollback_distance_max:
+                stats.rollback_distance_max = distance
+            hist = stats.rollback_distance_hist
+            bucket = "0" if distance == 0 else str(1 << (distance - 1).bit_length())
+            hist[bucket] = hist.get(bucket, 0) + 1
+            stall = self._params.restore_penalty + -(-distance // self._commit_width)
+        stats.recovery_stall_cycles += stall
+        self._core._fetch_stall_until = now + stall
+        if self._hook is not None:
+            self._hook.recovery(cause.value, now, seq=seq, stall=stall)
 
     # -------------------------------------------------------- recovery paths
 
@@ -301,20 +310,9 @@ class RecoveryManager:
         stats.checks_completed += 1
         stats.recoveries += 1
         stats.recoveries_by_cause[RecoveryCause.CHECKER_FAULT.value] += 1
-        self.squash_younger(faulty.seq, now, RecoveryCause.CHECKER_FAULT)
-        if core.checker is not None:
-            core.checker.rebuild_after_squash(core._window)
         restart = faulty.seq + 1
-        core._fetch_index = restart
-        core._waiting_branch = None
-        self.end_wrong_path()
-        stall = self._fault_stall_cycles(restart, now)
-        stats.recovery_stall_cycles += stall
-        core._fetch_stall_until = now + stall
-        if self._hook is not None:
-            self._hook.recovery(
-                RecoveryCause.CHECKER_FAULT.value, now, seq=faulty.seq, stall=stall
-            )
+        self._refetch_from(restart, now, RecoveryCause.CHECKER_FAULT)
+        self._checker_stall(RecoveryCause.CHECKER_FAULT, faulty.seq, restart, now)
 
     def recover_false_alarm(self, op: "DynOp", now: int) -> None:
         """A clean op's check miscompared (checker-side fault): replay it.
@@ -329,25 +327,15 @@ class RecoveryManager:
         :class:`RecoveryCause` inserted lazily into the per-cause dicts
         (legacy rows never carry the key).
         """
-        core = self._core
         stats = self._stats
-        core.fault_injector.tracker.note_false_alarm(op, now)
+        self._core.fault_injector.tracker.note_false_alarm(op, now)
         op.check_faulty = False
         stats.recoveries += 1
-        label = RecoveryCause.CHECKER_FALSE_ALARM.value
+        cause = RecoveryCause.CHECKER_FALSE_ALARM
         by_cause = stats.recoveries_by_cause
-        by_cause[label] = by_cause.get(label, 0) + 1
-        self.squash_younger(op.seq - 1, now, RecoveryCause.CHECKER_FALSE_ALARM)
-        if core.checker is not None:
-            core.checker.rebuild_after_squash(core._window)
-        core._fetch_index = op.seq
-        core._waiting_branch = None
-        self.end_wrong_path()
-        stall = self._fault_stall_cycles(op.seq, now)
-        stats.recovery_stall_cycles += stall
-        core._fetch_stall_until = now + stall
-        if self._hook is not None:
-            self._hook.recovery(label, now, seq=op.seq, stall=stall)
+        by_cause[cause.value] = by_cause.get(cause.value, 0) + 1
+        self._refetch_from(op.seq, now, cause)
+        self._checker_stall(cause, op.seq, op.seq, now)
 
     def recover_mem_violation(self, store: "DynOp", load: "DynOp", now: int) -> None:
         """Deliver a posted memory-order violation: train, squash, replay.
@@ -375,20 +363,28 @@ class RecoveryManager:
                 load=load.seq,
             )
         core._storesets.train(load.uop.pc, store.uop.pc, now)
-        self.squash_younger(load.seq - 1, now, RecoveryCause.MEM_ORDER_VIOLATION)
-        if core.checker is not None:
-            core.checker.rebuild_after_squash(core._window)
-        core._fetch_index = load.seq
-        core._waiting_branch = None
-        self.end_wrong_path()
+        self._refetch_from(load.seq, now, RecoveryCause.MEM_ORDER_VIOLATION)
         core._fetch_stall_until = now + core._violation_penalty
 
     # ------------------------------------------------------ shared unwinding
 
+    def _refetch_from(self, seq: int, now: int, cause: RecoveryCause) -> None:
+        """The refetch rule of every replaying recovery (fault, false
+        alarm, memory-order violation): squash each op from ``seq`` on,
+        rebuild the checker's ready times from the survivors, restart
+        fetch at ``seq`` and end the wrong-path episode."""
+        core = self._core
+        self.squash_younger(seq - 1, now, cause)
+        if core.checker is not None:
+            core.checker.rebuild_after_squash(core._window)
+        core._fetch_index = seq
+        core._waiting_branch = None
+        self.end_wrong_path()
+
     def squash_younger(self, boundary_seq: int, now: int, cause: RecoveryCause) -> None:
         """Squash every windowed op with ``seq > boundary_seq``.
 
-        Shared tail of fault recovery and memory-order-violation replay:
+        The squash of every replaying recovery (:meth:`_refetch_from`):
         pops victims off the window, returns any cross-cycle functional-unit
         reservations they hold, trims them off the LSQ tail, and rebuilds
         the register-producer map from the survivors.  Kernel-structure

@@ -102,10 +102,11 @@ class DeadlockError(RuntimeError):
     dependencies so a hung configuration is diagnosable from the exception
     alone (sweep error rows carry it verbatim).
 
-    With interval telemetry enabled (``CoreParams.telemetry_interval``)
-    the core also attaches its flight recorder — the last few telemetry
-    samples — as ``samples``, and appends them to the message, so a hang
-    arrives with its own recent history (occupancy, IPC, checker lag).
+    The core raises it with the report alone.  A run driven by
+    :meth:`repro.obs.telemetry.IntervalTelemetry.run` raises it again
+    with that sampler's flight recorder — its last few samples — as
+    ``samples``, appended to the message, so a hang arrives with its own
+    recent history (occupancy, IPC, checker lag).
     """
 
     def __init__(self, message: str, samples: list[dict] | None = None):

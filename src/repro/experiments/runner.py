@@ -151,22 +151,13 @@ def run_experiment(
             :class:`~repro.workloads.profiles.WorkloadProfile`).
         obs: Optional :class:`~repro.obs.ObsSession`.  When provided, each
             core gets a pipeline tracer (labelled ``unchecked``/``checked``)
-            if tracing was requested, runs with the session's telemetry
-            interval, and registers its final stats into the session's
-            metrics registry.  ``None`` (the default — every sweep and
-            golden path) leaves the cores entirely uninstrumented.
+            if tracing was requested, runs through the session's telemetry
+            sampler if it hands one out, and registers its final stats into
+            the session's metrics registry.  ``None`` (the default — every
+            sweep and golden path) leaves the cores entirely uninstrumented.
 
     The returned dict is :func:`result_dict`'s.
-
-    Raises:
-        ValueError: if ``params`` asks for interval telemetry and no
-            ``obs`` session is there to record it.
     """
-    if obs is None and params is not None and params.telemetry_interval:
-        raise ValueError(
-            f"telemetry_interval={params.telemetry_interval} needs an ObsSession "
-            "to record it (pass obs=ObsSession(telemetry_interval=...))"
-        )
     if store_alias_fraction is not None:
         profile = replace(profile, store_alias_fraction=store_alias_fraction)
     # Inside a sweep batch, points with equal inputs share the trace and
@@ -178,8 +169,6 @@ def run_experiment(
     # iter_stream: the core consumes wrong-path streams lazily, so only the
     # prefix fetched before each branch resolves is ever synthesized.
     wp_source = WrongPathGenerator(profile, seed=seed).iter_stream if wrong_path else None
-    if obs is not None and obs.telemetry_interval:
-        params = replace(params or CoreParams(), telemetry_interval=obs.telemetry_interval)
     knobs = dict(
         real_predictor=real_predictor, wrong_path=wrong_path, wrong_path_depth=wrong_path_depth
     )
@@ -193,9 +182,9 @@ def run_experiment(
             wrong_path_source=wp_source,
             tracer=obs.tracer_for(mode) if obs is not None else None,
         )
-        stats = core.run(trace)
+        sampler = obs.telemetry_for(mode, core) if obs is not None else None
+        stats = core.run(trace) if sampler is None else sampler.run(trace)
         if obs is not None:
-            obs.record_telemetry(mode, core.telemetry)
             stats.register_metrics(obs.registry, f"{mode}.")
         return stats
 

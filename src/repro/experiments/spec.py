@@ -19,6 +19,7 @@ import itertools
 import json
 import tomllib
 from dataclasses import MISSING, dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Mapping, Self
 
@@ -81,8 +82,29 @@ def run_params(
     unless given).  An unchecked core keeps the base checker disabled at
     rate 0.  Every caller that builds a core for an experiment point goes
     through here: single runs, sweep points, shards and campaign trials.
+
+    Raises:
+        ValueError: naming ``params.<field>`` when ``base`` sets the
+            predictor mode, a wrong-path knob or (for the checked core)
+            the fault rate off its default and the run's keyword gives
+            another value, which would override it silently.
     """
     base = base if base is not None else CoreParams()
+    # Each run-level knob ``base`` may also set: its field and keyword.
+    knobs = [
+        ("use_real_predictor", "real_predictor", real_predictor),
+        ("model_wrong_path", "wrong_path", wrong_path),
+        ("wrong_path_depth", "wrong_path_depth", wrong_path_depth),
+    ]
+    if checked:
+        knobs.append(("checker.fault_rate", "fault_rate", fault_rate))
+    for name, keyword, run_value in knobs:
+        value = attrgetter(name)(base)
+        if value != attrgetter(name)(_CORE) and value != run_value:
+            raise ValueError(
+                f"params.{name}={value!r} would be overridden by "
+                f"{keyword}={run_value!r}; pass it as {keyword}"
+            )
     if checked:
         checker = replace(
             base.checker,

@@ -10,13 +10,9 @@ A truncated final line (a crash mid-append) is tolerated on read — the
 damaged line is counted in :attr:`ResultsStore.skipped_lines` and the
 corresponding point simply re-runs.
 
-Parsed rows are cached per instance: a sweep touches the store once per
-finished point (append) plus resume checks and reports, and re-parsing a
-many-thousand-row JSONL file on every ``rows()``/``completed_hashes()``
-call turns the store itself into the bottleneck.  ``append`` extends a
-valid cache in place with the row it just wrote; the file's
-``(size, mtime_ns)`` signature guards against writes from other processes
-— on mismatch the cache is dropped and the file re-read.
+Every read parses the file afresh: a sweep or campaign reads its store a
+few times (resume checks and its report), never once per point, so a
+cache would save little while every append paid to keep it warm.
 """
 
 from __future__ import annotations
@@ -36,29 +32,11 @@ class ResultsStore:
         #: Lines the last read pass could not parse (corruption from an
         #: interrupted write); the points they held will re-run.
         self.skipped_lines = 0
-        # Parsed rows of the file version identified by _cache_sig;
-        # None = cold (next read parses the file).
-        self._cache: list[dict[str, Any]] | None = None
-        self._cache_sig: tuple[int, int] | None = None
-        self._cache_skipped = 0
-
-    def _signature(self) -> tuple[int, int] | None:
-        """The backing file's ``(size, mtime_ns)``, or None if absent."""
-        try:
-            stat = self.path.stat()
-        except OSError:
-            return None
-        return (stat.st_size, stat.st_mtime_ns)
 
     def append(self, row: dict[str, Any]) -> None:
         """Write one row and flush — a crashed sweep loses at most one line."""
         if self.path.parent != Path("."):
             self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Cache validity is judged against the file as it stood *before*
-        # this write; a healed truncated tail does not perturb it (the
-        # partial line is unparseable either way).
-        cache_valid = self._cache is not None and self._signature() == self._cache_sig
-        encoded = canonical_json(row)
         with self.path.open("a+b") as fh:
             # Heal a crash-truncated tail: without this, the new row would
             # concatenate onto the partial line and be lost with it.
@@ -67,27 +45,14 @@ class ResultsStore:
                 fh.seek(-1, 2)
                 if fh.read(1) != b"\n":
                     fh.write(b"\n")
-            fh.write((encoded + "\n").encode("utf-8"))
+            fh.write((canonical_json(row) + "\n").encode("utf-8"))
             fh.flush()
-        if cache_valid:
-            # Extend with the row as the file now holds it (a json.loads
-            # round-trip, not the caller's dict — tuples become lists,
-            # keys become strings) instead of re-parsing everything later.
-            self._cache.append(json.loads(encoded))
-            self._cache_sig = self._signature()
-        else:
-            self._cache = None
-            self._cache_sig = None
 
-    def _parsed(self) -> list[dict[str, Any]]:
-        """The file's rows, from cache when the signature still matches."""
-        signature = self._signature()
-        if self._cache is not None and signature == self._cache_sig:
-            self.skipped_lines = self._cache_skipped
-            return self._cache
+    def rows(self) -> list[dict[str, Any]]:
+        """All parseable rows, in append order, parsed from the file now."""
         out: list[dict[str, Any]] = []
         skipped = 0
-        if signature is not None:
+        if self.path.exists():
             with self.path.open("r", encoding="utf-8") as fh:
                 for line in fh:
                     line = line.strip()
@@ -103,9 +68,6 @@ class ResultsStore:
                     else:
                         skipped += 1
         self.skipped_lines = skipped
-        self._cache = out
-        self._cache_sig = signature
-        self._cache_skipped = skipped
         return out
 
     @property
@@ -141,21 +103,17 @@ class ResultsStore:
             json.dumps(timings, indent=1, sort_keys=True) + "\n", encoding="utf-8"
         )
 
-    def rows(self) -> list[dict[str, Any]]:
-        """All parseable rows, in append order."""
-        return list(self._parsed())
-
     def ok_rows(self) -> list[dict[str, Any]]:
         """Rows of successfully-completed runs (what reports aggregate)."""
-        return [row for row in self._parsed() if row.get("status") == "ok"]
+        return [row for row in self.rows() if row.get("status") == "ok"]
 
     def completed_hashes(self) -> set[str]:
         """Config hashes that never need to run again (errors are retried)."""
         return {
             row["config_hash"]
-            for row in self._parsed()
+            for row in self.rows()
             if row.get("status") == "ok" and "config_hash" in row
         }
 
     def __len__(self) -> int:
-        return len(self._parsed())
+        return len(self.rows())

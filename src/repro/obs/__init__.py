@@ -2,9 +2,10 @@
 
 The package is organized around one rule: **the disabled path is the
 absence of the objects**, not no-op objects.  A core without a tracer
-holds ``None``, and without telemetry its run loop has no per-cycle
-observer to call; only when the CLI builds an :class:`ObsSession` do
-hooks exist.  The
+holds ``None``, and a run without telemetry passes its loop no per-cycle
+hook; only when the CLI builds an :class:`ObsSession` do hooks exist.
+The core imports nothing from this package: telemetry observes it from
+outside, running it with a ``stop`` hook that only reads its state.  The
 golden-equivalence suite, the committed sweep store, and the throughput
 floor all pin that the disabled path is bit-for-bit and throughput-for-
 throughput unchanged.
@@ -13,9 +14,9 @@ Pieces (each importable directly from ``repro.obs``):
 
 * :class:`PipelineTracer` — per-op lifecycle rows + Chrome ``trace_event``
   timeline export (:mod:`repro.obs.tracer`);
-* :class:`IntervalTelemetry` — delta-sampled time series reconciling
-  exactly with the final :class:`~repro.core.stats.CoreStats`
-  (:mod:`repro.obs.telemetry`);
+* :class:`IntervalTelemetry` — runs a core and samples a delta time
+  series reconciling exactly with the final
+  :class:`~repro.core.stats.CoreStats` (:mod:`repro.obs.telemetry`);
 * :class:`MetricsRegistry` — typed counter/gauge/histogram registry with
   one ``--metrics-out`` schema for run/sweep/report
   (:mod:`repro.obs.registry`);
@@ -26,7 +27,7 @@ Pieces (each importable directly from ``repro.obs``):
   (:mod:`repro.obs.schema`).
 
 :class:`ObsSession` bundles the output plumbing for one CLI invocation:
-it hands tracers to cores, collects their telemetry, and writes every
+it hands tracers and telemetry samplers to cores, and writes every
 requested artifact (merging multi-core traces into one timeline).
 """
 
@@ -57,7 +58,7 @@ from repro.obs.tracer import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.telemetry import IntervalTelemetry as _Telemetry
+    from repro.core.core import SuperscalarCore
 
 __all__ = [
     "Counter",
@@ -89,10 +90,13 @@ class ObsSession:
     """Output plumbing for one observed CLI invocation.
 
     The CLI builds one per command, cores get tracers via
-    :meth:`tracer_for` and report their telemetry via
-    :meth:`record_telemetry`, and :meth:`finish` writes every requested
-    artifact.  All parameters default to "off"; with none set the session
-    hands out no tracers and writes nothing.
+    :meth:`tracer_for` and run through the sampler :meth:`telemetry_for`
+    hands out, and :meth:`finish` writes every requested artifact.  All
+    parameters default to "off"; with none set the session hands out no
+    tracers or samplers and writes nothing.
+
+    Raises:
+        ValueError: if ``telemetry_interval`` is negative.
     """
 
     def __init__(
@@ -106,6 +110,11 @@ class ObsSession:
     ):
         self.trace_out = Path(trace_out) if trace_out else None
         self.op_trace_out = Path(op_trace_out) if op_trace_out else None
+        if telemetry_interval < 0:
+            raise ValueError(
+                f"telemetry_interval must be >= 0, got {telemetry_interval}"
+            )
+        #: Cycles between telemetry samples; 0 hands out no sampler.
         self.telemetry_interval = telemetry_interval
         self.telemetry_out = Path(telemetry_out) if telemetry_out else None
         self.metrics_out = Path(metrics_out) if metrics_out else None
@@ -114,7 +123,7 @@ class ObsSession:
         self.trace_ops = trace_ops
         self.registry = MetricsRegistry()
         self.tracers: list[PipelineTracer] = []
-        self.telemetries: list[tuple[str, "_Telemetry"]] = []
+        self.telemetries: list[tuple[str, IntervalTelemetry]] = []
         self.spans: SpanCollector | None = None
         #: Paths written by :meth:`finish` (reported by the CLI).
         self.written: list[Path] = []
@@ -134,10 +143,17 @@ class ObsSession:
         self.tracers.append(tracer)
         return tracer
 
-    def record_telemetry(self, label: str, telemetry: "_Telemetry | None") -> None:
-        """Keep a finished core's telemetry for output (None is ignored)."""
-        if telemetry is not None:
-            self.telemetries.append((label, telemetry))
+    def telemetry_for(
+        self, label: str, core: "SuperscalarCore"
+    ) -> IntervalTelemetry | None:
+        """A sampler for the core ``label`` (run the core through its
+        :meth:`~IntervalTelemetry.run`), kept for output; None when
+        telemetry is off."""
+        if not self.telemetry_interval:
+            return None
+        telemetry = IntervalTelemetry(self.telemetry_interval, core)
+        self.telemetries.append((label, telemetry))
+        return telemetry
 
     def span_collector(self, label: str = "sweep") -> SpanCollector | None:
         """A span collector when a trace output is requested (sweeps)."""

@@ -82,7 +82,7 @@ def pow2_bucket(value: int | float) -> str:
     """Bucket label for ``value``: ``"0"`` or the next power of two ≥ it.
 
     Matches the rollback-distance bucketing in
-    :meth:`~repro.core.recovery.RecoveryManager._fault_stall_cycles`, so
+    :meth:`~repro.core.recovery.RecoveryManager._checker_stall`, so
     histograms built by ``observe`` and histograms merged from
     ``rollback_distance_hist`` use identical bucket labels.
     """

@@ -1,7 +1,10 @@
 """Interval telemetry: a time-series view of one core run.
 
-Every ``CoreParams.telemetry_interval`` cycles the run loop takes one
-sample (see ``SuperscalarCore.run``): the **delta** of every tracked
+An :class:`IntervalTelemetry` observes a core from outside:
+``IntervalTelemetry(interval, core).run(trace)`` runs the core with
+:meth:`~IntervalTelemetry.observe` as its per-cycle ``stop`` hook (see
+``SuperscalarCore.run``), which never stops the run.  Every ``interval``
+cycles it takes one sample: the **delta** of every tracked
 :class:`~repro.core.stats.CoreStats` counter since the previous sample,
 plus instantaneous occupancy gauges (window, LSQ, pending checks) and
 derived interval rates (IPC, checker slot-steal).  A final flush at run
@@ -15,11 +18,12 @@ skipping, one sample may cover several interval boundaries (the machine
 was provably idle across them); its ``cycles`` span says so.
 
 Sampling only *reads* simulator state — no RNG, no counter writes — so an
-instrumented run's :class:`~repro.core.stats.CoreStats` is identical to an
-untraced run's, field for field (pinned by the trace-identity tests).
+observed run's :class:`~repro.core.stats.CoreStats` is identical to an
+unobserved run's, field for field (pinned by the trace-identity tests).
 The last few samples double as a flight recorder: a
-:class:`~repro.core.sched.DeadlockError` raised with telemetry enabled
-carries them, so a hung configuration arrives with its recent history.
+:class:`~repro.core.sched.DeadlockError` raised inside :meth:`run` is
+raised again carrying them, so a hung configuration arrives with its
+recent history.
 """
 
 from __future__ import annotations
@@ -28,8 +32,12 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.core.sched import DeadlockError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.core import SuperscalarCore
+    from repro.core.stats import CoreStats
+    from repro.isa.instruction import MicroOp
 
 #: Serialization version for telemetry JSONL rows.
 TELEMETRY_SCHEMA_VERSION = 1
@@ -61,7 +69,7 @@ FLIGHT_RECORDER_DEPTH = 8
 
 
 class IntervalTelemetry:
-    """Delta-sampled time series over one ``run()`` call."""
+    """Delta-sampled time series over one run of ``core`` (see :meth:`run`)."""
 
     __slots__ = (
         "interval",
@@ -86,18 +94,40 @@ class IntervalTelemetry:
 
     # -------------------------------------------------------------- sampling
 
-    def next_boundary(self, now: int) -> int:
-        """First sampling cycle strictly after ``now``."""
-        return (now // self.interval + 1) * self.interval
+    def run(
+        self, trace: Sequence["MicroOp"], max_cycles: int | None = None
+    ) -> "CoreStats":
+        """Run the core over ``trace`` (as ``core.run(trace, max_cycles)``),
+        sampling every cycle through :meth:`observe`, and flush the last
+        interval; returns the core's stats.
 
-    def observe(self, now: int) -> None:
-        """Per-cycle hook of the core's run loop: sample once ``now`` has
-        reached the next boundary.  A cycle skip that jumps several
-        boundaries yields one sample spanning the gap (its ``cycles``
-        field says so)."""
+        Raises:
+            DeadlockError: the core's, raised again with the flight
+                recorder's samples (:meth:`recent_samples`) as ``samples``
+                and appended to its message.
+        """
+        core = self._core
+        try:
+            stats = core.run(trace, max_cycles, stop=self.observe)
+        except DeadlockError as exc:
+            self.finalize(core._now)
+            samples = self.recent_samples()
+            lines = [str(exc), f"flight recorder (last {len(samples)} telemetry samples):"]
+            lines += ["  " + json.dumps(row, sort_keys=True) for row in samples]
+            raise DeadlockError("\n".join(lines), samples=samples) from None
+        self.finalize(core._now)
+        return stats
+
+    def observe(self) -> bool:
+        """The run loop's per-cycle ``stop`` hook: sample once the core's
+        cycle has reached the next boundary, and never stop the run.  A
+        cycle skip that jumps several boundaries yields one sample spanning
+        the gap (its ``cycles`` field says so)."""
+        now = self._core._now
         if now >= self._next_at:
             self.sample(now)
-            self._next_at = self.next_boundary(now)
+            self._next_at = (now // self.interval + 1) * self.interval
+        return False
 
     def sample(self, now: int) -> None:
         """Record the delta sample ``(last_cycle, now]``.

@@ -256,19 +256,15 @@ def run_sharded_experiment(
     warmup and the result is bit-identical to the monolithic path.
 
     Raises:
-        ValueError: if ``obs`` or ``params`` asks for interval telemetry,
-            at any shard count: no shard records it, and a warm-start
-            window cannot sample it.
+        ValueError: if ``obs`` asks for interval telemetry, at any shard
+            count: no shard records it.
         RuntimeError: naming each shard that failed (a multi-shard run's
             after its re-run) with its traceback.
     """
-    interval = (obs.telemetry_interval if obs is not None else 0) or (
-        params.telemetry_interval if params is not None else 0
-    )
-    if interval:
+    if obs is not None and obs.telemetry_interval:
         raise ValueError(
-            f"telemetry_interval={interval} needs one continuous run; "
-            "a sharded run records no telemetry (use run_experiment)"
+            f"telemetry_interval={obs.telemetry_interval} needs one continuous "
+            "run; a sharded run records no telemetry (use run_experiment)"
         )
     if store_alias_fraction is not None:
         profile = replace(profile, store_alias_fraction=store_alias_fraction)

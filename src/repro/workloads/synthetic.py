@@ -352,48 +352,19 @@ class TraceGenerator:
         return out
 
     def fast_forward(self, count: int) -> None:
-        """Advance past ``count`` ops without materializing them.
-
-        Makes exactly the draws and cold-pointer steps :meth:`take` makes
-        for the same ops, in the same order, so a later :meth:`take`
-        returns precisely the ops a fresh generator would emit at this
-        offset.  This is what lets a shard worker resynthesize its trace
-        window in O(offset) draws instead of building (and discarding)
-        every earlier micro-op.
+        """Skip the next ``count`` ops: :meth:`take` them and drop them, so
+        a later :meth:`take` returns precisely the ops a fresh generator
+        would emit at this offset.  Shard workers rebuild their trace
+        windows this way (see :func:`generate_window`).  One loop
+        iteration is taken at a time, so a long skip never holds more
+        than one iteration's ops.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        profile = self.profile
-        cold = profile.cold_fraction
-        hot_lines = profile.hot_lines
-        hot_bits = hot_lines.bit_length()
-        draw = self._rng.random
-        bits = self._rng.getrandbits
-        dynamic = self._dynamic
-        dynamic_slots = self._dynamic_slots
-        n = len(self._program)
-        cold_ptr = self._cold_ptr
-        index = self._index
-        end = index + count
-        while index < end:
-            first = index % n
-            stop = min(n, first + end - index)
-            lo = bisect_left(dynamic_slots, first)
-            hi = bisect_left(dynamic_slots, stop)
-            for _, kind, _ in dynamic[lo:hi]:
-                if kind == _BRANCH:
-                    draw()  # outcome noise
-                    draw()  # mispredict
-                elif kind == _MEM:
-                    if draw() < cold:
-                        cold_ptr += _LINE_BYTES
-                    else:
-                        r = bits(hot_bits)
-                        while r >= hot_lines:
-                            r = bits(hot_bits)
-            index += stop - first
-        self._index = index
-        self._cold_ptr = cold_ptr
+        n = len(self._shared)
+        for _ in range(count // n):
+            self.take(n)
+        self.take(count % n)
 
 
 #: Wrong-path data accesses land here by default: a region disjoint from
@@ -608,10 +579,10 @@ def generate_window(
 ) -> list[MicroOp]:
     """The slice ``generate(profile, start + count, seed)[start:]``, cheaply.
 
-    Fast-forwards a fresh generator over the first ``start`` ops (RNG draws
-    only — see :meth:`TraceGenerator.fast_forward`) and materializes the
-    next ``count``.  Element-for-element equal to the monolithic slice;
-    sharded runs rebuild each window this way.
+    Fast-forwards a fresh generator over the first ``start`` ops (see
+    :meth:`TraceGenerator.fast_forward`) and keeps the next ``count``.
+    Element-for-element equal to the monolithic slice; sharded runs
+    rebuild each window this way.
     """
     if start < 0:
         raise ValueError(f"start must be non-negative, got {start}")

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.params import CoreParams
+from repro.core.params import CheckerParams, CoreParams
 from repro.experiments import ResultsStore, SweepSpec, execute_point, run_experiment, run_sweep
+from repro.experiments.spec import run_params
 from repro.obs import ObsSession
 from repro.workloads import preset
 
@@ -267,15 +268,58 @@ def test_sweep_writes_a_timings_sidecar(tmp_path):
     assert store.timings_path.read_bytes() == before
 
 
-def test_run_experiment_rejects_telemetry_without_a_session():
-    """Params that ask for interval telemetry used to run the sampler and
-    throw its series away, while the result's params claimed it was
-    taken; without a session to record it the run is refused."""
-    with pytest.raises(ValueError, match="telemetry_interval"):
-        run_experiment(preset("branchy"), num_ops=500, params=CoreParams(telemetry_interval=50))
+def test_run_experiment_samples_each_core_through_the_session():
+    """The session is the interval's one home: each core runs through its
+    sampler, and the result's params do not carry the interval."""
     obs = ObsSession(telemetry_interval=50)
-    result = run_experiment(
-        preset("branchy"), num_ops=500, params=CoreParams(telemetry_interval=50), obs=obs
-    )
-    assert result["params"]["telemetry_interval"] == 50
+    result = run_experiment(preset("branchy"), num_ops=500, obs=obs)
+    assert "telemetry_interval" not in result["params"]
     assert [label for label, _ in obs.telemetries] == ["unchecked", "checked"]
+    for mode, telemetry in obs.telemetries:
+        assert telemetry.totals()["committed"] == result[mode]["committed"] == 500
+    with pytest.raises(ValueError, match="telemetry_interval must be >= 0"):
+        ObsSession(telemetry_interval=-1)
+    assert ObsSession().telemetry_for("checked", None) is None
+
+
+#: Each run-level knob a base params may also set: the base, the run's
+#: keyword giving another value, and the field the error names.
+_OVERRIDES = [
+    (CoreParams(wrong_path_depth=128), {}, "wrong_path_depth"),
+    (CoreParams(use_real_predictor=True), {}, "use_real_predictor"),
+    (CoreParams(model_wrong_path=False), {}, "model_wrong_path"),
+    (CoreParams(checker=CheckerParams(fault_rate=0.01)), {}, "checker.fault_rate"),
+    (CoreParams(wrong_path_depth=128), {"wrong_path_depth": 32}, "wrong_path_depth"),
+]
+
+
+@pytest.mark.parametrize(("params", "keywords", "field"), _OVERRIDES)
+def test_a_run_keyword_never_overrides_a_knob_the_params_set(params, keywords, field):
+    """run_params used to write its keywords' defaults over these fields:
+    the run took depth 64, trace mispredict flags, wrong paths and rate
+    1e-4, and its params block said so."""
+    with pytest.raises(ValueError, match=rf"params\.{field}="):
+        run_experiment(preset("branchy"), num_ops=100, params=params, **keywords)
+
+
+_AGREEING = dict(wrong_path_depth=128, real_predictor=True, wrong_path=False)
+
+
+def test_equal_run_keywords_and_params_agree():
+    base = CoreParams(
+        wrong_path_depth=128,
+        use_real_predictor=True,
+        model_wrong_path=False,
+        checker=CheckerParams(fault_rate=0.01),
+    )
+    result = run_experiment(
+        preset("branchy"), num_ops=300, params=base, fault_rate=0.01, **_AGREEING
+    )
+    params = result["params"]
+    assert params["wrong_path_depth"] == 128
+    assert params["use_real_predictor"] is True
+    assert params["model_wrong_path"] is False
+    assert params["checker"]["fault_rate"] == 0.01
+    # The unchecked core's checker is off at rate 0 whatever the base says.
+    unchecked = run_params(base, 0, checked=False, **_AGREEING)
+    assert unchecked.checker.fault_rate == 0.0 and not unchecked.checker.enabled

@@ -57,48 +57,36 @@ def test_store_creates_parent_directories(tmp_path):
     assert store.completed_hashes() == {"aa"}
 
 
-# ----------------------------------------------------------------- row caching
+# ------------------------------------------------------------------ read-back
 
 
-def test_read_parses_once_then_serves_from_cache(tmp_path):
-    store = ResultsStore(tmp_path / "r.jsonl")
-    store.append(_row("aa"))
-    first = store.rows()
-    # Repeated reads with an unchanged file must not hit the parser: the
-    # cached list object backs both calls.
-    assert store._parsed() is store._parsed()
-    assert store.rows() == first
-
-
-def test_rows_returns_a_copy_not_the_cache(tmp_path):
+def test_a_caller_mutating_rows_leaves_the_store_unchanged(tmp_path):
     store = ResultsStore(tmp_path / "r.jsonl")
     store.append(_row("aa"))
     rows = store.rows()
-    rows.clear()  # caller mutation must not corrupt the cache
+    rows.clear()
     assert [row["config_hash"] for row in store.rows()] == ["aa"]
 
 
-def test_append_extends_a_warm_cache_with_canonical_content(tmp_path):
+def test_an_appended_row_reads_back_as_its_canonical_json(tmp_path):
     store = ResultsStore(tmp_path / "r.jsonl")
     store.append(_row("aa"))
-    store.rows()  # warm the cache
+    store.rows()
     store.append(_row("bb", result={"point": (1, 2)}))
     rows = store.rows()
     assert [row["config_hash"] for row in rows] == ["aa", "bb"]
-    # The cached row matches what a fresh parse of the file would yield:
-    # JSON round-trip fidelity (tuples become lists), not the caller's dict.
+    # What the file holds (tuples become lists), not the caller's dict.
     assert rows[1]["result"] == {"point": [1, 2]}
     fresh = ResultsStore(store.path)
     assert fresh.rows() == rows
 
 
-def test_external_write_invalidates_the_cache(tmp_path):
+def test_rows_another_writer_appends_are_read(tmp_path):
     path = tmp_path / "r.jsonl"
     store = ResultsStore(path)
     store.append(_row("aa"))
-    store.rows()  # warm
-    # Another process appends behind our back; the signature changes and
-    # the next read must re-parse rather than serve the stale cache.
+    store.rows()
+    # Another process appends behind our back.
     with path.open("a", encoding="utf-8") as fh:
         fh.write('{"schema": 1, "config_hash": "zz", "status": "ok"}\n')
     assert {row["config_hash"] for row in store.rows()} == {"aa", "zz"}
@@ -107,13 +95,13 @@ def test_external_write_invalidates_the_cache(tmp_path):
     assert {row["config_hash"] for row in store.rows()} == {"aa", "zz", "cc"}
 
 
-def test_cached_reads_preserve_skipped_line_count(tmp_path):
+def test_every_read_reports_the_skipped_line_count(tmp_path):
     path = tmp_path / "r.jsonl"
     path.write_text('not json\n{"schema": 1, "config_hash": "aa", "status": "ok"}\n')
     store = ResultsStore(path)
     store.rows()
     assert store.skipped_lines == 1
-    store.rows()  # cache hit must report the same diagnostic
+    store.rows()
     assert store.skipped_lines == 1
 
 

@@ -33,7 +33,7 @@ from repro.isa.opcodes import FUClass
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
-IDENTITY_SHA256 = "7b18f260fd3c1c5c3a802ad8bdca61da487f461d8e83b537d257bcf45d52cf28"
+IDENTITY_SHA256 = "3650366ff472718a3f81b8a21b64b6a39591165662ff443a6acd0f7f326eb503"
 
 _SMALL_FUS = {"IALU": 4, "IMUL": 1, "FALU": 1, "FMUL": 1}
 
@@ -73,7 +73,6 @@ CORE_OFF: dict = {
     "use_real_predictor": True,
     "record_retired": True,
     "cycle_skip": False,
-    "telemetry_interval": 100,
 }
 CHECKER_OFF: dict = {
     "enabled": True,

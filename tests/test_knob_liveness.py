@@ -88,7 +88,6 @@ PERTURBED: dict[str, object] = {
     "core.record_retired": FLIP,
     "core.frontend_depth": 3,
     "core.cycle_skip": FLIP,
-    "core.telemetry_interval": 100,
     "checker.enabled": FLIP,
     "checker.fault_rate": 2e-2,
     "checker.fault_seed": 99,
@@ -128,7 +127,7 @@ PERTURBED: dict[str, object] = {
 }
 
 #: Fields that only observe a run; no statistic may depend on them.
-OBSERVERS = frozenset({"core.cycle_skip", "core.record_retired", "core.telemetry_interval"})
+OBSERVERS = frozenset({"core.cycle_skip", "core.record_retired"})
 
 #: Fields no shape can move, and why.
 NEVER_LIVE: dict[str, str] = {}

@@ -12,6 +12,7 @@ from repro.cli import run_experiment
 from repro.core.params import CheckerParams, CoreParams, MemDepParams, RecoveryParams
 from repro.core.core import SuperscalarCore
 from repro.obs import ObsSession
+from repro.obs.telemetry import IntervalTelemetry
 from repro.obs.tracer import PipelineTracer
 from repro.workloads import PRESETS, generate
 
@@ -35,10 +36,9 @@ SHAPES = {
 PRESET_FOR = {"memdep": "memory-bound"}
 
 
-def _params(shape: str, telemetry_interval: int = 0) -> CoreParams:
+def _params(shape: str) -> CoreParams:
     return CoreParams(
         checker=CheckerParams(enabled=True, fault_rate=1e-3, fault_seed=1),
-        telemetry_interval=telemetry_interval,
         **SHAPES[shape],
     )
 
@@ -49,14 +49,12 @@ def test_traced_run_stats_identical_to_untraced(shape, interval):
     preset = PRESETS[PRESET_FOR.get(shape, "branchy")]
     trace = generate(preset, 3000, seed=0)
     baseline = SuperscalarCore(_params(shape)).run(trace)
-    instrumented_core = SuperscalarCore(
-        _params(shape, telemetry_interval=interval),
-        tracer=PipelineTracer("checked"),
+    telemetry = IntervalTelemetry(
+        interval, SuperscalarCore(_params(shape), tracer=PipelineTracer("checked"))
     )
-    instrumented = instrumented_core.run(trace)
+    instrumented = telemetry.run(trace)
     assert instrumented.to_dict() == baseline.to_dict()
-    assert instrumented_core.telemetry is not None
-    assert instrumented_core.telemetry.samples
+    assert telemetry.samples
 
 
 def test_run_experiment_results_identical_with_and_without_obs(tmp_path):
@@ -68,10 +66,8 @@ def test_run_experiment_results_identical_with_and_without_obs(tmp_path):
     assert observed["checked"] == plain["checked"]
     assert observed["slowdown"] == plain["slowdown"]
     assert observed["fault_coverage"] == plain["fault_coverage"]
-    # The observed run's params differ ONLY by the telemetry interval.
-    observed_params = dict(observed["params"])
-    assert observed_params.pop("telemetry_interval") == 256
-    assert observed_params == plain["params"]
+    # Observing is no part of the configuration.
+    assert observed["params"] == plain["params"]
     # Both cores reported telemetry and got tracers.
     assert [label for label, _ in obs.telemetries] == ["unchecked", "checked"]
     assert len(obs.tracers) == 2
